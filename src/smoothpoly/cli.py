@@ -32,9 +32,6 @@ def _build_parser():
                    help="output format (default text)")
     c.add_argument("--out", metavar="PATH",
                    help="write the report to PATH instead of stdout")
-    c.add_argument("--threads", type=int, default=1, metavar="K",
-                   help="worker threads for the realization stage; the "
-                        "output is byte identical for every K")
     c.add_argument("--trace-tree", metavar="PATH",
                    help="append one line per visited search node to PATH")
     c.add_argument("--allow-unvalidated", action="store_true",
@@ -65,8 +62,7 @@ def _build_parser():
 
 def _cmd_classify(args):
     cfg = RunConfig(dimension=args.dim, max_points=args.max_points,
-                    fmt=args.format, out=args.out, threads=args.threads,
-                    trace_tree=args.trace_tree,
+                    fmt=args.format, out=args.out, trace_tree=args.trace_tree,
                     allow_unvalidated=args.allow_unvalidated)
     for warning in cfg.validate():
         print(warning, file=sys.stderr)

@@ -19,7 +19,6 @@ from fractions import Fraction
 from itertools import permutations
 
 from .exact_linalg import (
-    Inconsistent,
     columns_matrix,
     cross,
     determinant,
@@ -29,6 +28,7 @@ from .exact_linalg import (
     normalize_primitive,
     solve_rational,
     vec_add,
+    vec_sub,
 )
 
 
@@ -470,6 +470,30 @@ def instantiate(pf, assignment):
     return Fan(rays, pf.cones, pf.d)
 
 
+def unimodular_frames(anchors, points, d):
+    """Images of points in every unimodular frame the anchors define.
+
+    An anchor is an (origin, basis) pair.  A basis of d vectors with
+    determinant +-1, taken in any order as the columns of M, gives the frame
+    x -> M^-1 (x - origin); bases of another length or determinant give
+    none.  M^-1 is computed once per anchor: reordering the columns of M
+    reorders the rows of M^-1, so each ordering of the basis only permutes
+    the coordinates of the images.  Yields one list of images, in points
+    order, per unimodular anchor and ordering.
+    """
+    orderings = list(permutations(range(d)))
+    for origin, basis in anchors:
+        if len(basis) != d:
+            continue
+        M = columns_matrix(basis)
+        if determinant(M) not in (1, -1):
+            continue
+        T = inverse_unimodular(M)
+        imgs = [mat_vec(T, vec_sub(p, origin)) for p in points]
+        for perm in orderings:
+            yield [tuple(x[k] for k in perm) for x in imgs]
+
+
 def fan_canonical_key(fan):
     """Lexicographically least encoding of the fan's unimodular class.
 
@@ -478,22 +502,18 @@ def fan_canonical_key(fan):
     sorted.  The least (rays, cones) pair over all such transforms is a
     complete invariant for smooth complete fans.
     """
+    origin = (0,) * fan.d
+    anchors = [(origin, [fan.rays[i] for i in cone]) for cone in fan.cones]
     best = None
-    for cone in fan.cones:
-        for perm in permutations(cone):
-            M = columns_matrix([fan.rays[i] for i in perm])
-            if determinant(M) not in (1, -1):
-                continue
-            T = inverse_unimodular(M)
-            imgs = [mat_vec(T, r) for r in fan.rays]
-            order = sorted(range(len(imgs)), key=imgs.__getitem__)
-            pos = {old: new for new, old in enumerate(order)}
-            rays = tuple(imgs[i] for i in order)
-            cones = tuple(sorted(tuple(sorted(pos[i] for i in c))
-                                 for c in fan.cones))
-            key = (rays, cones)
-            if best is None or key < best:
-                best = key
+    for imgs in unimodular_frames(anchors, fan.rays, fan.d):
+        order = sorted(range(len(imgs)), key=imgs.__getitem__)
+        pos = {old: new for new, old in enumerate(order)}
+        rays = tuple(imgs[i] for i in order)
+        cones = tuple(sorted(tuple(sorted(pos[i] for i in c))
+                             for c in fan.cones))
+        key = (rays, cones)
+        if best is None or key < best:
+            best = key
     assert best is not None, "fan has no unimodular cone"
     return best
 
@@ -515,5 +535,5 @@ __all__ = [
     "Fan", "ParamFan", "Wall", "EdgeParams",
     "walls_of", "edge_parameters", "edge_parameters_all",
     "is_smooth_fan", "is_complete_fan", "blow_up", "instantiate",
-    "fan_canonical_key", "fan_canonical_form",
+    "unimodular_frames", "fan_canonical_key", "fan_canonical_form",
 ]

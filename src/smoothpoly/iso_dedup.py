@@ -22,6 +22,7 @@ from .exact_linalg import (
     vec_neg,
     vec_sub,
 )
+from .fans import unimodular_frames
 from .polytopes import VPolytope, edges_of
 
 
@@ -98,21 +99,14 @@ def canonical_form(P):
     """
     d = P.d
     dirs = vertex_directions(P)
+    anchors = [(v, dirs[i]) for i, v in enumerate(P.vertices)]
     best = None
-    for i, v in enumerate(P.vertices):
-        for ordered in permutations(dirs[i]):
-            if len(ordered) != d:
-                continue
-            M = columns_matrix(ordered)
-            if determinant(M) not in (1, -1):
-                continue
-            M_inv = inverse_unimodular(M)
-            imgs = [mat_vec(M_inv, vec_sub(u, v)) for u in P.vertices]
-            mins = [min(p[k] for p in imgs) for k in range(d)]
-            cand = tuple(sorted(tuple(a - m for a, m in zip(p, mins))
-                                for p in imgs))
-            if best is None or cand < best:
-                best = cand
+    for imgs in unimodular_frames(anchors, P.vertices, d):
+        mins = [min(p[k] for p in imgs) for k in range(d)]
+        cand = tuple(sorted(tuple(a - m for a, m in zip(p, mins))
+                            for p in imgs))
+        if best is None or cand < best:
+            best = cand
     assert best is not None, "no unimodular vertex basis; polytope not smooth"
     key = (d, len(best)) + tuple(a for p in best for a in p)
     return CanonicalPolytope(vertices=best, key=key)

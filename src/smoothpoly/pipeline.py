@@ -15,14 +15,11 @@ over their parameter boxes with a vectorized wall-sum test.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import seeds
 from .exact_linalg import dot
-from .fans import DegenerateRay, ParamFan, fan_canonical_key, instantiate
+from .fans import ParamFan, fan_canonical_key
 from .iso_dedup import canonical_form, dedup
 from .polytopes import VPolytope, facets_of, lattice_points
 from .rhs import (
@@ -36,7 +33,9 @@ from .search import (
     degree_profile,
     enumerate_blowups,
     instantiate_all,
+    instantiate_each,
     make_root,
+    parameter_axes,
     polygon_criterion,
     polygon_stats,
     trace_line,
@@ -57,7 +56,6 @@ class RunConfig:
     max_points: int
     fmt: str = "text"
     out: str = None
-    threads: int = 1
     trace_tree: str = None
     allow_unvalidated: bool = False
 
@@ -72,8 +70,6 @@ class RunConfig:
         if self.fmt not in ("json", "text"):
             raise ConfigError("format must be json or text, got %r"
                               % (self.fmt,))
-        if self.threads < 1:
-            raise ConfigError("threads must be positive")
         warnings = []
         if self.dimension == 3 and self.max_points > VALIDATED_3D_MAX_POINTS:
             msg = ("max_points %d exceeds the validated envelope %d for "
@@ -137,39 +133,23 @@ def _make_record(dim, poly, prov, max_points):
                                 len(cf.vertices), len(H.A), prov)
 
 
-def _realize_jobs(dim, jobs, max_points, diag, threads):
+def _realize_jobs(dim, jobs, max_points, diag):
     """Run the level enumeration and realization for each fan class rep.
 
     jobs are ((seed, path, assignment), fan) pairs in a deterministic
-    order; results are merged in that same order, so the thread budget
-    never changes the output.
+    order.
     """
-
-    def work(job):
-        prefix, fan = job
+    records = []
+    for prefix, fan in jobs:
         levels = enumerate_rhs(fan, max_points)
-        kept = []
-        rejected = 0
+        diag.rhs_enumerated += len(levels)
         for b in levels:
             poly, status = realize_and_filter(fan, b, max_points)
             if poly is None:
-                rejected += 1
+                diag.realizations_rejected += 1
                 continue
             prov = Provenance(prefix[0], prefix[1], prefix[2], tuple(b))
-            kept.append(_make_record(dim, poly, prov, max_points))
-        return len(levels), rejected, kept
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(job) for job in jobs]
-
-    records = []
-    for n_levels, rejected, kept in results:
-        diag.rhs_enumerated += n_levels
-        diag.realizations_rejected += rejected
-        records.extend(kept)
+            records.append(_make_record(dim, poly, prov, max_points))
     return dedup(records)
 
 
@@ -267,7 +247,7 @@ def _min_interior(n):
     return max(1, (n - 6) // 2)
 
 
-def _classify_2d(max_points, trace, threads):
+def _classify_2d(max_points, trace):
     diag = Diagnostics()
     cap = max_points - 4      # thickened edge: 2(l+1) + a*l <= N at l = 1
     max_rays = max_points
@@ -298,7 +278,7 @@ def _classify_2d(max_points, trace, threads):
             stack.extend(reversed(children))
     jobs = sorted(classes.values(), key=lambda job: job[0])
     diag.fans_tested = len(jobs)
-    records = _realize_jobs(2, jobs, max_points, diag, threads)
+    records = _realize_jobs(2, jobs, max_points, diag)
     return records, diag
 
 
@@ -306,29 +286,19 @@ def _masked_instances(fan, max_points):
     """In-box assignments passing the wall-sum cap, with their fans."""
     if not isinstance(fan, ParamFan) or not fan.bounds:
         return [({}, fan)] if passes_wall_sum(fan, max_points) else []
-    names = sorted(fan.bounds)
-    axes = []
-    for n in names:
-        lo, hi = fan.bounds[n]
-        bad = fan.excluded.get(n, frozenset())
-        axes.append([v for v in range(lo, hi + 1) if v not in bad])
-        if not axes[-1]:
-            return []
+    names, axes = parameter_axes(fan)
+    if not all(axes):
+        return []
+    import numpy as np    # only 3D parameter boxes need numpy
     mesh = np.meshgrid(*[np.array(ax, dtype=np.int64) for ax in axes],
                        indexing="ij")
     grids = {n: m.reshape(-1) for n, m in zip(names, mesh)}
     mask = wall_sum_mask(fan, grids, max_points)
-    out = []
-    for idx in np.nonzero(mask)[0]:
-        assignment = {n: int(grids[n][idx]) for n in names}
-        try:
-            out.append((assignment, instantiate(fan, assignment)))
-        except DegenerateRay:
-            continue
-    return out
+    return instantiate_each(fan, ({n: int(grids[n][idx]) for n in names}
+                                  for idx in np.nonzero(mask)[0]))
 
 
-def _classify_3d(max_points, stats, trace, threads):
+def _classify_3d(max_points, stats, trace):
     diag = Diagnostics()
     classes = {}
     for name in seeds.seed_names(3):
@@ -345,7 +315,7 @@ def _classify_3d(max_points, stats, trace, threads):
                 _note_class(classes, fan_canonical_key(fan), prefix, fan)
     jobs = sorted(classes.values(), key=lambda job: job[0])
     diag.fans_tested = len(jobs)
-    records = _realize_jobs(3, jobs, max_points, diag, threads)
+    records = _realize_jobs(3, jobs, max_points, diag)
     return records, diag
 
 
@@ -377,12 +347,11 @@ def run_classify(cfg):
     trace = open(cfg.trace_tree, "w") if cfg.trace_tree else None
     try:
         if cfg.dimension == 2:
-            records, diag = _classify_2d(cfg.max_points, trace, cfg.threads)
+            records, diag = _classify_2d(cfg.max_points, trace)
         else:
-            polygons, _ = _classify_2d(cfg.max_points, None, cfg.threads)
+            polygons, _ = _classify_2d(cfg.max_points, None)
             stats = polygon_stats_from_records(polygons, cfg.max_points)
-            records, diag = _classify_3d(cfg.max_points, stats, trace,
-                                         cfg.threads)
+            records, diag = _classify_3d(cfg.max_points, stats, trace)
     finally:
         if trace is not None:
             trace.close()

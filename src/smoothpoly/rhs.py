@@ -19,8 +19,6 @@ lexicographically least cone, which parks that cone's vertex at the origin.
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exact_linalg import dot, solve_rational
 from .fans import ParamExpr, edge_parameters, walls_of
 from .polytopes import HPolytope, VPolytope, count_lattice_points, is_smooth
@@ -215,15 +213,6 @@ def passes_wall_sum(fan, max_points):
     return all(s <= cap for s in wall_sums(fan))
 
 
-def _expr_array(x, grids, m):
-    if isinstance(x, ParamExpr):
-        arr = np.full(m, x.const, dtype=np.int64)
-        for name, c in x.coeffs.items():
-            arr = arr + c * grids[name]
-        return arr
-    return np.full(m, x, dtype=np.int64)
-
-
 def wall_sum_mask(fan, grids, max_points):
     """Boolean mask over a grid of assignments: passes_wall_sum for each.
 
@@ -234,10 +223,19 @@ def wall_sum_mask(fan, grids, max_points):
       d=2 (wall = one ray n): a <x n, n> = <s, n>
       d=3 (w = n1 x n2):  (a1 + a2) <w, w> = <s x n2 + n1 x s, w>
     """
+    import numpy as np    # only 3D parameter boxes need numpy
     m = len(next(iter(grids.values()))) if grids else 1
     cap = max_points - 2 * fan.d
-    rays = [np.stack([_expr_array(x, grids, m) for x in r], axis=1)
-            for r in fan.rays]
+
+    def entry_array(x):
+        if isinstance(x, ParamExpr):
+            arr = np.full(m, x.const, dtype=np.int64)
+            for name, c in x.coeffs.items():
+                arr = arr + c * grids[name]
+            return arr
+        return np.full(m, x, dtype=np.int64)
+
+    rays = [np.stack([entry_array(x) for x in r], axis=1) for r in fan.rays]
     mask = np.ones(m, dtype=bool)
     for wall in walls_of(fan):
         s = rays[wall.opposite[0]] + rays[wall.opposite[1]]

@@ -237,15 +237,34 @@ def instantiate_all(fan):
     """
     if not isinstance(fan, ParamFan) or not fan.bounds:
         return [({}, fan)]
+    names, axes = parameter_axes(fan)
+    return instantiate_each(fan, (dict(zip(names, combo))
+                                  for combo in itertools.product(*axes)))
+
+
+def parameter_axes(fan):
+    """Sorted parameter names, and per name its allowed values ascending.
+
+    The box of assignments is the product of these axes, taken in
+    itertools.product order (equivalently, row-major over the axes).
+    """
     names = sorted(fan.bounds)
     axes = []
     for n in names:
         lo, hi = fan.bounds[n]
         bad = fan.excluded.get(n, frozenset())
         axes.append([v for v in range(lo, hi + 1) if v not in bad])
+    return names, axes
+
+
+def instantiate_each(fan, assignments):
+    """(assignment, concrete fan) for each assignment, in the given order.
+
+    Assignments where a ray degenerates (vanishes or collides with another)
+    do not give a fan of this combinatorial type and are skipped.
+    """
     out = []
-    for combo in itertools.product(*axes):
-        assignment = dict(zip(names, combo))
+    for assignment in assignments:
         try:
             out.append((assignment, instantiate(fan, assignment)))
         except DegenerateRay:
@@ -324,7 +343,8 @@ def polygon_criterion(profile, stats):
 __all__ = [
     "ConeFlag", "SearchNode", "make_root", "propagate_bounds",
     "enumerate_blowups", "walk_tree", "trace_line",
-    "count_polygon_tree", "instantiate_all",
+    "count_polygon_tree", "instantiate_all", "parameter_axes",
+    "instantiate_each",
     "degree_profile", "PolygonStats", "polygon_stats",
     "CriterionResult", "polygon_criterion",
 ]

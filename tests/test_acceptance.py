@@ -6,6 +6,7 @@ the geometric identities behind the algorithm, each on the actual output
 of a complete run.
 """
 
+import hashlib
 import json
 import random
 
@@ -37,6 +38,7 @@ from smoothpoly.iso_dedup import (
 )
 from smoothpoly.pipeline import (
     RunConfig,
+    render_json,
     render_stats,
     run_classify,
     run_count_tree,
@@ -103,6 +105,17 @@ def test_criterion_2_all_3d_polytopes_to_twelve_points(run3d):
     assert hist.pop(6) == 25
     assert hist.pop(8) == 6
     assert all(v == 0 for v in hist.values())
+
+
+def test_reports_match_reference_digests(run2d, run3d):
+    """The full JSON reports, canonical representatives and diagnostics
+    included, are byte-identical to the benchmark's reference outputs."""
+    digests = [hashlib.sha256(render_json(r).encode()).hexdigest()
+               for r in (run2d, run3d)]
+    assert digests == [
+        "a9efaa6dccc6318130e6a288fdae6d3fa68666ae5e85a18c28c8c9f38d2f09d8",
+        "9dcc83cfe3a06e55d10ea5a79ca885b051a30fe1475e733a191be6d3acc48cc1",
+    ]
 
 
 def test_criterion_3_golden_bijection_with_witnesses(run2d, run3d):

@@ -13,7 +13,9 @@ import pytest
 import smoothpoly
 from smoothpoly import cli, pipeline
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+REPO = Path(__file__).resolve().parent.parent
+PYPROJECT = REPO / "pyproject.toml"
+TRACED = REPO / "perfbench" / "traced.py"
 
 
 def run_cli(argv, capsys):
@@ -165,3 +167,25 @@ def test_console_script_on_path():
         ["smoothpoly", "count-tree", "--seed", "F_a", "--max-cones", "6"],
         capture_output=True, text=True)
     assert script.returncode == 0 and script.stdout.strip() == "19"
+
+
+def test_traced_benchmark_finds_every_layer(tmp_path):
+    """perfbench/traced.py wraps the layer entry points by module attribute.
+
+    A renamed or removed entry point makes its start-up fail, so this runs
+    it once on a small tree."""
+    trace = tmp_path / "trace.json"
+    out = subprocess.run(
+        [sys.executable, str(TRACED), str(trace), "count-tree",
+         "--seed", "F_a", "--max-cones", "6"],
+        capture_output=True, text=True, env=_package_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "19"
+
+
+def test_import_leaves_numpy_unloaded():
+    """Only the 3D parameter-box mask needs numpy, so start-up skips it."""
+    probe = "import sys, smoothpoly.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe],
+                         capture_output=True, text=True, env=_package_env())
+    assert out.returncode == 0 and out.stdout.strip() == "False"

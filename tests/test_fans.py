@@ -1,10 +1,17 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 
 from conftest import random_unimodular
-from smoothpoly.exact_linalg import determinant, mat_vec
+from smoothpoly.exact_linalg import (
+    columns_matrix,
+    determinant,
+    inverse_unimodular,
+    mat_vec,
+    vec_sub,
+)
 from smoothpoly.fans import (
     DegenerateRay,
     EdgeParams,
@@ -24,6 +31,7 @@ from smoothpoly.fans import (
     instantiate,
     is_complete_fan,
     is_smooth_fan,
+    unimodular_frames,
     walls_of,
 )
 
@@ -309,6 +317,33 @@ def test_canonical_form_unimodular_invariance():
             U = random_unimodular(rng, fan.d)
             moved = Fan([mat_vec(U, r) for r in fan.rays], fan.cones)
             assert fan_canonical_key(moved) == key
+
+
+def test_unimodular_frames_one_per_ordering():
+    cases = [
+        (2, [((1, 2), ((1, 0), (1, 1))), ((0, 0), ((2, 1), (1, 1)))],
+         [(0, 0), (3, -1), (1, 2), (-4, 5)]),
+        (3, [((1, 0, -1), ((1, 0, 0), (1, 1, 0), (0, 2, 1))),
+             ((0, 0, 0), ((0, 1, 0), (1, 0, 0), (-1, -1, -1)))],
+         [(0, 0, 0), (2, -1, 3), (1, 1, 1), (-3, 0, 4)]),
+    ]
+    for d, anchors, points in cases:
+        expected = []
+        for origin, basis in anchors:
+            for ordered in permutations(basis):
+                T = inverse_unimodular(columns_matrix(ordered))
+                expected.append([mat_vec(T, vec_sub(x, origin))
+                                 for x in points])
+        assert list(unimodular_frames(anchors, points, d)) == expected
+
+        # a determinant-2 basis and bases of the wrong length give nothing
+        origin = (0,) * d
+        scaled = tuple(tuple(2 if i == j == 0 else int(i == j)
+                             for j in range(d)) for i in range(d))
+        bad = [(origin, scaled), (origin, scaled[:d - 1]),
+               (origin, scaled + (origin,))]
+        assert list(unimodular_frames(bad, points, d)) == []
+        assert list(unimodular_frames(bad + anchors, points, d)) == expected
 
 
 def test_smooth_2d_fans_are_unimodular_chains():

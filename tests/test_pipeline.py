@@ -50,8 +50,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(2, 8, fmt="yaml").validate()
     with pytest.raises(ConfigError):
-        RunConfig(2, 8, threads=0).validate()
-    with pytest.raises(ConfigError):
         RunConfig(3, 13).validate()
     warnings = RunConfig(3, 13, allow_unvalidated=True).validate()
     assert len(warnings) == 1 and "envelope" in warnings[0]
@@ -197,13 +195,6 @@ def test_records_sorted_and_deterministic():
     assert keys == sorted(keys)
     hist_keys = sorted(a.histogram)
     assert hist_keys == list(range(3, hist_keys[-1] + 1))
-
-
-def test_threads_do_not_change_output():
-    one = run_classify(RunConfig(2, 9, threads=1))
-    four = run_classify(RunConfig(2, 9, threads=4))
-    assert one.records == four.records
-    assert render_json(one) == render_json(four)
 
 
 def test_trace_tree_lists_every_visited_node(tmp_path):
