@@ -7,3 +7,11 @@ for the command line interface and the overall pipeline.
 """
 
 __version__ = "0.1.0"
+
+
+class InvariantError(AssertionError):
+    """An internal invariant of the classification failed.
+
+    Raised explicitly, so the check also runs under python -O; subclassing
+    AssertionError keeps the command line's exit code 3 for it.
+    """

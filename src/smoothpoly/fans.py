@@ -19,6 +19,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from .exact_linalg import (
+    Inconsistent,
+    Singular,
     columns_matrix,
     cross,
     determinant,
@@ -26,7 +28,6 @@ from .exact_linalg import (
     inverse_unimodular,
     mat_vec,
     normalize_primitive,
-    solve_rational,
     vec_add,
     vec_sub,
 )
@@ -280,9 +281,16 @@ def edge_parameters(fan, wall):
     """Solve r1 + r2 = sum a_i n_i for the wall's edge-parameters.
 
     The n_i are the wall's spanning rays, r1/r2 the opposite rays of the two
-    incident cones.  Smoothness makes the solution integral; a fractional
-    solution raises NonIntegral.  On parametric fans the spanning rays must
-    be parameter-free (ParametricWallUnsupported otherwise); the opposite
+    incident cones, s = r1 + r2.  Integer arithmetic only:
+
+      d=2 (wall = one ray n):  a = s_k / n_k at the first nonzero n_k,
+      d=3 (w = n1 x n2):       a1 <w,w> = <s x n2, w>,  a2 <w,w> = <n1 x s, w>,
+
+    and the quotients must be exact and give back s = sum a_i n_i.  A
+    smooth wall gives integers; a fractional solution raises NonIntegral,
+    s outside the wall's span raises Inconsistent and dependent spanning
+    rays raise Singular.  On parametric fans the spanning rays must be
+    parameter-free (ParametricWallUnsupported otherwise); the opposite
     rays may be parametric, giving ParamExpr coefficients.
     """
     spanning = [fan.rays[i] for i in wall.ray_indices]
@@ -291,22 +299,51 @@ def edge_parameters(fan, wall):
             raise ParametricWallUnsupported(
                 "wall %r is spanned by parametric rays" % (wall.ray_indices,))
     spanning = [tuple(expr_value(a) for a in v) for v in spanning]
-    target = vec_add(fan.rays[wall.opposite[0]], fan.rays[wall.opposite[1]])
-    coeffs = solve_rational(columns_matrix(spanning), target)
-    out = []
-    for c in coeffs:
-        if isinstance(c, ParamExpr):
-            if any(Fraction(x).denominator != 1
-                   for x in [c.const, *c.coeffs.values()]):
-                raise NonIntegral("parametric edge-parameter %r" % (c,))
-            out.append(ParamExpr(int(c.const),
-                                 {n: int(v) for n, v in c.coeffs.items()}))
-        else:
-            if c.denominator != 1:
-                raise NonIntegral("edge-parameter %s on wall %r"
-                                  % (c, wall.ray_indices))
-            out.append(int(c))
-    return EdgeParams(wall, tuple(out))
+    s = vec_add(fan.rays[wall.opposite[0]], fan.rays[wall.opposite[1]])
+    if fan.d == 2:
+        (n,) = spanning
+        k = next((k for k, x in enumerate(n) if x), None)
+        if k is None:
+            raise Singular("wall %r is spanned by the zero ray"
+                           % (wall.ray_indices,))
+        den, nums = n[k], [s[k]]
+    elif fan.d == 3:
+        n1, n2 = spanning
+        w = cross(n1, n2)
+        den = dot(w, w)
+        if not den:
+            raise Singular("wall %r is spanned by dependent rays"
+                           % (wall.ray_indices,))
+        nums = [dot(cross(s, n2), w), dot(cross(n1, s), w)]
+    else:
+        raise ValueError("edge parameters need dimension 2 or 3, got %d"
+                         % (fan.d,))
+    coeffs = tuple(_exact_quotient(x, den) for x in nums)
+    if any(c is None for c in coeffs):
+        # s in the span makes the quotients its exact coordinates
+        off_span = (s[0] * n[1] - s[1] * n[0]) if fan.d == 2 else dot(s, w)
+        if off_span != 0:
+            raise Inconsistent("wall %r: opposite rays sum outside its span"
+                               % (wall.ray_indices,))
+        raise NonIntegral("edge-parameters %r / %d on wall %r"
+                          % (nums, den, wall.ray_indices))
+    combo = tuple(sum(a * v[i] for a, v in zip(coeffs, spanning))
+                  for i in range(fan.d))
+    if combo != s:
+        raise Inconsistent("wall %r: opposite rays sum outside its span"
+                           % (wall.ray_indices,))
+    return EdgeParams(wall, coeffs)
+
+
+def _exact_quotient(x, den):
+    """x / den for an int or ParamExpr x when exact, else None."""
+    if isinstance(x, ParamExpr) and not x.is_constant:
+        if any(p % den for p in (x.const, *x.coeffs.values())):
+            return None
+        return ParamExpr(x.const // den,
+                         {n: c // den for n, c in x.coeffs.items()})
+    q, r = divmod(expr_value(x), den)
+    return None if r else q
 
 
 def is_smooth_fan(fan):

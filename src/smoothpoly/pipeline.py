@@ -17,7 +17,7 @@ over their parameter boxes with a vectorized wall-sum test.
 import json
 from dataclasses import dataclass
 
-from . import seeds
+from . import InvariantError, seeds
 from .exact_linalg import dot
 from .fans import ParamFan, fan_canonical_key
 from .iso_dedup import canonical_form, dedup
@@ -128,7 +128,9 @@ def _make_record(dim, poly, prov, max_points):
     cv = VPolytope(cf.vertices, dim)
     H = facets_of(cv)
     pts = lattice_points(H, _verts=cv)
-    assert len(pts) <= max_points
+    if len(pts) > max_points:     # realize_and_filter already counted them
+        raise InvariantError("record has %d lattice points, budget %d"
+                             % (len(pts), max_points))
     return ClassificationRecord(dim, cf.vertices, len(pts),
                                 len(cf.vertices), len(H.A), prov)
 

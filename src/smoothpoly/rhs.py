@@ -14,11 +14,16 @@ max_points lattice points:
 
 Translation freedom is removed by pinning b = 0 on the rays of the
 lexicographically least cone, which parks that cone's vertex at the origin.
+
+Edge lengths are integers, so enumeration floors each cap once, to
+(N - sum(a) - d) // d, and works in integers only.  The Fraction caps
+remain only in RhsPolytope, whose contains is the slow reference.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import InvariantError
 from .exact_linalg import dot, solve_rational
 from .fans import ParamExpr, edge_parameters, walls_of
 from .polytopes import HPolytope, VPolytope, count_lattice_points, is_smooth
@@ -37,28 +42,54 @@ class NonIntegralVertex(ValueError):
 class EdgeLengthForm:
     """Lattice length of one edge as a linear form over all ray levels."""
     wall: tuple          # spanning ray indices
-    coeffs: tuple        # one entry per fan ray
+    terms: tuple         # (ray index, coeff) for each nonzero coeff
+    size: int            # number of fan rays
+
+    @property
+    def coeffs(self):
+        """Dense coefficients, one entry per fan ray."""
+        dense = [0] * self.size
+        for i, c in self.terms:
+            dense[i] = c
+        return tuple(dense)
 
     def evaluate(self, b):
-        return sum(c * v for c, v in zip(self.coeffs, b) if c)
+        return sum(c * b[i] for i, c in self.terms)
+
+
+def _form(fan, wall, params):
+    coeffs = {}
+    for opp in wall.opposite:
+        coeffs[opp] = coeffs.get(opp, 0) + 1
+    for idx, a in zip(wall.ray_indices, params.coeffs):
+        coeffs[idx] = coeffs.get(idx, 0) - a
+    terms = tuple(sorted((i, c) for i, c in coeffs.items() if c))
+    return EdgeLengthForm(wall.ray_indices, terms, len(fan.rays))
 
 
 def edge_length_form(fan, wall):
-    params = edge_parameters(fan, wall)
-    coeffs = [0] * len(fan.rays)
-    for opp in wall.opposite:
-        coeffs[opp] += 1
-    for idx, a in zip(wall.ray_indices, params.coeffs):
-        coeffs[idx] -= a
-    return EdgeLengthForm(wall.ray_indices, tuple(coeffs))
+    return _form(fan, wall, edge_parameters(fan, wall))
+
+
+def _wall_forms(fan):
+    """(wall, edge-length form, wall coefficient sum) per wall.
+
+    walls_of runs once per fan and edge_parameters once per wall.
+    """
+    out = []
+    for wall in walls_of(fan):
+        params = edge_parameters(fan, wall)
+        out.append((wall, _form(fan, wall, params), sum(params.coeffs)))
+    return out
 
 
 @dataclass(frozen=True)
 class RhsPolytope:
     """The set of b-vectors kept by the three bounds above.
 
-    Unlike the lattice polytopes elsewhere this keeps rational caps as
-    Fractions; it lives in b-space, not in R^d.
+    The slow reference for enumerate_rhs: it keeps the rational caps as
+    Fractions (it lives in b-space, not in R^d), where enumeration uses
+    the floored integer caps.
     """
     max_points: int
     pinned: tuple        # ray indices with b forced to 0
@@ -79,30 +110,32 @@ class RhsPolytope:
 
 
 def build_rhs_polytope(fan, max_points):
-    forms = []
-    uppers = []
-    for wall in walls_of(fan):
-        form = edge_length_form(fan, wall)
-        a_sum = sum(edge_parameters(fan, wall).coeffs)
-        forms.append(form)
-        uppers.append(Fraction(max_points - a_sum, fan.d) - 1)
-    return RhsPolytope(max_points, min(fan.cones), tuple(forms),
-                       tuple(uppers), max_points - len(fan.cones))
+    data = _wall_forms(fan)
+    return RhsPolytope(max_points, min(fan.cones),
+                       tuple(form for _, form, _ in data),
+                       tuple(Fraction(max_points - a_sum, fan.d) - 1
+                             for _, _, a_sum in data),
+                       max_points - len(fan.cones))
 
 
-def _assignment_plan(fan, rhs_poly):
+def _assignment_plan(fan, walls, forms, caps, pinned):
     """Order the free levels so each one is windowed by a single edge form.
 
     Breadth-first over the cone adjacency graph starting at the pinned
     cone: entering a new cone fixes at most one new ray (the opposite ray
-    across the entering wall, whose form coefficient is +1).  Returns the
-    discovery steps and, per step, the walls whose forms become fully
-    determined there.
+    across the entering wall, whose form coefficient is +1), and every ray
+    of a reached cone is fixed by then.  Returns the forms already complete
+    on the pinned rays, and one step per free ray:
+
+      (ray, window terms without the ray, window cap,
+       ((terms without the ray, coeff on the ray, cap), ...))
+
+    where the last entry lists the other forms that become complete once
+    the ray is assigned.  Every term refers to a ray assigned earlier.
     """
-    walls = walls_of(fan)
-    pinned_cone = fan.cones.index(rhs_poly.pinned)
-    depth = {r: 0 for r in rhs_poly.pinned}
-    steps = []           # (ray, form index giving its window)
+    pinned_cone = fan.cones.index(pinned)
+    depth = {r: 0 for r in pinned}
+    order = []           # (ray, wall index giving its window)
     seen = {pinned_cone}
     queue = [pinned_cone]
     while queue:
@@ -118,52 +151,72 @@ def _assignment_plan(fan, rhs_poly):
             queue.append(other)
             new_ray = wall.opposite[1 - side]
             if new_ray not in depth:
-                steps.append((new_ray, wi))
-                depth[new_ray] = len(steps)
-    assert len(seen) == len(fan.cones) and len(depth) == len(fan.rays)
-    checks = [[] for _ in range(len(steps) + 1)]
-    for wi, form in enumerate(rhs_poly.forms):
-        support = [i for i, c in enumerate(form.coeffs) if c]
-        checks[max((depth[i] for i in support), default=0)].append(wi)
-    return steps, checks
+                order.append((new_ray, wi))
+                depth[new_ray] = len(order)
+    if len(seen) != len(fan.cones) or len(depth) != len(fan.rays):
+        raise InvariantError("level plan reaches %d of %d cones and %d of "
+                             "%d rays" % (len(seen), len(fan.cones),
+                                          len(depth), len(fan.rays)))
+    complete = [[] for _ in range(len(order) + 1)]
+    for wi, form in enumerate(forms):
+        complete[max((depth[i] for i, _ in form.terms), default=0)].append(wi)
+
+    def split(wi, ray):
+        terms = forms[wi].terms
+        return (tuple((i, c) for i, c in terms if i != ray),
+                dict(terms).get(ray, 0))
+
+    steps = []
+    for t, (ray, wi) in enumerate(order, start=1):
+        window, _ = split(wi, ray)
+        checks = tuple(split(fi, ray) + (caps[fi],)
+                       for fi in complete[t] if fi != wi)
+        steps.append((ray, window, caps[wi], checks))
+    return complete[0], steps
 
 
 def enumerate_rhs(fan, max_points):
-    """All integer level vectors inside build_rhs_polytope, sorted lex."""
-    rhs_poly = build_rhs_polytope(fan, max_points)
-    steps, checks = _assignment_plan(fan, rhs_poly)
+    """All integer level vectors inside build_rhs_polytope, sorted lex.
+
+    Integer-only: each cap is floored once, the step's window form fixes
+    the new level for each edge length ell, and only the forms completed at
+    that step are evaluated, on a running total of sum(length - 1).
+    """
+    data = _wall_forms(fan)
+    caps = [(max_points - a_sum - fan.d) // fan.d for _, _, a_sum in data]
+    pinned = min(fan.cones)
+    slack = max_points - len(fan.cones)
+    at_start, steps = _assignment_plan(fan, [w for w, _, _ in data],
+                                       [f for _, f, _ in data], caps, pinned)
+    if at_start:
+        return []        # a form on pinned rays alone measures 0 < 1
     b = [0] * len(fan.rays)
     out = []
-
-    def admissible(t, used):
-        # forms whose support is complete once step t is assigned
-        for wi in checks[t]:
-            ell = rhs_poly.forms[wi].evaluate(b)
-            if ell < 1 or ell > rhs_poly.uppers[wi]:
-                return None
-            used += ell - 1
-        return used if used <= rhs_poly.slack else None
+    last = len(steps)
 
     def recurse(t, used):
-        if t == len(steps):
+        if t == last:
             out.append(tuple(b))
             return
-        ray, wi = steps[t]
-        form = rhs_poly.forms[wi]
-        rest = form.evaluate(b) - b[ray]  # coeff on the new ray is +1
-        top = rhs_poly.uppers[wi]
-        ell = 1
-        while ell <= top:
-            b[ray] = ell - rest
-            used2 = admissible(t + 1, used)
-            if used2 is not None:
-                recurse(t + 1, used2)
-            ell += 1
-        b[ray] = 0
+        ray, window, cap, checks = steps[t]
+        rest = sum(c * b[i] for i, c in window)
+        others = [(sum(c * b[i] for i, c in terms), c_new, fcap)
+                  for terms, c_new, fcap in checks]
+        # every completed form adds length - 1 >= 0 to used
+        for ell in range(1, min(cap, slack - used + 1) + 1):
+            level = ell - rest
+            total = used + ell - 1
+            for base, c_new, fcap in others:
+                length = base + c_new * level
+                if length < 1 or length > fcap:
+                    break
+                total += length - 1
+            else:
+                if total <= slack:
+                    b[ray] = level
+                    recurse(t + 1, total)
 
-    start = admissible(0, 0)
-    if start is not None:
-        recurse(0, start)
+    recurse(0, 0)
     out.sort()
     return out
 
@@ -193,7 +246,9 @@ def realize_and_filter(fan, b, max_points):
     if count_lattice_points(hull, limit=max_points, _verts=poly) > max_points:
         return None, "too_many_points"
     smooth, witness = is_smooth(poly)
-    assert smooth, witness  # guaranteed by the exact tight sets above
+    if not smooth:       # guaranteed by the exact tight sets above
+        raise InvariantError("realized polytope is not smooth: %r"
+                             % (witness,))
     return poly, "ok"
 
 

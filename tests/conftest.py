@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 12):
     """Random GL_n(Z) matrix built from elementary integer row operations."""
@@ -32,3 +34,24 @@ def apply_affine(U, t, points):
                   for i in range(len(t)))
         out.append(q)
     return tuple(sorted(out))
+
+
+@pytest.fixture(scope="session")
+def polygon_class_reps():
+    """The fan class representatives of the N = 12 polygon walk (1992 fans).
+
+    Taken from the walk itself, with the realization stage replaced by a
+    recorder, so the walk runs once and no levels are enumerated.
+    """
+    from smoothpoly import pipeline
+
+    reps = []
+
+    def record(dim, jobs, max_points, diag):
+        reps.extend(fan for _, fan in jobs)
+        return []
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_realize_jobs", record)
+        pipeline._classify_2d(12, None)
+    return reps

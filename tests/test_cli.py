@@ -1,5 +1,6 @@
 """Command line behavior: outputs, files, exit codes."""
 
+import hashlib
 import json
 import os
 import pkgutil
@@ -129,6 +130,33 @@ def _package_env():
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + os.pathsep + rest if rest else root
     return env
+
+
+def test_invariant_failure_exits_3_under_optimize():
+    """python -O drops assert statements, not the explicit invariant checks."""
+    script = (
+        "import sys\n"
+        "from smoothpoly import cli, rhs\n"
+        "assert False, 'asserts are on'\n"
+        "rhs.is_smooth = lambda poly: (False, (0, 0))\n"
+        "sys.exit(cli.main(['classify', '--dim', '2', '--max-points', '6']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "InvariantError" in proc.stderr and "not smooth" in proc.stderr
+
+
+def test_optimized_report_digest():
+    """The N = 12 polygon report under python -O is byte-identical."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "smoothpoly.cli", "classify", "--dim",
+         "2", "--max-points", "12", "--format", "json"],
+        env=_package_env(), capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "a9efaa6dccc6318130e6a288fdae6d3fa68666ae5e85a18c28c8c9f38d2f09d8")
 
 
 def test_console_script_installed():

@@ -5,11 +5,15 @@ from itertools import permutations
 import pytest
 
 from conftest import random_unimodular
+from smoothpoly import seeds
 from smoothpoly.exact_linalg import (
+    Inconsistent,
     columns_matrix,
     determinant,
     inverse_unimodular,
     mat_vec,
+    solve_rational,
+    vec_add,
     vec_sub,
 )
 from smoothpoly.fans import (
@@ -28,12 +32,14 @@ from smoothpoly.fans import (
     edge_parameters,
     fan_canonical_form,
     fan_canonical_key,
+    expr_value,
     instantiate,
     is_complete_fan,
     is_smooth_fan,
     unimodular_frames,
     walls_of,
 )
+from smoothpoly.search import parameter_axes, walk_tree
 
 A = ParamExpr.var("a")
 
@@ -142,6 +148,71 @@ def test_edge_parameters_parametric_wall_unsupported():
     w = next(w for w in walls_of(fa) if w.ray_indices == (2,))
     with pytest.raises(ParametricWallUnsupported):
         edge_parameters(fa, w)
+
+
+@pytest.mark.parametrize("fan,wall", [
+    # (0,1) + (1,1) is not a multiple of the wall ray (1,0)
+    (Fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)]),
+     Wall((0,), (0, 1), (1, 2))),
+    # (1,1) + (0,-1) = (1,0) is not a multiple of (2,1), nor half of one
+    (Fan([(2, 1), (1, 1), (0, -1)], [(0, 1), (0, 2)]),
+     Wall((0,), (0, 1), (1, 2))),
+    # (0,0,1) + (1,1,1) leaves the plane of (1,0,0) and (0,1,0)
+    (Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+         [(0, 1, 2), (0, 1, 3)]),
+     Wall((0, 1), (0, 1), (2, 3))),
+    # (1,1,1) + (-1,-1,0) = (0,0,1) leaves the plane of (1,0,0) and (0,2,1),
+    # where the second coordinate alone would come out as 1/5
+    (Fan([(1, 0, 0), (0, 2, 1), (1, 1, 1), (-1, -1, 0)],
+         [(0, 1, 2), (0, 1, 3)]),
+     Wall((0, 1), (0, 1), (2, 3))),
+])
+def test_edge_parameters_inconsistent(fan, wall):
+    with pytest.raises(Inconsistent):
+        edge_parameters(fan, wall)
+
+
+def _solve_wall(fan, wall):
+    """The wall coefficients from the Fraction Gauss-Jordan solve."""
+    spanning = [tuple(expr_value(a) for a in fan.rays[i])
+                for i in wall.ray_indices]
+    target = vec_add(fan.rays[wall.opposite[0]], fan.rays[wall.opposite[1]])
+    return solve_rational(columns_matrix(spanning), target)
+
+
+def _edge_parameter_fans(polygon_class_reps):
+    """2D class representatives, then 3D seeds and their first blow-ups,
+    each parametric fan also instantiated across its parameter box."""
+    yield from polygon_class_reps
+    for name in seeds.seed_names(3):
+        for node in walk_tree(seeds.get_seed(name).build(12), 9):
+            fan = node.fan
+            yield fan
+            if isinstance(fan, ParamFan) and fan.bounds:
+                names, axes = parameter_axes(fan)
+                corners = [dict(zip(names, vals))
+                           for vals in zip(*[(ax[0], ax[len(ax) // 2], ax[-1])
+                                             for ax in axes])]
+                for assignment in corners:
+                    try:
+                        yield instantiate(fan, assignment)
+                    except DegenerateRay:
+                        continue
+
+
+def test_edge_parameters_agree_with_rational_solve(polygon_class_reps):
+    checked = parametric = 0
+    for fan in _edge_parameter_fans(polygon_class_reps):
+        for wall in walls_of(fan):
+            try:
+                got = edge_parameters(fan, wall).coeffs
+            except ParametricWallUnsupported:
+                continue
+            assert got == _solve_wall(fan, wall), (fan.rays, wall)
+            assert all(isinstance(a, (int, ParamExpr)) for a in got)
+            checked += 1
+            parametric += any(isinstance(a, ParamExpr) for a in got)
+    assert checked > 20000 and parametric > 0
 
 
 def test_is_smooth_fan():

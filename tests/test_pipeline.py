@@ -5,13 +5,15 @@ import random
 
 import pytest
 
-from smoothpoly import seeds
+from smoothpoly import InvariantError, seeds
 from smoothpoly.fans import fan_canonical_key, instantiate
 from smoothpoly.iso_dedup import canonical_form
 from smoothpoly.pipeline import (
     ConfigError,
+    Provenance,
     RunConfig,
     _dihedral_key,
+    _make_record,
     _min_interior,
     _polygon_cycle,
     _splice_cycle,
@@ -207,6 +209,14 @@ def test_trace_tree_lists_every_visited_node(tmp_path):
         assert label == "F_p" or label.startswith("F_a(a=")
         assert int(depth) >= 0 and int(cones) >= 3
         assert step == "root" or step.startswith("cone:")
+
+
+def test_record_over_budget_raises_invariant_error():
+    triangle = VPolytope([(0, 0), (2, 0), (0, 2)], 2)    # 6 lattice points
+    prov = Provenance("F_p", (), (), (0, 0, 2))
+    assert _make_record(2, triangle, prov, 6).num_lattice_points == 6
+    with pytest.raises(InvariantError):
+        _make_record(2, triangle, prov, 5)
 
 
 def test_count_tree_values():

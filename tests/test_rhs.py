@@ -1,5 +1,6 @@
 """Level enumeration tests: edge-length forms, the window polytope, the
-interval search, realization, and the wall-sum prefilter."""
+interval search against a box-scan oracle, realization, and the wall-sum
+prefilter."""
 
 import itertools
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from smoothpoly import seeds
+from smoothpoly import InvariantError, rhs, seeds
 from smoothpoly.fans import Fan, ParamFan, instantiate, walls_of
 from smoothpoly.rhs import (
     NonIntegralVertex,
@@ -129,6 +130,21 @@ def test_realize_square_band():
     assert len(kept) == 12 and rejected == 3
 
 
+def test_realize_non_smooth_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(rhs, "is_smooth", lambda poly: (False, (0, 0)))
+    with pytest.raises(InvariantError):
+        realize_and_filter(fp(), (0, 0, 2), 12)
+
+
+def test_unreachable_cones_raise_invariant_error():
+    # two disjoint triangles of rays: every wall pairs two cones, but the
+    # cones of the second one are never reached from the pinned cone
+    fan = Fan([(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0), (0, -1)],
+              [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(InvariantError):
+        enumerate_rhs(fan, 12)
+
+
 def test_non_integral_vertex_raises():
     fan = Fan([(1, 0), (1, 2)], [(0, 1)], 2)
     with pytest.raises(NonIntegralVertex):
@@ -176,3 +192,37 @@ def test_enumerated_levels_lie_in_the_window():
         assert levels == sorted(levels)
         for b in levels:
             assert B.contains(b)
+
+
+def _box_scan(fan, bound):
+    """Every b with free levels in [-bound, bound] that contains accepts."""
+    B = build_rhs_polytope(fan, 12)
+    free = [i for i in range(len(fan.rays)) if i not in B.pinned]
+    found = []
+    for vals in itertools.product(range(-bound, bound + 1), repeat=len(free)):
+        b = [0] * len(fan.rays)
+        for i, v in zip(free, vals):
+            b[i] = v
+        if B.contains(b):
+            found.append(tuple(b))
+    return sorted(found)
+
+
+def test_enumerate_rhs_equals_box_scan(polygon_class_reps):
+    fans = [f for f in polygon_class_reps if len(f.rays) <= 5]
+    for name in seeds.seed_names(3):
+        pf = seeds.get_seed(name).build(12)
+        if len(pf.rays) - 3 <= 3:
+            bounds = getattr(pf, "bounds", {})
+            fans.append(instantiate(pf, {n: 0 for n in bounds})
+                        if bounds else pf)
+    assert len(fans) == 22
+    bound = 12
+    accepted = 0
+    for fan in fans:
+        scan = _box_scan(fan, bound)
+        assert enumerate_rhs(fan, 12) == scan, fan.rays
+        # a vector on the boundary would mean the box may be too small
+        assert all(abs(x) < bound for b in scan for x in b), fan.rays
+        accepted += len(scan)
+    assert accepted > 0
