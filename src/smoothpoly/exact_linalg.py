@@ -10,6 +10,8 @@ cover everything we need without ever rounding.
 from fractions import Fraction
 from math import gcd
 
+from . import InvariantError
+
 
 class ZeroVectorError(ValueError):
     """Raised when a direction is requested for the zero vector."""
@@ -162,7 +164,8 @@ def inverse_unimodular(M):
             row.append(cof * d)
         inv.append(tuple(row))
     inv = tuple(inv)
-    assert mat_mul(M, inv) == identity_matrix(n)
+    if mat_mul(M, inv) != identity_matrix(n):
+        raise InvariantError("adjugate of %r is not its inverse" % (M,))
     return inv
 
 
@@ -273,22 +276,11 @@ def integer_kernel_vector(M):
     return prim
 
 
-def solve_integer(M, y):
-    """Like solve_rational but insisting on an integral solution.
-
-    Returns a tuple of ints, or None when the exact solution is fractional.
-    """
-    x = solve_rational(M, y)
-    if any(f.denominator != 1 for f in x):
-        return None
-    return tuple(int(f) for f in x)
-
-
 __all__ = [
     "Fraction", "ZeroVectorError", "ShapeError", "NotUnimodular",
     "Singular", "Inconsistent",
     "vec_add", "vec_sub", "vec_neg", "vec_scale", "dot", "cross",
     "identity_matrix", "transpose", "mat_vec", "mat_mul", "columns_matrix",
     "normalize_primitive", "determinant", "inverse_unimodular",
-    "solve_rational", "solve_integer", "rank", "integer_kernel_vector",
+    "solve_rational", "rank", "integer_kernel_vector",
 ]

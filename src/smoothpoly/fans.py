@@ -1,4 +1,4 @@
-"""Rational simplicial fans: walls, edge-parameters, blow-ups, canonical forms.
+"""Rational simplicial fans: walls, edge-parameters, blow-ups, canonical keys.
 
 A fan is stored combinatorially: a tuple of primitive rays plus maximal cones
 as sorted tuples of ray indices.  Parametric fans carry rays whose entries are
@@ -516,7 +516,8 @@ def unimodular_frames(anchors, points, d):
     none.  M^-1 is computed once per anchor: reordering the columns of M
     reorders the rows of M^-1, so each ordering of the basis only permutes
     the coordinates of the images.  Yields one list of images, in points
-    order, per unimodular anchor and ordering.
+    order, per unimodular anchor and ordering (iso_dedup.canonical_form
+    anchors a polytope's vertices with their edge directions).
     """
     orderings = list(permutations(range(d)))
     for origin, basis in anchors:
@@ -532,37 +533,81 @@ def unimodular_frames(anchors, points, d):
 
 
 def fan_canonical_key(fan):
-    """Lexicographically least encoding of the fan's unimodular class.
+    """Complete invariant of a smooth complete fan up to GL_d(Z), in integers.
 
-    Every maximal cone in every ray order whose matrix is unimodular gets
-    mapped to the standard cone; all rays follow, then rays and cones are
-    sorted.  The least (rays, cones) pair over all such transforms is a
-    complete invariant for smooth complete fans.
+    Across the wall opposite ray x of a cone, the far ray y of the next cone
+    is y = sum a_i n_i - x, with n_i the wall's spanning rays and a_i its
+    integer coefficients (edge_parameters).  A flag is a cone with an
+    ordering of its rays, labelled 0..d-1.  From each flag the cones are
+    walked breadth-first, crossing the facets of each cone in label order;
+    each newly reached cone emits (label of y, the a_i in label order of
+    the n_i), and unlabelled rays get the next label on first sight.
+
+    The emitted items rebuild the fan from the flag: they name every cone's
+    rays by label (the walk order depends only on labels already emitted,
+    and a facet leads to a cone already reached exactly when another
+    reached cone contains it), and y = sum a_i n_i - x writes every ray in
+    the basis of the flag's rays.  For a smooth fan that basis is a lattice
+    basis, so two fans with equal sequences from some flags are carried
+    onto each other by the unimodular map between those bases.  The key is
+    (number of cones, least sequence over all flags); a flag is dropped as
+    soon as its prefix exceeds the least one found so far.
+
+    Needs a concrete complete fan: a ridge not shared by two cones, or
+    cones that do not form one connected sphere, raise NotComplete.  A
+    wall with fractional coefficients raises NonIntegral and a wall whose
+    two cones have determinants of different absolute value raises
+    Inconsistent, both from edge_parameters.  A fan whose cones all have
+    determinant +-D, D > 1, with integral walls is the image of a smooth
+    fan under a non-unimodular map and gets that fan's key, so callers
+    pass smooth fans.  (The earlier matrix key returned a key for any fan
+    with one unimodular cone.)
     """
-    origin = (0,) * fan.d
-    anchors = [(origin, [fan.rays[i] for i in cone]) for cone in fan.cones]
-    best = None
-    for imgs in unimodular_frames(anchors, fan.rays, fan.d):
-        order = sorted(range(len(imgs)), key=imgs.__getitem__)
-        pos = {old: new for new, old in enumerate(order)}
-        rays = tuple(imgs[i] for i in order)
-        cones = tuple(sorted(tuple(sorted(pos[i] for i in c))
-                             for c in fan.cones))
-        key = (rays, cones)
-        if best is None or key < best:
-            best = key
-    assert best is not None, "fan has no unimodular cone"
-    return best
+    cones = fan.cones
+    across = {}
+    for wall in walls_of(fan):
+        coeffs = dict(zip(wall.ray_indices, edge_parameters(fan, wall).coeffs))
+        (c1, c2), (p, q) = wall.incident, wall.opposite
+        across[c1, p] = (c2, q, coeffs)
+        across[c2, q] = (c1, p, coeffs)
+    flags = [(start, flag) for start, cone in enumerate(cones)
+             for flag in permutations(cone)]
+    best = _flag_walk(cones, across, *flags[0], None)
+    if len(best) != len(cones) - 1:
+        raise NotComplete("the walls join %d of the %d cones"
+                          % (len(best) + 1, len(cones)))
+    for start, flag in flags[1:]:
+        seq = _flag_walk(cones, across, start, flag, best)
+        if seq is not None:
+            best = seq
+    return len(cones), tuple(best)
 
 
-def fan_canonical_form(fan):
-    rays, cones = fan_canonical_key(fan)
-    return Fan(rays, cones, fan.d)
-
-
-def edge_parameters_all(fan):
-    """EdgeParams for every wall (in walls_of order); integral fans only."""
-    return [edge_parameters(fan, w) for w in walls_of(fan)]
+def _flag_walk(cones, across, start, flag, best):
+    """The items one flag emits, or None once they exceed best's prefix."""
+    label = {r: k for k, r in enumerate(flag)}
+    seen = {start}
+    queue = [start]
+    seq = []
+    tied = best is not None
+    for c in queue:
+        rays = sorted(cones[c], key=label.__getitem__)
+        for x in rays:
+            nxt, y, coeffs = across[c, x]
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            queue.append(nxt)
+            if y not in label:
+                label[y] = len(label)
+            item = (label[y],) + tuple(coeffs[n] for n in rays if n != x)
+            if tied:
+                other = best[len(seq)]
+                if item > other:
+                    return None
+                tied = item == other
+            seq.append(item)
+    return seq
 
 
 __all__ = [
@@ -570,7 +615,7 @@ __all__ = [
     "OutOfBounds", "DegenerateRay",
     "ParamExpr", "as_expr", "expr_value", "is_numeric_vector",
     "Fan", "ParamFan", "Wall", "EdgeParams",
-    "walls_of", "edge_parameters", "edge_parameters_all",
+    "walls_of", "edge_parameters",
     "is_smooth_fan", "is_complete_fan", "blow_up", "instantiate",
-    "unimodular_frames", "fan_canonical_key", "fan_canonical_form",
+    "unimodular_frames", "fan_canonical_key",
 ]

@@ -12,6 +12,7 @@ hash-and-group pass instead of quadratically many isomorphism tests.
 from dataclasses import dataclass
 from itertools import permutations
 
+from . import InvariantError
 from .exact_linalg import (
     columns_matrix,
     determinant,
@@ -107,7 +108,8 @@ def canonical_form(P):
                             for p in imgs))
         if best is None or cand < best:
             best = cand
-    assert best is not None, "no unimodular vertex basis; polytope not smooth"
+    if best is None:
+        raise InvariantError("no unimodular vertex basis; polytope not smooth")
     key = (d, len(best)) + tuple(a for p in best for a in p)
     return CanonicalPolytope(vertices=best, key=key)
 

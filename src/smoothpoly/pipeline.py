@@ -195,8 +195,9 @@ def _polygon_cycle(fan):
         nxt = fan.rays[order[(p + 1) % n]]
         k = 0 if cur[0] != 0 else 1
         a, rem = divmod(prev[k] + nxt[k], cur[k])
-        assert rem == 0 and all(prev[t] + nxt[t] == a * cur[t]
-                                for t in range(2))
+        if rem or any(prev[t] + nxt[t] != a * cur[t] for t in range(2)):
+            raise InvariantError("rays %r + %r are not a multiple of %r"
+                                 % (prev, nxt, cur))
         cycle.append(a)
     return tuple(order), tuple(cycle)
 
@@ -212,7 +213,9 @@ def _splice_cycle(order, cycle, cone, new_index):
     p = order.index(ra)
     if order[(p + 1) % n] != rb:
         p = order.index(rb)
-        assert order[(p + 1) % n] == ra
+        if order[(p + 1) % n] != ra:
+            raise InvariantError("cone %r is not a pair of neighbours in %r"
+                                 % (cone, order))
     if p == n - 1:
         new_order = order + (new_index,)
         new_cycle = (cycle[0] + 1,) + cycle[1:n - 1] + (cycle[n - 1] + 1, 1)

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd
 
+from . import InvariantError
 from .exact_linalg import (
     determinant,
     dot,
@@ -307,7 +308,8 @@ def _hull_facets(points, d):
             facets.add((n, beta))
         elif all(v >= beta for v in vals):
             facets.add((vec_neg(n), -beta))
-    assert facets, "no facets found; input degenerate?"
+    if not facets:
+        raise InvariantError("no facets found; input degenerate?")
     rows = sorted(facets)
     return tuple(r for r, _ in rows), tuple(c for _, c in rows)
 

@@ -171,20 +171,16 @@ def enumerate_blowups(node, max_cones, pruned=True):
     return
 
 
-def walk_tree(root, max_cones, pruned=True, prune=None):
+def walk_tree(root, max_cones, pruned=True):
     """Pre-order walk of the blow-up tree.
 
-    root may be a Fan or a prepared SearchNode.  prune, if given, is called
-    on each yielded node; returning True skips that node's subtree (the
-    node itself is still reported).
+    root may be a Fan or a prepared SearchNode.
     """
     node = root if isinstance(root, SearchNode) else make_root(root)
     stack = [node]
     while stack:
         node = stack.pop()
         yield node
-        if prune is not None and prune(node):
-            continue
         children = list(enumerate_blowups(node, max_cones, pruned))
         stack.extend(reversed(children))
 

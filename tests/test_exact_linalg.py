@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from conftest import random_unimodular
+from smoothpoly import InvariantError, exact_linalg
 from smoothpoly.exact_linalg import (
     Inconsistent,
     NotUnimodular,
@@ -108,6 +109,15 @@ def test_inverse_unimodular_random_roundtrip():
         assert mat_mul(M, inv) == identity_matrix(n)
         assert mat_mul(inv, M) == identity_matrix(n)
         assert determinant(inv) == determinant(M)
+
+
+def test_inverse_unimodular_checks_its_result(monkeypatch):
+    # a determinant that loses its sign gives the adjugate the wrong sign
+    true_determinant = exact_linalg.determinant
+    monkeypatch.setattr(exact_linalg, "determinant",
+                        lambda M: abs(true_determinant(M)))
+    with pytest.raises(InvariantError):
+        inverse_unimodular(((0, 1), (1, 0)))
 
 
 def test_solve_rational_examples():

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from conftest import random_unimodular
-from smoothpoly import seeds
+from smoothpoly import fans, seeds
 from smoothpoly.exact_linalg import (
     Inconsistent,
     columns_matrix,
@@ -30,7 +30,6 @@ from smoothpoly.fans import (
     Wall,
     blow_up,
     edge_parameters,
-    fan_canonical_form,
     fan_canonical_key,
     expr_value,
     instantiate,
@@ -373,21 +372,91 @@ def test_canonical_form_blowups_agree():
     assert fan_canonical_key(left) == fan_canonical_key(right)
 
 
-def test_canonical_form_idempotent():
-    for fan in [fp_fan(), square_fan(), tetra_fan(),
-                blow_up(tetra_fan(), (0, 1))]:
-        c = fan_canonical_form(fan)
-        assert fan_canonical_form(c) == c
-
-
 def test_canonical_form_unimodular_invariance():
     rng = random.Random(88)
-    for fan in [fp_fan(), tetra_fan(), blow_up(square_fan(), (0, 1))]:
+    seed = seeds.get_seed("4^6").build(12)
+    for fan in [fp_fan(), tetra_fan(), blow_up(square_fan(), (0, 1)),
+                blow_up(tetra_fan(), (0, 1)),
+                instantiate(seed, {"a": 1, "b": 0, "c": 2})]:
         key = fan_canonical_key(fan)
         for _ in range(50):
             U = random_unimodular(rng, fan.d)
             moved = Fan([mat_vec(U, r) for r in fan.rays], fan.cones)
             assert fan_canonical_key(moved) == key
+
+
+def _matrix_fan_key(fan):
+    """The matrix key, kept as the oracle for fan_canonical_key.
+
+    Every ordering of every unimodular cone is mapped to the standard basis;
+    all rays follow, rays and cones are sorted, and the least (rays, cones)
+    pair over these frames is a complete invariant of a fan with a
+    unimodular cone.
+    """
+    best = None
+    for cone in fan.cones:
+        M = columns_matrix([fan.rays[i] for i in cone])
+        if determinant(M) not in (1, -1):
+            continue
+        T = inverse_unimodular(M)
+        imgs = [mat_vec(T, r) for r in fan.rays]
+        for perm in permutations(range(fan.d)):
+            moved = [tuple(x[k] for k in perm) for x in imgs]
+            order = sorted(range(len(moved)), key=moved.__getitem__)
+            pos = {old: new for new, old in enumerate(order)}
+            key = (tuple(moved[i] for i in order),
+                   tuple(sorted(tuple(sorted(pos[i] for i in c))
+                                for c in fan.cones)))
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def test_fan_key_partition_matches_matrix_oracle(polygon_class_reps):
+    # both keys must split the same fans into the same classes
+    by_walk = {}
+    by_matrix = {}
+    count = 0
+    for fan in _edge_parameter_fans(polygon_class_reps):
+        if isinstance(fan, ParamFan):
+            continue
+        count += 1
+        walk, matrix = fan_canonical_key(fan), _matrix_fan_key(fan)
+        by_walk.setdefault(walk, set()).add(matrix)
+        by_matrix.setdefault(matrix, set()).add(walk)
+    assert count == 2222 and len(by_walk) == 2037
+    assert all(len(v) == 1 for v in by_walk.values())
+    assert all(len(v) == 1 for v in by_matrix.values())
+
+
+def test_fan_key_uses_no_matrix(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("fan_canonical_key reached a matrix routine")
+    monkeypatch.setattr(fans, "inverse_unimodular", forbidden)
+    monkeypatch.setattr(fans, "determinant", forbidden)
+    for fan in [fp_fan(), square_fan(), tetra_fan(),
+                blow_up(tetra_fan(), (0, 1))]:
+        assert fan_canonical_key(fan)[0] == len(fan.cones)
+
+
+def test_fan_key_needs_smooth_complete_fan():
+    # normal fan of a lattice tetrahedron; its first wall, {0, 1}, joins two
+    # cones of determinant -2 and 2 with coefficients (-1/2, -1/2)
+    simplex = Fan([(-1, 0, -1), (-1, 0, 1), (0, -1, 1), (1, 1, -1)],
+                  [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    assert not is_smooth_fan(simplex)[0]
+    with pytest.raises(NonIntegral):
+        fan_canonical_key(simplex)
+    with pytest.raises(NotComplete):
+        fan_canonical_key(Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)]))
+    # two tetrahedral fans side by side: every ridge lies in two cones, but
+    # the walls never lead from one to the other
+    twin = Fan(tetra_fan().rays + ((0, -1, 0), (-1, 0, 0), (1, 1, 1),
+                                   (0, 0, -1)),
+               tetra_fan().cones + ((4, 5, 6), (4, 5, 7), (4, 6, 7),
+                                    (5, 6, 7)))
+    with pytest.raises(NotComplete):
+        fan_canonical_key(twin)
 
 
 def test_unimodular_frames_one_per_ordering():

@@ -3,8 +3,11 @@
 import random
 from collections import namedtuple
 
+import pytest
+
 from conftest import apply_affine, random_translation, random_unimodular
 
+from smoothpoly import InvariantError
 from smoothpoly.exact_linalg import determinant
 from smoothpoly.iso_dedup import (
     canonical_form,
@@ -162,3 +165,9 @@ def test_dedup_keeps_least_provenance():
     assert len(out) == 1
     assert out[0].provenance == ("a", 1)
     assert out[0].vertices == SQUARE.vertices
+
+
+def test_canonical_form_rejects_non_smooth_polygon():
+    # every vertex cone of this triangle has determinant 3
+    with pytest.raises(InvariantError):
+        canonical_form(VPolytope([(0, 0), (2, 1), (1, 2)]))

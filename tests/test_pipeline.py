@@ -6,7 +6,7 @@ import random
 import pytest
 
 from smoothpoly import InvariantError, seeds
-from smoothpoly.fans import fan_canonical_key, instantiate
+from smoothpoly.fans import Fan, fan_canonical_key, instantiate
 from smoothpoly.iso_dedup import canonical_form
 from smoothpoly.pipeline import (
     ConfigError,
@@ -74,6 +74,18 @@ def test_polygon_cycle_known_fans():
     _, c3 = _polygon_cycle(instantiate(fa, {"a": 3}))
     assert sorted(c3) == [-3, 0, 0, 3]
     assert sum(c3) == 3 * 4 - 12
+
+
+def test_polygon_cycle_rejects_non_smooth_fan():
+    # (0,1) + (-1,-2) is no multiple of the ray (1,0) between them
+    fan = Fan([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(InvariantError):
+        _polygon_cycle(fan)
+
+
+def test_splice_cycle_rejects_non_adjacent_pair():
+    with pytest.raises(InvariantError):
+        _splice_cycle((0, 1, 2, 3), (0, 0, 0, 0), (0, 2), 4)
 
 
 def test_cycle_order_traverses_cones():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from smoothpoly import InvariantError
 from smoothpoly.exact_linalg import dot, vec_add, vec_scale
 from smoothpoly.fans import fan_canonical_key, Fan, is_smooth_fan
 from smoothpoly.polytopes import (
@@ -19,6 +20,7 @@ from smoothpoly.polytopes import (
     lattice_points,
     normal_fan,
     vertices_of,
+    _hull_facets,
 )
 
 
@@ -226,3 +228,9 @@ def test_edge_lattice_point_consistency_random():
         assert len(on_edges) == total + len(V.vertices)
         pts = set(lattice_points(H))
         assert on_edges <= pts
+
+
+def test_hull_facets_needs_a_facet():
+    # fewer than d points span no hyperplane, so no facet is found
+    with pytest.raises(InvariantError):
+        _hull_facets([(0, 0)], 2)
