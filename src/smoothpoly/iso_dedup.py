@@ -118,13 +118,17 @@ def dedup(records):
     """One record per lattice-isomorphism class.
 
     records need .vertices, .num_lattice_points, .num_vertices and an
-    orderable .provenance; within a class the least provenance wins (ties
-    broken on vertices), and the output is sorted by (lattice points,
-    vertices, canonical key).  Input order never matters.
+    orderable .provenance.  A record's .canonical_key, where it has one,
+    must be canonical_form(...).key of its vertices, and saves computing
+    the form again.  Within a class the least provenance wins (ties broken
+    on vertices), and the output is sorted by (lattice points, vertices,
+    canonical key).  Input order never matters.
     """
     groups = {}
     for rec in records:
-        key = canonical_form(VPolytope(rec.vertices)).key
+        key = getattr(rec, "canonical_key", None)
+        if key is None:
+            key = canonical_form(VPolytope(rec.vertices)).key
         kept = groups.get(key)
         if kept is None or (rec.provenance, rec.vertices) < (
                 kept.provenance, kept.vertices):

@@ -15,7 +15,7 @@ over their parameter boxes with a vectorized wall-sum test.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import InvariantError, seeds
 from .exact_linalg import dot
@@ -96,13 +96,18 @@ class Provenance:
 
 @dataclass(frozen=True)
 class ClassificationRecord:
-    """One polytope of the classification, in canonical coordinates."""
+    """One polytope of the classification, in canonical coordinates.
+
+    canonical_key is the lattice-isomorphism key of the canonical form the
+    vertices came from, kept for dedup; it is not compared or rendered.
+    """
     dimension: int
     vertices: tuple
     num_lattice_points: int
     num_vertices: int
     facet_count: int
     provenance: Provenance
+    canonical_key: tuple = field(compare=False, repr=False)
 
 
 @dataclass
@@ -132,7 +137,7 @@ def _make_record(dim, poly, prov, max_points):
         raise InvariantError("record has %d lattice points, budget %d"
                              % (len(pts), max_points))
     return ClassificationRecord(dim, cf.vertices, len(pts),
-                                len(cf.vertices), len(H.A), prov)
+                                len(cf.vertices), len(H.A), prov, cf.key)
 
 
 def _realize_jobs(dim, jobs, max_points, diag):
@@ -155,10 +160,11 @@ def _realize_jobs(dim, jobs, max_points, diag):
     return dedup(records)
 
 
-def _note_class(classes, key, prefix, fan):
+def _note_class(classes, key, prefix, item):
+    """Keep item (a fan, or a 2D search node) for the least prefix."""
     cur = classes.get(key)
     if cur is None or prefix < cur[0]:
-        classes[key] = (prefix, fan)
+        classes[key] = (prefix, item)
 
 
 def _polygon_roots(max_points):
@@ -274,14 +280,18 @@ def _classify_2d(max_points, trace):
                 continue          # coefficients only grow: subtree is dead
             key = _dihedral_key(cycle)
             _note_class(classes, key, (name, node.path, prefix_assignment),
-                        node.fan)
+                        node)
             children = [(child,) + _splice_cycle(
-                            order, cycle,
-                            node.fan.cones[child.path[-1][1]],
-                            len(node.fan.rays))
+                            order, cycle, node.cones[child.path[-1][1]],
+                            node.num_rays)
                         for child in enumerate_blowups(node, max_rays)]
             stack.extend(reversed(children))
     jobs = sorted(classes.values(), key=lambda job: job[0])
+    classes.clear()
+    # only the class representatives need their rays; each node is
+    # dropped once its fan is built
+    for j, (prefix, node) in enumerate(jobs):
+        jobs[j] = (prefix, node.fan)
     diag.fans_tested = len(jobs)
     records = _realize_jobs(2, jobs, max_points, diag)
     return records, diag
@@ -312,7 +322,7 @@ def _classify_3d(max_points, stats, trace):
             diag.nodes_visited += 1
             if trace is not None:
                 trace.write("%s\t%s\n" % (name, trace_line(node)))
-            crit = polygon_criterion(degree_profile(node.fan), stats)
+            crit = polygon_criterion(degree_profile(node), stats)
             if not crit.passes:
                 continue          # not a candidate, but children may be
             for assignment, fan in _masked_instances(node.fan, max_points):

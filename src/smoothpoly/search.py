@@ -5,6 +5,8 @@ one of the seed fans by a sequence of equivariant blow-ups, so the search
 space is a tree: nodes are fans, children are single blow-ups.  Walking it
 naively revisits the same fan once per ordering of commuting blow-ups; the
 flag discipline below kills those repeats while keeping every fan reachable.
+The walk and the flags need only which rays span which cones, so a node
+holds its cones as ray-index tuples and builds its Fan when one is read.
 
 Dimension 2 is the classical picture (subdivide one cone at a time) and the
 ordering rule collapses to "never expand a cone position left of the last
@@ -20,12 +22,15 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .exact_linalg import normalize_primitive, vec_add
 from .fans import (
     DegenerateRay,
     Fan,
     ParamFan,
-    blow_up,
+    blow_up,  # the reference for the index rules; perfbench/traced.py wraps it
+    expr_value,
     instantiate,
+    is_numeric_vector,
     walls_of,
 )
 
@@ -37,35 +42,93 @@ class ConeFlag(enum.Enum):
     ALWAYS_CONSIDER = "always_consider"
 
 
-_EXPAND = (ConeFlag.CONSIDER, ConeFlag.ALWAYS_CONSIDER)
+# plain names for the walk's inner loops: attribute lookups on an Enum
+# class cost several times a global lookup
+_ALWAYS_IGNORE = ConeFlag.ALWAYS_IGNORE
+_IGNORE = ConeFlag.IGNORE
+_CONSIDER = ConeFlag.CONSIDER
+_ALWAYS_CONSIDER = ConeFlag.ALWAYS_CONSIDER
+_EXPAND = (_CONSIDER, _ALWAYS_CONSIDER)
 
 
-@dataclass
 class SearchNode:
-    """One fan in the blow-up tree plus the bookkeeping the walk needs.
+    """One fan in the blow-up tree, held combinatorially, plus the flags.
 
-    cone_flags is aligned with fan.cones.  wall_order lists wall keys
-    (sorted ray-index pairs) in their stable iteration order: survivors keep
-    their relative order across a blow-up, new walls are appended sorted.
-    path records the blow-ups from the seed: ("cone", position) or
-    ("wall", key) steps.
+    cones are the maximal cones as sorted ray-index tuples, in the
+    positions fans.blow_up gives them, and num_rays counts the seed's rays
+    plus one new ray per blow-up: the walk and its ordering rule read
+    nothing else.  cone_flags is aligned with cones.  wall_order lists wall
+    keys (sorted ray-index pairs) in their stable iteration order:
+    survivors keep their relative order across a blow-up, new walls are
+    appended sorted.  path records the blow-ups from the seed:
+    ("cone", position) or ("wall", key) steps.  blown_up holds the ray
+    indices each step blew up, so the j-th new ray is the sum of the rays
+    blown_up[j] names.
+
+    fan is the Fan (or ParamFan) itself, built from seed_fan, blown_up and
+    path on first read and then kept on the node.  A node refers to its
+    seed fan, never to its parent.
     """
-    fan: Fan
-    depth: int
-    path: tuple
-    cone_flags: tuple
-    wall_order: tuple
-    wall_flags: dict
+
+    __slots__ = ("seed_fan", "cones", "num_rays", "depth", "path",
+                 "blown_up", "cone_flags", "wall_order", "wall_flags", "_fan")
+
+    def __init__(self, seed_fan, cones, num_rays, depth, path, blown_up,
+                 cone_flags, wall_order, wall_flags):
+        self.seed_fan = seed_fan
+        self.cones = cones
+        self.num_rays = num_rays
+        self.depth = depth
+        self.path = path
+        self.blown_up = blown_up
+        self.cone_flags = cone_flags
+        self.wall_order = wall_order
+        self.wall_flags = wall_flags
+        self._fan = None
+
+    @property
+    def fan(self):
+        if self._fan is None:
+            self._fan = _build_fan(self)
+        return self._fan
+
+
+def _build_fan(node):
+    """The node's fan: each new ray is the sum of the rays it blew up.
+
+    As in fans.blow_up, a sum with no parameter left is normalized to a
+    primitive integer vector, and the bounds of a parameter family pass
+    through propagate_bounds once per step.
+    """
+    seed = node.seed_fan
+    rays = list(seed.rays)
+    for target in node.blown_up:
+        new_ray = rays[target[0]]
+        for i in target[1:]:
+            new_ray = vec_add(new_ray, rays[i])
+        if is_numeric_vector(new_ray):
+            new_ray, _ = normalize_primitive(
+                tuple(expr_value(a) for a in new_ray))
+        rays.append(new_ray)
+    if not isinstance(seed, ParamFan):
+        return Fan(rays, node.cones, seed.d)
+    bounds = seed.bounds
+    for kind, _ in node.path:
+        bounds = propagate_bounds(bounds, kind)
+    return ParamFan(rays, node.cones, bounds, seed.excluded, seed.d)
 
 
 def make_root(fan):
-    cone_flags = tuple(ConeFlag.CONSIDER for _ in fan.cones)
+    cone_flags = tuple(_CONSIDER for _ in fan.cones)
     if fan.d == 3:
         wall_order = tuple(w.ray_indices for w in walls_of(fan))
-        wall_flags = {key: ConeFlag.CONSIDER for key in wall_order}
+        wall_flags = {key: _CONSIDER for key in wall_order}
     else:
         wall_order, wall_flags = (), {}
-    return SearchNode(fan, 0, (), cone_flags, wall_order, wall_flags)
+    node = SearchNode(fan, fan.cones, len(fan.rays), 0, (), (), cone_flags,
+                      wall_order, wall_flags)
+    node._fan = fan
+    return node
 
 
 def propagate_bounds(bounds, kind):
@@ -82,67 +145,84 @@ def propagate_bounds(bounds, kind):
     return dict(bounds)
 
 
-def _propagated(child_fan, kind):
-    if isinstance(child_fan, ParamFan) and child_fan.bounds:
-        return ParamFan(child_fan.rays, child_fan.cones,
-                        propagate_bounds(child_fan.bounds, kind),
-                        child_fan.excluded, child_fan.d)
-    return child_fan
-
-
-def _face_pairs(cone):
-    return [(cone[a], cone[b])
-            for a in range(len(cone)) for b in range(a + 1, len(cone))]
-
-
 def _cone_child(node, i, cones_running, walls_running):
-    fan = node.fan
-    target = fan.cones[i]
-    child_fan = _propagated(blow_up(fan, target), "cone")
-    s = len(fan.rays)
+    """Blow up the cone at position i (fans.blow_up's first index rule).
+
+    With new ray s, the child cone missing the target's last ray replaces
+    position i and the others follow at the end, last-but-one first.  s
+    exceeds every old index, so appending it keeps each child sorted.
+    """
+    cones = node.cones
+    target = cones[i]
+    s = node.num_rays
+    d = len(target)
+    children = [target[:j] + target[j + 1:] + (s,)
+                for j in range(d - 1, -1, -1)]
+    child_cones = (cones[:i] + (children[0],) + cones[i + 1:]
+                   + tuple(children[1:]))
     flags = list(cones_running)
-    flags[i] = ConeFlag.CONSIDER
-    flags.extend([ConeFlag.CONSIDER] * (fan.d - 1))
-    if fan.d == 3:
+    flags[i] = _CONSIDER
+    flags.extend([_CONSIDER] * (d - 1))
+    if d == 3:
         wflags = dict(walls_running)
         # the blown-up cone's own faces never need expanding again
-        for pair in _face_pairs(target):
-            wflags[pair] = ConeFlag.ALWAYS_IGNORE
-        new_keys = tuple(sorted((c, s) for c in target))
+        a, b, c = target
+        for pair in ((a, b), (a, c), (b, c)):
+            wflags[pair] = _ALWAYS_IGNORE
+        new_keys = tuple((c, s) for c in target)
         for key in new_keys:
-            wflags[key] = ConeFlag.CONSIDER
+            wflags[key] = _CONSIDER
         worder = node.wall_order + new_keys
     else:
         wflags, worder = {}, ()
-    return SearchNode(child_fan, node.depth + 1, node.path + (("cone", i),),
+    return SearchNode(node.seed_fan, child_cones, s + 1, node.depth + 1,
+                      node.path + (("cone", i),), node.blown_up + (target,),
                       tuple(flags), worder, wflags)
 
 
 def _wall_child(node, key, cones_running, walls_running):
-    fan = node.fan
-    child_fan = _propagated(blow_up(fan, key), "wall")
-    s = len(fan.rays)
-    i1, i2 = [ci for ci, c in enumerate(fan.cones) if set(key) <= set(c)]
+    """Blow up the wall key = (n1, n2) (fans.blow_up's second index rule).
+
+    The incident cones i1 < i2 have opposite rays p and q; with new ray s,
+    {p,n1,s} replaces i1, {q,n1,s} replaces i2, and {p,n2,s}, {q,n2,s}
+    follow at the end.
+    """
+    cones = node.cones
+    s = node.num_rays
+    n1, n2 = key
+    i1, i2 = [ci for ci, c in enumerate(cones) if n1 in c and n2 in c]
+    (p,) = [x for x in cones[i1] if x != n1 and x != n2]
+    (q,) = [x for x in cones[i2] if x != n1 and x != n2]
+    child_cones = list(cones)
+    child_cones[i1] = _sorted_pair(p, n1) + (s,)
+    child_cones[i2] = _sorted_pair(q, n1) + (s,)
+    child_cones.append(_sorted_pair(p, n2) + (s,))
+    child_cones.append(_sorted_pair(q, n2) + (s,))
     flags = list(cones_running)
-    flags[i1] = ConeFlag.CONSIDER
-    flags[i2] = ConeFlag.CONSIDER
-    flags.extend([ConeFlag.CONSIDER, ConeFlag.CONSIDER])
+    flags[i1] = _CONSIDER
+    flags[i2] = _CONSIDER
+    flags.extend([_CONSIDER, _CONSIDER])
     wflags = dict(walls_running)
     del wflags[key]
     # the side walls of the two destroyed cones may now lead to new fans
     # even if an earlier step passed them over
-    for ci in (i1, i2):
-        for pair in _face_pairs(fan.cones[ci]):
-            if pair != key and wflags[pair] is ConeFlag.IGNORE:
-                wflags[pair] = ConeFlag.ALWAYS_CONSIDER
-    p = next(x for x in fan.cones[i1] if x not in key)
-    q = next(x for x in fan.cones[i2] if x not in key)
-    new_keys = tuple(sorted((x, s) for x in (p, q) + key))
+    for x in (p, q):
+        for n in key:
+            side = _sorted_pair(x, n)
+            if wflags[side] is _IGNORE:
+                wflags[side] = _ALWAYS_CONSIDER
+    new_keys = tuple((x, s) for x in sorted((p, q, n1, n2)))
     for nk in new_keys:
-        wflags[nk] = ConeFlag.CONSIDER
-    worder = tuple(w for w in node.wall_order if w != key) + new_keys
-    return SearchNode(child_fan, node.depth + 1, node.path + (("wall", key),),
-                      tuple(flags), worder, wflags)
+        wflags[nk] = _CONSIDER
+    at = node.wall_order.index(key)
+    worder = node.wall_order[:at] + node.wall_order[at + 1:] + new_keys
+    return SearchNode(node.seed_fan, tuple(child_cones), s + 1,
+                      node.depth + 1, node.path + (("wall", key),),
+                      node.blown_up + (key,), tuple(flags), worder, wflags)
+
+
+def _sorted_pair(a, b):
+    return (a, b) if a < b else (b, a)
 
 
 def enumerate_blowups(node, max_cones, pruned=True):
@@ -152,22 +232,22 @@ def enumerate_blowups(node, max_cones, pruned=True):
     revisits fans many times; it exists as the correctness oracle for the
     flag discipline.
     """
-    fan = node.fan
-    k = len(fan.cones)
-    if k + (1 if fan.d == 2 else 2) > max_cones:
+    d = node.seed_fan.d
+    k = len(node.cones)
+    if k + (1 if d == 2 else 2) > max_cones:
         return
     cones_running = list(node.cone_flags)
     walls_running = dict(node.wall_flags)
     for i in range(k):
         if not pruned or cones_running[i] in _EXPAND:
             yield _cone_child(node, i, cones_running, walls_running)
-            cones_running[i] = ConeFlag.IGNORE
-    if fan.d == 3:
+            cones_running[i] = _IGNORE
+    if d == 3:
         for key in node.wall_order:
             if not pruned or walls_running[key] in _EXPAND:
                 yield _wall_child(node, key, cones_running, walls_running)
-                if walls_running[key] is not ConeFlag.ALWAYS_CONSIDER:
-                    walls_running[key] = ConeFlag.IGNORE
+                if walls_running[key] is not _ALWAYS_CONSIDER:
+                    walls_running[key] = _IGNORE
     return
 
 
@@ -192,7 +272,7 @@ def trace_line(node):
     else:
         kind, t = node.path[-1]
         step = "cone:%d" % t if kind == "cone" else "wall:%d-%d" % t
-    return "%d\t%d\t%s" % (node.depth, len(node.fan.cones), step)
+    return "%d\t%d\t%s" % (node.depth, len(node.cones), step)
 
 
 def count_polygon_tree(start_cones, max_cones, pruned=True):
@@ -272,7 +352,10 @@ def instantiate_each(fan, assignments):
 # the smooth-polygon criterion for pruning seed fans in dimension 3
 
 def degree_profile(fan):
-    """How many rays lie in 3, 4, 5, ... maximal cones."""
+    """How many rays lie in 3, 4, 5, ... maximal cones.
+
+    Reads only fan.cones, so a SearchNode serves as well as a Fan.
+    """
     degree = {}
     for cone in fan.cones:
         for i in cone:

@@ -17,6 +17,7 @@ from smoothpoly import cli, pipeline
 REPO = Path(__file__).resolve().parent.parent
 PYPROJECT = REPO / "pyproject.toml"
 TRACED = REPO / "perfbench" / "traced.py"
+DEMOS = REPO / "demos"
 
 
 def run_cli(argv, capsys):
@@ -217,3 +218,18 @@ def test_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe],
                          capture_output=True, text=True, env=_package_env())
     assert out.returncode == 0 and out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("demo,line", [
+    ("classify_and_inspect.py",
+     "dimension 2, up to 12 lattice points: 41 polytopes"),
+    ("realize_a_fan.py", "4 candidate right-hand sides"),
+    # reads child.fan.rays, which the walk builds on first read
+    ("walk_the_blowup_tree.py", "  new ray (1, 1) = sum of cone (0, 1)"),
+])
+def test_demo_runs(demo, line):
+    out = subprocess.run([sys.executable, str(DEMOS / demo)],
+                         capture_output=True, text=True, env=_package_env(),
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert line in out.stdout.splitlines()

@@ -3,12 +3,20 @@ discipline against an exhaustive oracle, and the polygon criterion."""
 
 import pytest
 
-from smoothpoly import seeds
-from smoothpoly.fans import Fan, ParamExpr, ParamFan, fan_canonical_key, walls_of
+from smoothpoly import pipeline, search, seeds
+from smoothpoly.fans import (
+    Fan,
+    ParamExpr,
+    ParamFan,
+    blow_up,
+    fan_canonical_key,
+    walls_of,
+)
 from smoothpoly.search import (
     ConeFlag,
     CriterionResult,
     PolygonStats,
+    SearchNode,
     count_polygon_tree,
     degree_profile,
     enumerate_blowups,
@@ -240,3 +248,197 @@ def test_walk_is_deterministic():
     first = [n.path for n in walk_tree(fan, 8)]
     second = [n.path for n in walk_tree(fan, 8)]
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the combinatorial walk against fans.blow_up
+
+def _reference_children(fan, bookkeeping, max_cones, pruned):
+    """Children of one node, each a blown-up Fan plus its bookkeeping.
+
+    The fan-based reference walk: every child is fans.blow_up of its
+    parent with bounds passed through propagate_bounds, and incident cones
+    are found by set scans on the fan.  bookkeeping is (path, cone_flags,
+    wall_order, wall_flags).
+    """
+    path, cone_flags, wall_order, wall_flags = bookkeeping
+    k, d, s = len(fan.cones), fan.d, len(fan.rays)
+    if k + (1 if d == 2 else 2) > max_cones:
+        return []
+
+    def grown(target, kind):
+        child = blow_up(fan, target)
+        if isinstance(child, ParamFan) and child.bounds:
+            child = ParamFan(child.rays, child.cones,
+                             propagate_bounds(child.bounds, kind),
+                             child.excluded, child.d)
+        return child
+
+    def faces(cone):
+        return [(cone[a], cone[b])
+                for a in range(len(cone)) for b in range(a + 1, len(cone))]
+
+    kids = []
+    cones_running = list(cone_flags)
+    walls_running = dict(wall_flags)
+    for i in range(k):
+        if pruned and cones_running[i] not in (CO, AC):
+            continue
+        target = fan.cones[i]
+        flags = list(cones_running)
+        flags[i] = CO
+        flags.extend([CO] * (d - 1))
+        wflags, worder = {}, ()
+        if d == 3:
+            wflags = dict(walls_running)
+            for pair in faces(target):
+                wflags[pair] = AI
+            new_keys = tuple(sorted((c, s) for c in target))
+            wflags.update((key, CO) for key in new_keys)
+            worder = wall_order + new_keys
+        kids.append((grown(target, "cone"), (path + (("cone", i),),
+                                            tuple(flags), worder, wflags)))
+        cones_running[i] = IG
+    for key in wall_order:
+        if pruned and walls_running[key] not in (CO, AC):
+            continue
+        i1, i2 = [ci for ci, c in enumerate(fan.cones)
+                  if set(key) <= set(c)]
+        flags = list(cones_running)
+        flags[i1] = flags[i2] = CO
+        flags.extend([CO, CO])
+        wflags = dict(walls_running)
+        del wflags[key]
+        for ci in (i1, i2):
+            for pair in faces(fan.cones[ci]):
+                if pair != key and wflags[pair] is IG:
+                    wflags[pair] = AC
+        p = next(x for x in fan.cones[i1] if x not in key)
+        q = next(x for x in fan.cones[i2] if x not in key)
+        new_keys = tuple(sorted((x, s) for x in (p, q) + key))
+        wflags.update((nk, CO) for nk in new_keys)
+        worder = tuple(w for w in wall_order if w != key) + new_keys
+        kids.append((grown(key, "wall"), (path + (("wall", key),),
+                                         tuple(flags), worder, wflags)))
+        if walls_running[key] is not AC:
+            walls_running[key] = IG
+    return kids
+
+
+def _reference_walk(fan, max_cones, pruned):
+    root = make_root(fan)
+    stack = [(fan, (root.path, root.cone_flags, root.wall_order,
+                    root.wall_flags))]
+    while stack:
+        fan, bookkeeping = stack.pop()
+        yield fan, bookkeeping
+        stack.extend(reversed(_reference_children(fan, bookkeeping,
+                                                  max_cones, pruned)))
+
+
+_EQUIVALENCE_ROOTS = [(name, 9) for name in seeds.seed_names(3)] + [
+    ("F_p", 8), ("F_a", 8)]
+
+
+@pytest.mark.parametrize("pruned", [True, False])
+@pytest.mark.parametrize("name,max_cones", _EQUIVALENCE_ROOTS)
+def test_walk_equals_blow_up_replay(name, max_cones, pruned):
+    """Every node's lazily built fan and its flags equal the fans.blow_up
+    walk's, node for node and in the same order."""
+    fan = seeds.seed_fan(name, 12)
+    nodes = list(walk_tree(fan, max_cones, pruned=pruned))
+    reference = list(_reference_walk(fan, max_cones, pruned))
+    assert len(nodes) == len(reference)
+    for node, (ref, bookkeeping) in zip(nodes, reference):
+        assert (node.path, node.cone_flags, node.wall_order,
+                node.wall_flags) == bookkeeping
+        assert node.cones == ref.cones
+        assert node.num_rays == len(ref.rays)
+        built = node.fan
+        assert type(built) is type(ref)
+        assert built.rays == ref.rays and built.cones == ref.cones
+        assert ([[type(a) for a in r] for r in built.rays]
+                == [[type(a) for a in r] for r in ref.rays])
+        assert built.d == ref.d
+        if isinstance(ref, ParamFan):
+            assert built.bounds == ref.bounds
+            assert built.excluded == ref.excluded
+        # a node refers to its seed fan, never to another node
+        assert not any(isinstance(getattr(node, slot), SearchNode)
+                       for slot in SearchNode.__slots__)
+
+
+def test_built_rays_normalize_like_blow_up():
+    # smooth fans never need it, but a sum without parameters is made
+    # primitive and integer exactly as fans.blow_up does
+    one = ParamExpr(1)
+    fans_in = [Fan([(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
+               ParamFan([(one, 0), (0, one), (-1, -ParamExpr.var("a"))],
+                        [(0, 1), (1, 2), (0, 2)], bounds={"a": (0, 2)})]
+    for fan in fans_in:
+        child = next(enumerate_blowups(make_root(fan), 4))
+        ref = blow_up(fan, fan.cones[0])
+        assert child.fan.rays == ref.rays
+        assert [type(a) for a in child.fan.rays[-1]] == [int, int]
+    assert child.fan.bounds == {"a": (-1, 3)}
+
+
+def test_walk_and_criterion_build_no_fan(monkeypatch):
+    def no_fan(node):
+        raise AssertionError("fan built for node %r" % (node.path,))
+
+    monkeypatch.setattr(search, "_build_fan", no_fan)
+    nodes = 0
+    for node in walk_tree(t34(), 10):
+        nodes += 1
+        trace_line(node)
+        polygon_criterion(degree_profile(node), STATS12)
+    assert nodes == pipeline.run_count_tree("3^4", 10) == 1679
+    assert degree_profile(make_root(t34())) == {3: 4}
+
+
+def test_polygon_walk_builds_fans_for_class_representatives_only(
+        monkeypatch):
+    built = []
+    build = search._build_fan
+
+    def counting(node):
+        built.append(node.path)
+        return build(node)
+
+    jobs = []
+
+    def record(dim, class_jobs, max_points, diag):
+        jobs.extend(class_jobs)
+        return []
+
+    monkeypatch.setattr(search, "_build_fan", counting)
+    monkeypatch.setattr(pipeline, "_realize_jobs", record)
+    _, diag = pipeline._classify_2d(9, None)
+    # a root node holds its seed fan from the start
+    below_root = sorted(prefix[1] for prefix, _ in jobs if prefix[1])
+    assert sorted(built) == below_root
+    assert diag.nodes_visited == 1381 and len(jobs) == 130
+    assert len(built) == 124
+
+
+def _unpruned_3d(k, max_cones):
+    """u(k) = 1 + (5k/2) u(k + 2): a 3-fan with k cones has k cones and
+    3k/2 walls to blow up, and each child has two cones more."""
+    if k + 2 > max_cones:
+        return 1
+    return 1 + (5 * k // 2) * _unpruned_3d(k + 2, max_cones)
+
+
+def test_3d_tree_counts_pinned():
+    expected = {"3^4": 24517, "(3^2 4^3)'": 3400, "(3^2 4^3)''": 3400,
+                "4^6": 355, "3^2 4^3 6^2": 26}
+    for name, count in expected.items():
+        assert pipeline.run_count_tree(name, 12) == count, name
+    unpruned = pipeline.run_count_tree("3^4", 12, unpruned=True)
+    assert unpruned == _unpruned_3d(4, 12) == 78161
+
+
+def test_3d_tree_count_benchmark_reference():
+    # the count perfbench/reference.json holds for the tree-3d workload
+    assert pipeline.run_count_tree("3^4", 14) == 393669
