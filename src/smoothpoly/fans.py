@@ -25,11 +25,9 @@ from .exact_linalg import (
     cross,
     determinant,
     dot,
-    inverse_unimodular,
-    mat_vec,
+    inverse_unimodular,  # unused: kept for perfbench/traced.py to wrap
     normalize_primitive,
     vec_add,
-    vec_sub,
 )
 
 
@@ -162,7 +160,8 @@ def as_expr(x):
 def expr_value(x):
     """Plain integer of a constant entry (int or constant ParamExpr)."""
     if isinstance(x, ParamExpr):
-        assert x.is_constant
+        if not x.is_constant:
+            raise ValueError("%s still has a parameter" % (x,))
         return x.const
     return x
 
@@ -507,31 +506,6 @@ def instantiate(pf, assignment):
     return Fan(rays, pf.cones, pf.d)
 
 
-def unimodular_frames(anchors, points, d):
-    """Images of points in every unimodular frame the anchors define.
-
-    An anchor is an (origin, basis) pair.  A basis of d vectors with
-    determinant +-1, taken in any order as the columns of M, gives the frame
-    x -> M^-1 (x - origin); bases of another length or determinant give
-    none.  M^-1 is computed once per anchor: reordering the columns of M
-    reorders the rows of M^-1, so each ordering of the basis only permutes
-    the coordinates of the images.  Yields one list of images, in points
-    order, per unimodular anchor and ordering (iso_dedup.canonical_form
-    anchors a polytope's vertices with their edge directions).
-    """
-    orderings = list(permutations(range(d)))
-    for origin, basis in anchors:
-        if len(basis) != d:
-            continue
-        M = columns_matrix(basis)
-        if determinant(M) not in (1, -1):
-            continue
-        T = inverse_unimodular(M)
-        imgs = [mat_vec(T, vec_sub(p, origin)) for p in points]
-        for perm in orderings:
-            yield [tuple(x[k] for k in perm) for x in imgs]
-
-
 def fan_canonical_key(fan):
     """Complete invariant of a smooth complete fan up to GL_d(Z), in integers.
 
@@ -560,8 +534,7 @@ def fan_canonical_key(fan):
     Inconsistent, both from edge_parameters.  A fan whose cones all have
     determinant +-D, D > 1, with integral walls is the image of a smooth
     fan under a non-unimodular map and gets that fan's key, so callers
-    pass smooth fans.  (The earlier matrix key returned a key for any fan
-    with one unimodular cone.)
+    pass smooth fans.
     """
     cones = fan.cones
     across = {}
@@ -617,5 +590,5 @@ __all__ = [
     "Fan", "ParamFan", "Wall", "EdgeParams",
     "walls_of", "edge_parameters",
     "is_smooth_fan", "is_complete_fan", "blow_up", "instantiate",
-    "unimodular_frames", "fan_canonical_key",
+    "fan_canonical_key",
 ]

@@ -5,8 +5,9 @@ an integer translation t carry one vertex set onto the other.  For smooth
 polytopes the primitive edge directions at any vertex form a lattice basis,
 which cuts the search for U down to |vertices(Q)| * d! candidates: anchor
 one vertex of P, and try every vertex of Q with every ordering of its edge
-directions.  The same orbit gives a canonical form, so deduplication is a
-hash-and-group pass instead of quadratically many isomorphism tests.
+directions.  The canonical form takes the least image over the same
+anchorings, read off the facet slacks, so deduplication is a hash-and-group
+pass instead of quadratically many isomorphism tests.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from . import InvariantError
 from .exact_linalg import (
     columns_matrix,
     determinant,
+    dot,
     inverse_unimodular,
     mat_mul,
     mat_vec,
@@ -23,8 +25,7 @@ from .exact_linalg import (
     vec_neg,
     vec_sub,
 )
-from .fans import unimodular_frames
-from .polytopes import VPolytope, edges_of
+from .polytopes import VPolytope, edges_of, facets_of
 
 
 def vertex_directions(P):
@@ -92,24 +93,41 @@ class CanonicalPolytope:
 def canonical_form(P):
     """Orbit-minimal coordinates of a full-dimensional smooth polytope.
 
-    Every vertex v with every ordering of its edge directions gives a map
-    x -> M^-1 (x - v) sending v to the origin and its edges to the standard
-    basis; shift so the coordinate-wise minimum is 0, sort, and keep the
-    lexicographically least result.  Unimodular images of P run through the
-    same candidates, so the output is invariant.
+    Anchor at each vertex v with exactly d tight facets <n_i, x> <= b_i
+    (i in T) whose normals have determinant +-1.  For each ordering of T,
+    map every vertex x to its slacks (b_i - <n_i, x>)_{i in T}, sort, and
+    keep the lexicographically least list over all anchors and orderings.
+    Under x -> U.x + t the normals become U^-T n_i and every slack stays,
+    so unimodular images of P give the same form.
+
+    This is the frame of the edge directions at v.  With A_T the matrix of
+    rows n_i, the columns of E = -A_T^-1 are integral, primitive (each has
+    inner product -1 with one normal) and run along every other tight facet,
+    so they are the primitive edge directions, and E^-1 (x - v) =
+    -A_T (x - v) is the slack vector: no inverse is needed, and no shift,
+    since slacks are >= 0 and vanish at v.  The anchors are those of the
+    edge frames.  A vertex with d facets or d edges has a simplex as its
+    vertex figure, so it has both (for d <= 3 the two counts are always
+    equal); and the normals at a vertex with a unimodular edge matrix E
+    are the rows of -E^-1, so det A_T = +-1.
     """
     d = P.d
-    dirs = vertex_directions(P)
-    anchors = [(v, dirs[i]) for i, v in enumerate(P.vertices)]
+    H = facets_of(P)
+    slacks = [tuple(c - dot(n, x) for n, c in zip(H.A, H.b))
+              for x in P.vertices]
     best = None
-    for imgs in unimodular_frames(anchors, P.vertices, d):
-        mins = [min(p[k] for p in imgs) for k in range(d)]
-        cand = tuple(sorted(tuple(a - m for a, m in zip(p, mins))
-                            for p in imgs))
-        if best is None or cand < best:
-            best = cand
+    for s in slacks:
+        tight = [i for i, a in enumerate(s) if a == 0]
+        if len(tight) != d or determinant(
+                [H.A[i] for i in tight]) not in (1, -1):
+            continue
+        for order in permutations(tight):
+            cand = sorted(tuple(t[i] for i in order) for t in slacks)
+            if best is None or cand < best:
+                best = cand
     if best is None:
         raise InvariantError("no unimodular vertex basis; polytope not smooth")
+    best = tuple(best)
     key = (d, len(best)) + tuple(a for p in best for a in p)
     return CanonicalPolytope(vertices=best, key=key)
 

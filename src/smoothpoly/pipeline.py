@@ -379,6 +379,8 @@ def run_count_tree(seed_name, max_cones, unpruned=False):
     """Node count of a seed's blow-up tree up to max_cones maximal cones."""
     seed = seeds.get_seed(seed_name)
     fan = seed.build(max(max_cones, 12))
+    if len(fan.cones) > max_cones:
+        return 0
     if seed.dim == 2:
         return count_polygon_tree(len(fan.cones), max_cones,
                                   pruned=not unpruned)

@@ -14,7 +14,6 @@ from smoothpoly.exact_linalg import (
     mat_vec,
     solve_rational,
     vec_add,
-    vec_sub,
 )
 from smoothpoly.fans import (
     DegenerateRay,
@@ -35,7 +34,6 @@ from smoothpoly.fans import (
     instantiate,
     is_complete_fan,
     is_smooth_fan,
-    unimodular_frames,
     walls_of,
 )
 from smoothpoly.search import parameter_axes, walk_tree
@@ -75,6 +73,13 @@ def test_param_expr_arithmetic():
     assert repr(2 * A + 1) == "2a+1"
     assert repr(-A) == "-a"
     assert repr(ParamExpr(0)) == "0"
+
+
+def test_expr_value_needs_a_constant():
+    assert expr_value(7) == 7
+    assert expr_value(ParamExpr(4)) == 4
+    with pytest.raises(ValueError):
+        expr_value(A + 1)
 
 
 def test_walls_of_counts():
@@ -457,33 +462,6 @@ def test_fan_key_needs_smooth_complete_fan():
                                     (5, 6, 7)))
     with pytest.raises(NotComplete):
         fan_canonical_key(twin)
-
-
-def test_unimodular_frames_one_per_ordering():
-    cases = [
-        (2, [((1, 2), ((1, 0), (1, 1))), ((0, 0), ((2, 1), (1, 1)))],
-         [(0, 0), (3, -1), (1, 2), (-4, 5)]),
-        (3, [((1, 0, -1), ((1, 0, 0), (1, 1, 0), (0, 2, 1))),
-             ((0, 0, 0), ((0, 1, 0), (1, 0, 0), (-1, -1, -1)))],
-         [(0, 0, 0), (2, -1, 3), (1, 1, 1), (-3, 0, 4)]),
-    ]
-    for d, anchors, points in cases:
-        expected = []
-        for origin, basis in anchors:
-            for ordered in permutations(basis):
-                T = inverse_unimodular(columns_matrix(ordered))
-                expected.append([mat_vec(T, vec_sub(x, origin))
-                                 for x in points])
-        assert list(unimodular_frames(anchors, points, d)) == expected
-
-        # a determinant-2 basis and bases of the wrong length give nothing
-        origin = (0,) * d
-        scaled = tuple(tuple(2 if i == j == 0 else int(i == j)
-                             for j in range(d)) for i in range(d))
-        bad = [(origin, scaled), (origin, scaled[:d - 1]),
-               (origin, scaled + (origin,))]
-        assert list(unimodular_frames(bad, points, d)) == []
-        assert list(unimodular_frames(bad + anchors, points, d)) == expected
 
 
 def test_smooth_2d_fans_are_unimodular_chains():

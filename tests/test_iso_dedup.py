@@ -1,15 +1,25 @@
 """Lattice isomorphism, canonical forms, and deduplication."""
 
+import json
 import random
 from collections import namedtuple
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 from conftest import apply_affine, random_translation, random_unimodular
 
-from smoothpoly import InvariantError
-from smoothpoly.exact_linalg import determinant
+from smoothpoly import InvariantError, iso_dedup
+from smoothpoly.exact_linalg import (
+    columns_matrix,
+    determinant,
+    inverse_unimodular,
+    mat_vec,
+    vec_sub,
+)
 from smoothpoly.iso_dedup import (
+    CanonicalPolytope,
     canonical_form,
     dedup,
     lattice_isomorphic,
@@ -171,3 +181,76 @@ def test_canonical_form_rejects_non_smooth_polygon():
     # every vertex cone of this triangle has determinant 3
     with pytest.raises(InvariantError):
         canonical_form(VPolytope([(0, 0), (2, 1), (1, 2)]))
+
+
+def _edge_frame_form(P):
+    """The canonical form from edge frames: the oracle for canonical_form.
+
+    Each vertex with d edge directions of determinant +-1, taken in every
+    order as the columns of M, gives the frame x -> M^-1 (x - v); the
+    images are shifted so each coordinate's minimum is 0 and sorted, and
+    the least list wins.
+    """
+    d = P.d
+    dirs = vertex_directions(P)
+    best = None
+    for i, v in enumerate(P.vertices):
+        if len(dirs[i]) != d or determinant(
+                columns_matrix(dirs[i])) not in (1, -1):
+            continue
+        for ordered in permutations(dirs[i]):
+            T = inverse_unimodular(columns_matrix(ordered))
+            imgs = [mat_vec(T, vec_sub(p, v)) for p in P.vertices]
+            mins = [min(p[k] for p in imgs) for k in range(d)]
+            cand = tuple(sorted(tuple(a - m for a, m in zip(p, mins))
+                                for p in imgs))
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        raise InvariantError("no unimodular edge basis")
+    return CanonicalPolytope(best, (d, len(best)) + sum(best, ()))
+
+
+def _golden_polytopes():
+    data = Path(__file__).parent / "data"
+    out = []
+    for name in ("golden_polygons_max12.json",
+                 "golden_polytopes3d_max12.json"):
+        with open(data / name) as fh:
+            out.extend(VPolytope([tuple(v) for v in vs])
+                       for vs in json.load(fh))
+    return out
+
+
+PYRAMID = VPolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+TRAPEZOID = VPolytope([(0, 0), (3, 0), (0, 1), (1, 1)])
+NON_SMOOTH_TRIANGLE = VPolytope([(0, 0), (2, 1), (1, 2)])
+
+
+def test_canonical_form_matches_edge_frame_oracle():
+    golden = _golden_polytopes()
+    assert len(golden) == 74
+    rng = random.Random(808)
+    polys = []
+    for P in golden + [PYRAMID, TRAPEZOID]:
+        polys.append(P)
+        for _ in range(3):
+            U = random_unimodular(rng, P.d)
+            t = random_translation(rng, P.d)
+            polys.append(VPolytope(apply_affine(U, t, P.vertices)))
+    for P in polys:
+        assert canonical_form(P) == _edge_frame_form(P), P.vertices
+    for form in (canonical_form, _edge_frame_form):
+        with pytest.raises(InvariantError):
+            form(NON_SMOOTH_TRIANGLE)
+
+
+def test_canonical_form_uses_no_inverse_or_edges(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("canonical_form reached the edge frames")
+
+    polys = (SQUARE, TRAPEZOID, CUBE, PYRAMID)
+    expected = [canonical_form(P) for P in polys]
+    monkeypatch.setattr(iso_dedup, "inverse_unimodular", forbidden)
+    monkeypatch.setattr(iso_dedup, "edges_of", forbidden)
+    assert [canonical_form(P) for P in polys] == expected

@@ -241,6 +241,11 @@ def test_count_tree_values():
     assert run_count_tree("3^4", 8, unpruned=True) == 161
     pruned = run_count_tree("3^4", 8)
     assert 11 < pruned < 161
+    # a seed with more cones than the cap counts 0 in either dimension
+    assert run_count_tree("F_p", 2) == 0
+    assert run_count_tree("3^4", 3) == 0
+    assert run_count_tree("4^6", 7) == 0
+    assert run_count_tree("4^6", 8) == 1
     with pytest.raises(UnknownSeed):
         run_count_tree("F_q", 6)
 
