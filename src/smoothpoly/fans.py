@@ -17,6 +17,7 @@ det(z1,...,zd)).
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 
 from .exact_linalg import (
     Inconsistent,
@@ -254,43 +255,53 @@ def walls_of(fan):
     """All walls of a complete simplicial fan, sorted by spanning ray indices.
 
     Raises NotComplete when some ridge lies in a number of maximal cones
-    other than two.
+    other than two, and ValueError on a cone with other than d rays.
+    """
+    return [Wall(ridge, (c1, c2), (p, q))
+            for ridge, c1, p, c2, q in _paired_ridges(fan)]
+
+
+def _paired_ridges(fan):
+    """(ridge, c1, p, c2, q) per ridge, sorted by ridge.
+
+    One pass over the cones: c1 < c2 are the two cones containing the
+    ridge, and p, q the rays completing them.  NotComplete is checked on
+    every ridge before anything is returned.
     """
     d = fan.d
-    ridge_map = {}
+    ridges = {}
     for ci, cone in enumerate(fan.cones):
-        assert len(cone) == d, "walls_of needs a simplicial fan"
-        for drop in cone:
-            ridge = tuple(i for i in cone if i != drop)
-            ridge_map.setdefault(ridge, []).append(ci)
-    walls = []
-    for ridge in sorted(ridge_map):
-        cs = ridge_map[ridge]
-        if len(cs) != 2:
+        if len(cone) != d:
+            raise ValueError("walls need a simplicial fan, cone %r has %d "
+                             "rays" % (cone, len(cone)))
+        if d == 3:
+            a, b, c = cone
+            pairs = (((b, c), a), ((a, c), b), ((a, b), c))
+        else:
+            pairs = [(tuple(i for i in cone if i != drop), drop)
+                     for drop in cone]
+        for ridge, opp in pairs:
+            entry = ridges.get(ridge)
+            if entry is None:
+                ridges[ridge] = [ridge, ci, opp]
+            else:
+                entry += (ci, opp)
+    paired = sorted(ridges.values())
+    for entry in paired:
+        if len(entry) != 5:
             raise NotComplete("ridge %r lies in %d maximal cones, want 2"
-                              % (list(ridge), len(cs)))
-        c1, c2 = sorted(cs)
-        opp = tuple(next(i for i in fan.cones[c] if i not in ridge)
-                    for c in (c1, c2))
-        walls.append(Wall(ridge, (c1, c2), opp))
-    return walls
+                              % (list(entry[0]), len(entry) // 2))
+    return paired
 
 
 def edge_parameters(fan, wall):
     """Solve r1 + r2 = sum a_i n_i for the wall's edge-parameters.
 
     The n_i are the wall's spanning rays, r1/r2 the opposite rays of the two
-    incident cones, s = r1 + r2.  Integer arithmetic only:
-
-      d=2 (wall = one ray n):  a = s_k / n_k at the first nonzero n_k,
-      d=3 (w = n1 x n2):       a1 <w,w> = <s x n2, w>,  a2 <w,w> = <n1 x s, w>,
-
-    and the quotients must be exact and give back s = sum a_i n_i.  A
-    smooth wall gives integers; a fractional solution raises NonIntegral,
-    s outside the wall's span raises Inconsistent and dependent spanning
-    rays raise Singular.  On parametric fans the spanning rays must be
-    parameter-free (ParametricWallUnsupported otherwise); the opposite
-    rays may be parametric, giving ParamExpr coefficients.
+    incident cones; the solve is _wall_coeffs.  On parametric fans the
+    spanning rays must be parameter-free (ParametricWallUnsupported
+    otherwise); the opposite rays may be parametric, giving ParamExpr
+    coefficients.
     """
     spanning = [fan.rays[i] for i in wall.ray_indices]
     for v in spanning:
@@ -299,49 +310,89 @@ def edge_parameters(fan, wall):
                 "wall %r is spanned by parametric rays" % (wall.ray_indices,))
     spanning = [tuple(expr_value(a) for a in v) for v in spanning]
     s = vec_add(fan.rays[wall.opposite[0]], fan.rays[wall.opposite[1]])
-    if fan.d == 2:
+    return EdgeParams(wall, _wall_coeffs(spanning, s, wall.ray_indices))
+
+
+def wall_table(fan):
+    """(ridge, incident, opposite, coeffs) for every wall, in walls_of order.
+
+    The ridges are paired as in walls_of (incident in increasing order,
+    opposite[i] the ray completing incident[i]); then each wall is solved
+    by _wall_coeffs, so coeffs equals edge_parameters(fan, wall).coeffs.
+    Needs a simplicial fan with integer rays in dimension 2 or 3.  Raises
+    what walls_of and edge_parameters raise: NotComplete for a ridge in a
+    number of cones other than two (checked on every ridge before any wall
+    is solved), ValueError for a cone with other than d rays, and
+    Inconsistent, NonIntegral or Singular from the solve.
+    """
+    rays = fan.rays
+    table = []
+    for ridge, c1, p, c2, q in _paired_ridges(fan):
+        s = tuple(map(add, rays[p], rays[q]))
+        coeffs = _wall_coeffs([rays[i] for i in ridge], s, ridge)
+        table.append((ridge, (c1, c2), (p, q), coeffs))
+    return table
+
+
+def _wall_coeffs(spanning, s, ridge):
+    """The integer coefficients a_i with s = sum a_i n_i on one wall.
+
+    spanning holds the wall's integer rays n_i, and s is an integer or
+    ParamExpr vector.  With no division until the end:
+
+      d=2 (wall = one ray n):  a = s_k / n_k at the first nonzero n_k,
+      d=3 (w = n1 x n2):       a1 <w,w> = <s x n2, w>,  a2 <w,w> = <n1 x s, w>.
+
+    These quotients are the coordinates of s in the basis n_i whenever s
+    lies in the wall's span, i.e. <s, w> = 0 in 3D and det(s, n) = 0 in
+    2D.  So s off the span raises Inconsistent, a fractional quotient
+    raises NonIntegral (a non-smooth wall) and dependent spanning rays
+    raise Singular.  ridge only names the wall in the messages.
+    """
+    if len(s) == 2:
         (n,) = spanning
-        k = next((k for k, x in enumerate(n) if x), None)
-        if k is None:
-            raise Singular("wall %r is spanned by the zero ray"
-                           % (wall.ray_indices,))
-        den, nums = n[k], [s[k]]
-    elif fan.d == 3:
-        n1, n2 = spanning
-        w = cross(n1, n2)
-        den = dot(w, w)
+        k = 0 if n[0] else 1
+        den = n[k]
         if not den:
-            raise Singular("wall %r is spanned by dependent rays"
-                           % (wall.ray_indices,))
-        nums = [dot(cross(s, n2), w), dot(cross(n1, s), w)]
+            raise Singular("wall %r is spanned by the zero ray" % (ridge,))
+        off_span = s[0] * n[1] - s[1] * n[0]
+        nums = (s[k],)
+    elif len(s) == 3:
+        (x1, y1, z1), (x2, y2, z2) = spanning
+        sx, sy, sz = s
+        w0, w1, w2 = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+        den = w0 * w0 + w1 * w1 + w2 * w2
+        if not den:
+            raise Singular("wall %r is spanned by dependent rays" % (ridge,))
+        off_span = sx * w0 + sy * w1 + sz * w2
+        nums = ((sy * z2 - sz * y2) * w0 + (sz * x2 - sx * z2) * w1
+                + (sx * y2 - sy * x2) * w2,
+                (y1 * sz - z1 * sy) * w0 + (z1 * sx - x1 * sz) * w1
+                + (x1 * sy - y1 * sx) * w2)
     else:
         raise ValueError("edge parameters need dimension 2 or 3, got %d"
-                         % (fan.d,))
-    coeffs = tuple(_exact_quotient(x, den) for x in nums)
-    if any(c is None for c in coeffs):
-        # s in the span makes the quotients its exact coordinates
-        off_span = (s[0] * n[1] - s[1] * n[0]) if fan.d == 2 else dot(s, w)
-        if off_span != 0:
-            raise Inconsistent("wall %r: opposite rays sum outside its span"
-                               % (wall.ray_indices,))
-        raise NonIntegral("edge-parameters %r / %d on wall %r"
-                          % (nums, den, wall.ray_indices))
-    combo = tuple(sum(a * v[i] for a, v in zip(coeffs, spanning))
-                  for i in range(fan.d))
-    if combo != s:
+                         % (len(s),))
+    if off_span != 0:
         raise Inconsistent("wall %r: opposite rays sum outside its span"
-                           % (wall.ray_indices,))
-    return EdgeParams(wall, coeffs)
+                           % (ridge,))
+    coeffs = tuple([_exact_quotient(x, den) for x in nums])
+    if None in coeffs:
+        raise NonIntegral("edge-parameters %r / %d on wall %r"
+                          % (nums, den, ridge))
+    return coeffs
 
 
 def _exact_quotient(x, den):
     """x / den for an int or ParamExpr x when exact, else None."""
-    if isinstance(x, ParamExpr) and not x.is_constant:
-        if any(p % den for p in (x.const, *x.coeffs.values())):
-            return None
-        return ParamExpr(x.const // den,
-                         {n: c // den for n, c in x.coeffs.items()})
-    q, r = divmod(expr_value(x), den)
+    if isinstance(x, ParamExpr):
+        if x.is_constant:
+            x = x.const
+        else:
+            if any(p % den for p in (x.const, *x.coeffs.values())):
+                return None
+            return ParamExpr(x.const // den,
+                             {n: c // den for n, c in x.coeffs.items()})
+    q, r = divmod(x, den)
     return None if r else q
 
 
@@ -511,11 +562,11 @@ def fan_canonical_key(fan):
 
     Across the wall opposite ray x of a cone, the far ray y of the next cone
     is y = sum a_i n_i - x, with n_i the wall's spanning rays and a_i its
-    integer coefficients (edge_parameters).  A flag is a cone with an
-    ordering of its rays, labelled 0..d-1.  From each flag the cones are
-    walked breadth-first, crossing the facets of each cone in label order;
-    each newly reached cone emits (label of y, the a_i in label order of
-    the n_i), and unlabelled rays get the next label on first sight.
+    integer coefficients (wall_table).  A flag is a cone with an ordering
+    of its rays, labelled 0..d-1.  From each flag the cones are walked
+    breadth-first, crossing the facets of each cone in label order; each
+    newly reached cone emits (label of y, the a_i in label order of the
+    n_i), and unlabelled rays get the next label on first sight.
 
     The emitted items rebuild the fan from the flag: they name every cone's
     rays by label (the walk order depends only on labels already emitted,
@@ -524,27 +575,48 @@ def fan_canonical_key(fan):
     the basis of the flag's rays.  For a smooth fan that basis is a lattice
     basis, so two fans with equal sequences from some flags are carried
     onto each other by the unimodular map between those bases.  The key is
-    (number of cones, least sequence over all flags); a flag is dropped as
-    soon as its prefix exceeds the least one found so far.
+    (number of cones, least sequence over all flags).
 
-    Needs a concrete complete fan: a ridge not shared by two cones, or
-    cones that do not form one connected sphere, raise NotComplete.  A
-    wall with fractional coefficients raises NonIntegral and a wall whose
-    two cones have determinants of different absolute value raises
-    Inconsistent, both from edge_parameters.  A fan whose cones all have
-    determinant +-D, D > 1, with integral walls is the image of a smooth
-    fan under a non-unimodular map and gets that fan's key, so callers
-    pass smooth fans.
+    Only flags that can give the least sequence are walked.  A flag's first
+    item comes from the facet opposite flag[0]: its far ray is new, so the
+    item is (d, coefficients of flag[1:] on that wall).  The least sequence
+    starts with the least first item, so the flags with a larger one are
+    cut before any walk: the least first item is d and the least sorted
+    coefficient tuple of any wall, and the flags left start on either side
+    of such a wall, with its spanning rays in an order that reads that
+    tuple.  A walked flag is dropped as soon as its prefix exceeds the
+    least sequence found so far.
+
+    Needs a concrete complete fan.  The errors come from wall_table: a
+    ridge not shared by two cones raises NotComplete, a wall with
+    fractional coefficients raises NonIntegral and a wall whose two cones
+    have determinants of different absolute value raises Inconsistent.
+    Cones that do not form one connected sphere raise NotComplete, checked
+    on the first walked flag (every flag reaches every cone of a connected
+    fan, and none does otherwise).  A fan whose cones all have determinant
+    +-D, D > 1, with integral walls is the image of a smooth fan under a
+    non-unimodular map and gets that fan's key, so callers pass smooth
+    fans.
     """
     cones = fan.cones
+    table = wall_table(fan)
     across = {}
-    for wall in walls_of(fan):
-        coeffs = dict(zip(wall.ray_indices, edge_parameters(fan, wall).coeffs))
-        (c1, c2), (p, q) = wall.incident, wall.opposite
+    for ridge, (c1, c2), (p, q), coeffs in table:
+        coeffs = dict(zip(ridge, coeffs))
         across[c1, p] = (c2, q, coeffs)
         across[c2, q] = (c1, p, coeffs)
-    flags = [(start, flag) for start, cone in enumerate(cones)
-             for flag in permutations(cone)]
+    # the least ordering of a wall's coefficients is their sorted tuple
+    firsts = [tuple(sorted(coeffs)) for *_, coeffs in table]
+    least = min(firsts)
+    flags = []
+    for (ridge, incident, opposite, coeffs), first in zip(table, firsts):
+        if first != least:
+            continue
+        by_ray = dict(zip(ridge, coeffs))
+        orders = [perm for perm in permutations(ridge)
+                  if tuple(by_ray[n] for n in perm) == least]
+        flags.extend((c, (x,) + perm)
+                     for c, x in zip(incident, opposite) for perm in orders)
     best = _flag_walk(cones, across, *flags[0], None)
     if len(best) != len(cones) - 1:
         raise NotComplete("the walls join %d of the %d cones"
@@ -588,7 +660,7 @@ __all__ = [
     "OutOfBounds", "DegenerateRay",
     "ParamExpr", "as_expr", "expr_value", "is_numeric_vector",
     "Fan", "ParamFan", "Wall", "EdgeParams",
-    "walls_of", "edge_parameters",
+    "walls_of", "edge_parameters", "wall_table",
     "is_smooth_fan", "is_complete_fan", "blow_up", "instantiate",
     "fan_canonical_key",
 ]

@@ -490,8 +490,11 @@ def render_text(result):
 
 
 def render_stats(stats):
-    """The polygon minima table; absences shown as >N in the totals row."""
-    ks = list(range(3, 9))
+    """The polygon minima table; absences shown as >N in the totals row.
+
+    Columns run from k = 3 to the largest k in the table, and to at least 8.
+    """
+    ks = list(range(3, max([8, *stats.table]) + 1))
     rows = [("k", [str(k) for k in ks])]
     absent_l = ">%d" % stats.max_points
     for label, pick, absent in (("l", 0, absent_l), ("i", 1, "-"),

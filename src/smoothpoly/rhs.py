@@ -15,6 +15,10 @@ max_points lattice points:
 Translation freedom is removed by pinning b = 0 on the rays of the
 lexicographically least cone, which parks that cone's vertex at the origin.
 
+The wall coefficients come from one fans.wall_table per fan, which the
+level enumeration, the reference RhsPolytope and the wall-sum filter
+read; edge_length_form solves a single given wall with edge_parameters.
+
 Edge lengths are integers, so enumeration floors each cap once, to
 (N - sum(a) - d) // d, and works in integers only.  The Fraction caps
 remain only in RhsPolytope, whose contains is the slow reference.
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 from . import InvariantError
 from .exact_linalg import dot, solve_rational
-from .fans import ParamExpr, edge_parameters, walls_of
+from .fans import ParamExpr, edge_parameters, wall_table, walls_of
 from .polytopes import HPolytope, VPolytope, count_lattice_points, is_smooth
 
 
@@ -57,29 +61,31 @@ class EdgeLengthForm:
         return sum(c * b[i] for i, c in self.terms)
 
 
-def _form(fan, wall, params):
-    coeffs = {}
-    for opp in wall.opposite:
-        coeffs[opp] = coeffs.get(opp, 0) + 1
-    for idx, a in zip(wall.ray_indices, params.coeffs):
-        coeffs[idx] = coeffs.get(idx, 0) - a
-    terms = tuple(sorted((i, c) for i, c in coeffs.items() if c))
-    return EdgeLengthForm(wall.ray_indices, terms, len(fan.rays))
+def _form(ridge, opposite, coeffs, size):
+    dense = {}
+    for opp in opposite:
+        dense[opp] = dense.get(opp, 0) + 1
+    for idx, a in zip(ridge, coeffs):
+        dense[idx] = dense.get(idx, 0) - a
+    terms = tuple(sorted((i, c) for i, c in dense.items() if c))
+    return EdgeLengthForm(ridge, terms, size)
 
 
 def edge_length_form(fan, wall):
-    return _form(fan, wall, edge_parameters(fan, wall))
+    return _form(wall.ray_indices, wall.opposite,
+                 edge_parameters(fan, wall).coeffs, len(fan.rays))
 
 
 def _wall_forms(fan):
-    """(wall, edge-length form, wall coefficient sum) per wall.
+    """(wall table row, edge-length form, wall coefficient sum) per wall.
 
-    walls_of runs once per fan and edge_parameters once per wall.
+    One wall_table per fan: every wall is solved once, in walls_of order.
     """
+    size = len(fan.rays)
     out = []
-    for wall in walls_of(fan):
-        params = edge_parameters(fan, wall)
-        out.append((wall, _form(fan, wall, params), sum(params.coeffs)))
+    for row in wall_table(fan):
+        ridge, _, opposite, coeffs = row
+        out.append((row, _form(ridge, opposite, coeffs, size), sum(coeffs)))
     return out
 
 
@@ -124,8 +130,9 @@ def _assignment_plan(fan, walls, forms, caps, pinned):
     Breadth-first over the cone adjacency graph starting at the pinned
     cone: entering a new cone fixes at most one new ray (the opposite ray
     across the entering wall, whose form coefficient is +1), and every ray
-    of a reached cone is fixed by then.  Returns the forms already complete
-    on the pinned rays, and one step per free ray:
+    of a reached cone is fixed by then.  walls are wall_table rows; each
+    cone's neighbours are listed once, in wall order.  Returns the forms
+    already complete on the pinned rays, and one step per free ray:
 
       (ray, window terms without the ray, window cap,
        ((terms without the ray, coeff on the ray, cap), ...))
@@ -133,23 +140,21 @@ def _assignment_plan(fan, walls, forms, caps, pinned):
     where the last entry lists the other forms that become complete once
     the ray is assigned.  Every term refers to a ray assigned earlier.
     """
+    adjacent = [[] for _ in fan.cones]
+    for wi, (_, (c1, c2), (p, q), _) in enumerate(walls):
+        adjacent[c1].append((wi, c2, q))
+        adjacent[c2].append((wi, c1, p))
     pinned_cone = fan.cones.index(pinned)
     depth = {r: 0 for r in pinned}
     order = []           # (ray, wall index giving its window)
     seen = {pinned_cone}
     queue = [pinned_cone]
-    while queue:
-        ci = queue.pop(0)
-        for wi, wall in enumerate(walls):
-            if ci not in wall.incident:
-                continue
-            side = wall.incident.index(ci)
-            other = wall.incident[1 - side]
+    for ci in queue:
+        for wi, other, new_ray in adjacent[ci]:
             if other in seen:
                 continue
             seen.add(other)
             queue.append(other)
-            new_ray = wall.opposite[1 - side]
             if new_ray not in depth:
                 order.append((new_ray, wi))
                 depth[new_ray] = len(order)
@@ -260,7 +265,7 @@ def realize_and_filter(fan, b, max_points):
 # test, and vectorizable over a whole grid of parameter assignments.
 
 def wall_sums(fan):
-    return [sum(edge_parameters(fan, w).coeffs) for w in walls_of(fan)]
+    return [sum(coeffs) for _, _, _, coeffs in wall_table(fan)]
 
 
 def passes_wall_sum(fan, max_points):

@@ -34,6 +34,7 @@ from smoothpoly.fans import (
     instantiate,
     is_complete_fan,
     is_smooth_fan,
+    wall_table,
     walls_of,
 )
 from smoothpoly.search import parameter_axes, walk_tree
@@ -217,6 +218,51 @@ def test_edge_parameters_agree_with_rational_solve(polygon_class_reps):
             checked += 1
             parametric += any(isinstance(a, ParamExpr) for a in got)
     assert checked > 20000 and parametric > 0
+
+
+def _concrete_fans(polygon_class_reps):
+    """The concrete fans of _edge_parameter_fans: 1992 + 230 of them."""
+    return [fan for fan in _edge_parameter_fans(polygon_class_reps)
+            if not isinstance(fan, ParamFan)]
+
+
+def test_wall_table_matches_edge_parameters(polygon_class_reps):
+    fans_seen = walls_seen = 0
+    for fan in _concrete_fans(polygon_class_reps):
+        want = [(w.ray_indices, w.incident, w.opposite,
+                 edge_parameters(fan, w).coeffs) for w in walls_of(fan)]
+        got = wall_table(fan)
+        assert got == want, fan.rays
+        assert all(type(a) is int for *_, coeffs in got for a in coeffs)
+        fans_seen += 1
+        walls_seen += len(got)
+    assert fans_seen == 2222 and walls_seen > 20000
+
+
+def test_wall_table_errors():
+    # ridge (1,) of the first cone and (2,) of the second have no partner
+    with pytest.raises(NotComplete, match="1 maximal cones"):
+        wall_table(Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)]))
+    # ray 0 is the shared ridge of four cones
+    with pytest.raises(NotComplete, match="4 maximal cones"):
+        wall_table(Fan([(1, 0), (0, 1), (0, -1), (1, 1), (1, -1)],
+                       [(0, 1), (0, 2), (0, 3), (0, 4)]))
+    # normal fan of a lattice tetrahedron: wall {0, 1} solves to (-1/2, -1/2)
+    simplex = Fan([(-1, 0, -1), (-1, 0, 1), (0, -1, 1), (1, 1, -1)],
+                  [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    with pytest.raises(NonIntegral):
+        wall_table(simplex)
+    # tetrahedral combinatorics, but (0,0,1) + (-1,-1,-2) leaves the plane
+    # of wall {0, 1}, spanned by (0,1,0) and (1,0,0)
+    skew = Fan([(0, 1, 0), (1, 0, 0), (-1, -1, -2), (0, 0, 1)],
+               tetra_fan().cones)
+    with pytest.raises(Inconsistent):
+        wall_table(skew)
+    # a square-based pyramid cone in an octahedral-looking fan
+    octa = Fan([(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (0, 0, 1)],
+               [(0, 1, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)])
+    with pytest.raises(ValueError, match="simplicial"):
+        wall_table(octa)
 
 
 def test_is_smooth_fan():
@@ -442,6 +488,57 @@ def test_fan_key_uses_no_matrix(monkeypatch):
     for fan in [fp_fan(), square_fan(), tetra_fan(),
                 blow_up(tetra_fan(), (0, 1))]:
         assert fan_canonical_key(fan)[0] == len(fan.cones)
+
+
+def test_fan_key_reads_only_wall_table(monkeypatch):
+    keys = [fan_canonical_key(fan) for fan in
+            (fp_fan(), square_fan(), tetra_fan(), blow_up(tetra_fan(), (0, 1)))]
+
+    def forbidden(*args):
+        raise AssertionError("fan_canonical_key rebuilt a wall")
+    monkeypatch.setattr(fans, "walls_of", forbidden)
+    monkeypatch.setattr(fans, "edge_parameters", forbidden)
+    assert keys == [fan_canonical_key(fan) for fan in
+                    (fp_fan(), square_fan(), tetra_fan(),
+                     blow_up(tetra_fan(), (0, 1)))]
+
+
+def _all_flags_key(fan):
+    """fan_canonical_key with every flag walked to the end, no cut at all."""
+    across = {}
+    for wall in walls_of(fan):
+        coeffs = dict(zip(wall.ray_indices, edge_parameters(fan, wall).coeffs))
+        (c1, c2), (p, q) = wall.incident, wall.opposite
+        across[c1, p] = (c2, q, coeffs)
+        across[c2, q] = (c1, p, coeffs)
+    sequences = []
+    for start, cone in enumerate(fan.cones):
+        for flag in permutations(cone):
+            label = {r: k for k, r in enumerate(flag)}
+            seen = {start}
+            queue = [start]
+            seq = []
+            for c in queue:
+                rays = sorted(fan.cones[c], key=label.__getitem__)
+                for x in rays:
+                    nxt, y, coeffs = across[c, x]
+                    if nxt in seen:
+                        continue
+                    seen.add(nxt)
+                    queue.append(nxt)
+                    label.setdefault(y, len(label))
+                    seq.append((label[y],)
+                               + tuple(coeffs[n] for n in rays if n != x))
+            sequences.append(seq)
+    return len(fan.cones), tuple(min(sequences))
+
+
+def test_fan_key_first_item_cut_is_exact(polygon_class_reps):
+    fans_seen = 0
+    for fan in _concrete_fans(polygon_class_reps):
+        assert fan_canonical_key(fan) == _all_flags_key(fan), fan.rays
+        fans_seen += 1
+    assert fans_seen == 2222
 
 
 def test_fan_key_needs_smooth_complete_fan():

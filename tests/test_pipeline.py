@@ -27,7 +27,7 @@ from smoothpoly.pipeline import (
     run_stats,
 )
 from smoothpoly.polytopes import VPolytope, facets_of, is_smooth, lattice_points
-from smoothpoly.search import enumerate_blowups, make_root
+from smoothpoly.search import PolygonStats, enumerate_blowups, make_root
 from smoothpoly.seeds import UnknownSeed
 
 
@@ -261,6 +261,16 @@ def test_stats_small_budget():
     assert rows[0].split() == ["k", "3", "4", "5", "6", "7", "8"]
     assert rows[1].split() == ["l", "3", "4", ">6", ">6", ">6", ">6"]
     assert rows[2].split() == ["i", "0", "0", "-", "-", "-", "-"]
+
+
+def test_render_stats_shows_every_vertex_count():
+    stats = PolygonStats(14, {3: (3, 0, 3), 4: (4, 0, 4), 9: (14, 1, 13)})
+    rows = render_stats(stats).splitlines()
+    assert rows[0].split() == ["k", "3", "4", "5", "6", "7", "8", "9"]
+    assert rows[1].split() == ["l", "3", "4", ">14", ">14", ">14", ">14",
+                               "14"]
+    assert rows[2].split() == ["i", "0", "0", "-", "-", "-", "-", "1"]
+    assert rows[3].split() == ["b", "3", "4", "-", "-", "-", "-", "13"]
 
 
 def test_list_seeds_registry():
