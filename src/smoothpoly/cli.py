@@ -33,7 +33,8 @@ def _build_parser():
     c.add_argument("--out", metavar="PATH",
                    help="write the report to PATH instead of stdout")
     c.add_argument("--trace-tree", metavar="PATH",
-                   help="append one line per visited search node to PATH")
+                   help="write one line per visited search node to PATH, "
+                        "replacing any earlier contents")
     c.add_argument("--allow-unvalidated", action="store_true",
                    help="proceed with a warning outside the validated "
                         "envelope (dimension 3 beyond %d points)"

@@ -7,7 +7,11 @@ deduplicates up to lattice isomorphism.
 
 Dimension 2 walks concrete fans (one tree per Hirzebruch width) and may cut
 whole subtrees: wall coefficients only ever grow under 2D blow-ups, so a
-fan with a coefficient past the cap never has feasible descendants.
+fan with a coefficient past the cap never has feasible descendants.  The
+walk keys classes by their coefficient cycle, and a class whose least
+perimeter (rhs.least_perimeter, an integer bound read off the cycle)
+exceeds the budget is counted but never gets a fan or a level search:
+at N = 12 that skips 1962 of the 1992 classes.
 Dimension 3 has no such monotonicity (wall blow-ups destroy the offending
 wall), so the walk is parametric, every node is filtered by the smooth
 polygon criterion from the 2D results, and surviving nodes are instantiated
@@ -24,6 +28,7 @@ from .iso_dedup import canonical_form, dedup
 from .polytopes import VPolytope, facets_of, lattice_points
 from .rhs import (
     enumerate_rhs,
+    least_perimeter,
     passes_wall_sum,
     realize_and_filter,
     wall_sum_mask,
@@ -258,8 +263,13 @@ def _min_interior(n):
     return max(1, (n - 6) // 2)
 
 
-def _classify_2d(max_points, trace):
-    diag = Diagnostics()
+def _polygon_walk(max_points, trace, diag):
+    """The 2D class table: (prefix, cycle key, node) per fan class.
+
+    Walks the polygon trees, counts nodes_visited in diag, and keeps one
+    search node per dihedral key, the one with the least prefix; sorted by
+    prefix.  No fan below a root is built here.
+    """
     cap = max_points - 4      # thickened edge: 2(l+1) + a*l <= N at l = 1
     max_rays = max_points
     while max_rays + _min_interior(max_rays) > max_points:
@@ -286,13 +296,22 @@ def _classify_2d(max_points, trace):
                             node.num_rays)
                         for child in enumerate_blowups(node, max_rays)]
             stack.extend(reversed(children))
-    jobs = sorted(classes.values(), key=lambda job: job[0])
-    classes.clear()
-    # only the class representatives need their rays; each node is
-    # dropped once its fan is built
-    for j, (prefix, node) in enumerate(jobs):
-        jobs[j] = (prefix, node.fan)
-    diag.fans_tested = len(jobs)
+    return sorted(((prefix, key, node)
+                   for key, (prefix, node) in classes.items()),
+                  key=lambda row: row[0])
+
+
+def _classify_2d(max_points, trace):
+    """Walk, then realize only the classes within the perimeter bound.
+
+    Every class counts in fans_tested; a class whose least_perimeter
+    exceeds max_points has no level vector, so its fan is never built.
+    """
+    diag = Diagnostics()
+    table = _polygon_walk(max_points, trace, diag)
+    diag.fans_tested = len(table)
+    jobs = [(prefix, node.fan) for prefix, key, node in table
+            if least_perimeter(key) <= max_points]
     records = _realize_jobs(2, jobs, max_points, diag)
     return records, diag
 

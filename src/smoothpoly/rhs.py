@@ -22,6 +22,11 @@ read; edge_length_form solves a single given wall with edge_parameters.
 Edge lengths are integers, so enumeration floors each cap once, to
 (N - sum(a) - d) // d, and works in integers only.  The Fraction caps
 remain only in RhsPolytope, whose contains is the slow reference.
+
+In 2D, least_perimeter bounds the edge-length sum of any polygon with a
+given coefficient cycle from below, in integers and without building the
+fan; a class whose bound exceeds N has no level vector, so the 2D run
+enumerates levels only for classes within the bound.
 """
 
 from dataclasses import dataclass
@@ -226,6 +231,58 @@ def enumerate_rhs(fan, max_points):
     return out
 
 
+def least_perimeter(cycle):
+    """Lower bound on the edge-length sum of a smooth polygon with this cycle.
+
+    cycle holds the wall coefficients a_i of a smooth complete 2D fan in
+    cyclic ray order, r_{i-1} + r_{i+1} = a_i r_i.  In the frame r_0 = e1,
+    r_1 = e2, r_{i+1} = a_i r_i - r_{i-1}, a polygon with this normal fan
+    has edge lengths l_i >= 1 with sum l_i r_i = 0.  Writing l = 1 + e,
+    closure reads sum e_i r_i = c with c = -sum r_i.  Returns k + ceil(g),
+    where g is the least real sum e_i over all e >= 0 with that closure.
+
+    A basic optimum has at most two nonzero e_i (Caratheodory in the
+    plane), so g is the least (det(c, r_j) + det(r_i, c)) / det(r_i, r_j)
+    over ray pairs with det(r_i, r_j) > 0 and both numerators >= 0 (the
+    Cramer solution of c = e_i r_i + e_j r_j); g = 0 when c = 0.  The rays
+    of a complete fan span every direction, so some pair qualifies, and
+    ceil of the least quotient is the least ceil.  The value is invariant
+    under rotation and reversal of the cycle (both give a lattice image of
+    the same polygons), so the dihedral key may be passed.
+
+    Soundness: the level vectors of enumerate_rhs give edge lengths with
+    l >= 1, sum(l - 1) <= N - k, and sum l_i r_i = 0 (this holds for every
+    level vector, as sum_i (b_{i-1} + b_{i+1} - a_i b_i) r_i = sum_i b_i
+    (r_{i-1} + r_{i+1} - a_i r_i) = 0).  The bound keeps l >= 1 and the
+    closure and drops the edge caps and integrality, so it only relaxes
+    the RhsPolytope conditions: every level vector has k + ceil(g) <=
+    sum l <= N, and a cycle with least_perimeter > N has none.
+    """
+    k = len(cycle)
+    rays = [(1, 0), (0, 1)]
+    for i in range(1, k - 1):
+        (x0, y0), (x1, y1) = rays[i - 1], rays[i]
+        rays.append((cycle[i] * x1 - x0, cycle[i] * y1 - y0))
+    cx = -sum(x for x, _ in rays)
+    cy = -sum(y for _, y in rays)
+    if cx == 0 and cy == 0:
+        return k
+    best = None
+    for xi, yi in rays:
+        for xj, yj in rays:
+            den = xi * yj - yi * xj
+            if den <= 0:
+                continue
+            ei = cx * yj - cy * xj
+            ej = xi * cy - yi * cx
+            if ei < 0 or ej < 0:
+                continue
+            g = -(-(ei + ej) // den)
+            if best is None or g < best:
+                best = g
+    return k + best
+
+
 def realize_and_filter(fan, b, max_points):
     """Solve for the vertex of every cone and validate the result.
 
@@ -316,6 +373,6 @@ def wall_sum_mask(fan, grids, max_points):
 __all__ = [
     "NonIntegralVertex", "EdgeLengthForm", "edge_length_form",
     "RhsPolytope", "build_rhs_polytope", "enumerate_rhs",
-    "realize_and_filter",
+    "least_perimeter", "realize_and_filter",
     "wall_sums", "passes_wall_sum", "wall_sum_mask",
 ]

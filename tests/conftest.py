@@ -37,21 +37,21 @@ def apply_affine(U, t, points):
 
 
 @pytest.fixture(scope="session")
-def polygon_class_reps():
-    """The fan class representatives of the N = 12 polygon walk (1992 fans).
+def polygon_class_table():
+    """The class table of the N = 12 polygon walk: (prefix, key, node) rows.
 
-    Taken from the walk itself, with the realization stage replaced by a
-    recorder, so the walk runs once and no levels are enumerated.
+    Taken from the walk alone, so no fan is realized and no levels are
+    enumerated; every one of the 1992 classes is here, also those that
+    the perimeter bound later skips.
     """
     from smoothpoly import pipeline
 
-    reps = []
+    table = pipeline._polygon_walk(12, None, pipeline.Diagnostics())
+    assert len(table) == 1992
+    return table
 
-    def record(dim, jobs, max_points, diag):
-        reps.extend(fan for _, fan in jobs)
-        return []
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "_realize_jobs", record)
-        pipeline._classify_2d(12, None)
-    return reps
+@pytest.fixture(scope="session")
+def polygon_class_reps(polygon_class_table):
+    """The fan class representatives of the N = 12 polygon walk (1992 fans)."""
+    return [node.fan for _, _, node in polygon_class_table]

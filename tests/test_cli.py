@@ -58,6 +58,19 @@ def test_classify_trace_file(capsys, tmp_path):
     assert trace.read_text().count("\n") > 0
 
 
+def test_classify_trace_file_is_replaced(capsys, tmp_path):
+    trace = tmp_path / "trace.tsv"
+    argv = ["classify", "--dim", "2", "--max-points", "5",
+            "--trace-tree", str(trace)]
+    assert run_cli(argv, capsys)[0] == 0
+    first = trace.read_text()
+    assert run_cli(argv, capsys)[0] == 0
+    assert trace.read_text() == first
+    trace.write_text("stale line\n" * 1000)
+    assert run_cli(argv, capsys)[0] == 0
+    assert trace.read_text() == first
+
+
 def test_classify_rejects_bad_config(capsys):
     code, _, err = run_cli(["classify", "--dim", "4", "--max-points", "9"],
                            capsys)

@@ -1,5 +1,6 @@
 """End-to-end classification at small budgets, plus the walk helpers."""
 
+import hashlib
 import json
 import random
 
@@ -181,6 +182,23 @@ def test_classify_dim2_matches_golden_subset():
         assert r.dimension == 2
         assert 3 <= r.num_lattice_points <= 6
         assert r.num_vertices == len(r.vertices) == r.facet_count
+
+
+def test_classify_dim2_budget_monotone():
+    """The N = 11 run is the N = 12 run cut at 11 points, provenance too."""
+    small = run_classify(RunConfig(2, 11)).records
+    large = run_classify(RunConfig(2, 12)).records
+    assert len(small) == 31 and len(large) == 41
+    assert list(small) == [r for r in large if r.num_lattice_points <= 11]
+    assert [r.provenance for r in small] == [
+        r.provenance for r in large if r.num_lattice_points <= 11]
+
+
+def test_classify_dim2_past_twelve_points_digest():
+    res = run_classify(RunConfig(2, 13))
+    assert len(res.records) == 51 and res.diagnostics.fans_tested == 7360
+    assert hashlib.sha256(render_json(res).encode()).hexdigest() == (
+        "2fdd45e3cce3579c04d13212c0547c8d27ed204a5750b68b590be930dee6194d")
 
 
 def test_classify_dim3_matches_golden_subset():

@@ -15,6 +15,7 @@ from smoothpoly.rhs import (
     build_rhs_polytope,
     edge_length_form,
     enumerate_rhs,
+    least_perimeter,
     passes_wall_sum,
     realize_and_filter,
     wall_sum_mask,
@@ -226,3 +227,67 @@ def test_enumerate_rhs_equals_box_scan(polygon_class_reps):
         assert all(abs(x) < bound for b in scan for x in b), fan.rays
         accepted += len(scan)
     assert accepted > 0
+
+
+def test_least_perimeter_hand_cases():
+    assert least_perimeter((-1, -1, -1)) == 3        # F_p: the unit triangle
+    assert least_perimeter((0, 0, 0, 0)) == 4        # the unit square
+    for a in range(-6, 7):
+        # F_a: a trapezoid with parallel edges 1 and 1 + |a|
+        assert least_perimeter((0, -a, 0, a)) == 4 + abs(a)
+    # the hexagon (cycle of six 1s) closes with every edge of length 1
+    assert least_perimeter((1, 1, 1, 1, 1, 1)) == 6
+    # an 11-gon whose real optimum is g = 2/3: the bound rounds up to 12,
+    # which the integer search attains
+    cycle = (1, 3, 1, 2, 2, 2, 1, 3, 2, 1, 3)
+    rays = [(1, 0), (0, 1)]
+    for a in cycle[1:-1]:
+        rays.append(tuple(a * x - y for x, y in zip(rays[-1], rays[-2])))
+    assert least_perimeter(cycle) == _exact_least_perimeter(rays, 12) == 12
+
+
+def test_least_perimeter_is_dihedral_invariant(polygon_class_table):
+    for _, key, _ in polygon_class_table[::7]:
+        want = least_perimeter(key)
+        for seq in (key, key[::-1]):
+            for s in range(len(seq)):
+                assert least_perimeter(seq[s:] + seq[:s]) == want, key
+
+
+def test_least_perimeter_skips_only_empty_classes(polygon_class_table):
+    rejected = 0
+    for _, key, node in polygon_class_table:
+        if least_perimeter(key) > 12:
+            rejected += 1
+            assert enumerate_rhs(node.fan, 12) == [], key
+    assert rejected == 1962
+
+
+def _exact_least_perimeter(rays, max_points):
+    """Least integer sum of l >= 1 with sum l_i r_i = 0, or None past N.
+
+    Breadth-first over the number t of extra unit lengths: the sums of t
+    rays, with no cap on any single edge, until -sum r is reached.
+    """
+    k = len(rays)
+    target = tuple(-sum(r[j] for r in rays) for j in range(2))
+    reach = {(0, 0)}
+    for t in range(max_points - k + 1):
+        if target in reach:
+            return k + t
+        reach = {(x + rx, y + ry) for x, y in reach for rx, ry in rays}
+    return None
+
+
+def test_least_perimeter_never_exceeds_the_exact_least(polygon_class_table):
+    within = tight = 0
+    for _, key, node in polygon_class_table:
+        exact = _exact_least_perimeter(node.fan.rays, 12)
+        if exact is None:
+            continue
+        bound = least_perimeter(key)
+        assert bound <= exact, key
+        within += 1
+        tight += bound == exact
+    # 30 classes close within 12 points, and the bound is attained on each
+    assert within == tight == 30

@@ -12,6 +12,7 @@ from smoothpoly.fans import (
     fan_canonical_key,
     walls_of,
 )
+from smoothpoly.rhs import least_perimeter
 from smoothpoly.search import (
     ConeFlag,
     CriterionResult,
@@ -399,6 +400,9 @@ def test_walk_and_criterion_build_no_fan(monkeypatch):
 
 def test_polygon_walk_builds_fans_for_class_representatives_only(
         monkeypatch):
+    table = pipeline._polygon_walk(9, None, pipeline.Diagnostics())
+    passing = [prefix for prefix, key, _ in table
+               if least_perimeter(key) <= 9]
     built = []
     build = search._build_fan
 
@@ -415,11 +419,13 @@ def test_polygon_walk_builds_fans_for_class_representatives_only(
     monkeypatch.setattr(search, "_build_fan", counting)
     monkeypatch.setattr(pipeline, "_realize_jobs", record)
     _, diag = pipeline._classify_2d(9, None)
-    # a root node holds its seed fan from the start
-    below_root = sorted(prefix[1] for prefix, _ in jobs if prefix[1])
+    # every class is tested, but only those within the perimeter bound are
+    # realized, and a root node holds its seed fan from the start
+    assert [prefix for prefix, _ in jobs] == passing
+    below_root = sorted(prefix[1] for prefix in passing if prefix[1])
     assert sorted(built) == below_root
-    assert diag.nodes_visited == 1381 and len(jobs) == 130
-    assert len(built) == 124
+    assert diag.nodes_visited == 1381 and diag.fans_tested == len(table) == 130
+    assert len(passing) == 13 and len(built) == 7
 
 
 def _unpruned_3d(k, max_cones):
