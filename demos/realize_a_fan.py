@@ -5,7 +5,7 @@
 from smoothpoly import seeds
 from smoothpoly.exact_linalg import dot
 from smoothpoly.fans import instantiate, walls_of
-from smoothpoly.polytopes import HPolytope, edges_of, lattice_points
+from smoothpoly.polytopes import edges_of
 from smoothpoly.rhs import (
     build_rhs_polytope, edge_length_form, enumerate_rhs, realize_and_filter,
 )
@@ -23,19 +23,17 @@ levels = enumerate_rhs(fan, N)
 print("%d candidate right-hand sides" % len(levels))
 
 for b in levels:
-    poly, status = realize_and_filter(fan, b, N)
+    poly, status, num_points = realize_and_filter(fan, b, N)
     if poly is None:
         print("  b =", b, "->", status)
         continue
-    pts = lattice_points(HPolytope(list(fan.rays), list(b), fan.d),
-                         _verts=poly)
     print("  b =", b, "-> box with %2d lattice points, vertices %s"
-          % (len(pts), poly.vertices[:2] + ("...",)))
+          % (num_points, poly.vertices[:2] + ("...",)))
 
 # each wall of the fan is dual to an edge of the polytope, and its length
 # is a linear form in b; check that against the geometry for one b
 b = levels[-1]
-poly, _ = realize_and_filter(fan, b, N)
+poly, _, _ = realize_and_filter(fan, b, N)
 edges = {frozenset(e.endpoints): e.lattice_length for e in edges_of(poly)}
 
 # maximal cones correspond to vertices: the vertex where the cone's rays

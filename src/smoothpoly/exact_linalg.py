@@ -3,8 +3,10 @@
 Vectors are plain tuples of Python ints, matrices are tuples of row tuples.
 Every matrix acts on column vectors (U applied to v is mat_vec(U, v)).
 Dimensions stay tiny here (8 at the very most), so clarity wins over speed:
-cofactor expansion, fraction-free Bareiss elimination and fractions.Fraction
-cover everything we need without ever rounding.
+cofactor expansion and fraction-free Bareiss elimination cover everything
+without ever rounding.  fractions.Fraction appears only in solve_rational,
+which solves for a vertex; polytope normals are integer cross products and
+perpendiculars (polytopes, d in {2, 3}), and spanning is a determinant test.
 """
 
 from fractions import Fraction
@@ -209,78 +211,11 @@ def solve_rational(M, y):
     return tuple(aug[i][n] for i in range(n))
 
 
-def rank(M):
-    """Rank of an integer matrix, by Gaussian elimination over Fraction."""
-    if not M:
-        return 0
-    rows = [[Fraction(a) for a in row] for row in M]
-    n = len(rows[0])
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / piv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def integer_kernel_vector(M):
-    """One primitive integer vector v with M.v = 0, or None if only v = 0.
-
-    M is m x n with integer entries.  When the kernel has dimension > 1 an
-    arbitrary (but deterministic) kernel vector is returned.
-    """
-    if not M:
-        return None
-    m = len(M)
-    n = len(M[0])
-    rows = [[Fraction(a) for a in row] for row in M]
-    pivots = {}  # column -> row
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        rows[r] = [a / piv for a in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-        if r == m:
-            break
-    free = next((c for c in range(n) if c not in pivots), None)
-    if free is None:
-        return None
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for c, i in pivots.items():
-        x[c] = -rows[i][free]
-    # clear denominators and strip the gcd
-    q = 1
-    for a in x:
-        q = q * a.denominator // gcd(q, a.denominator)
-    v = tuple(int(a * q) for a in x)
-    prim, _ = normalize_primitive(v)
-    return prim
-
-
 __all__ = [
     "Fraction", "ZeroVectorError", "ShapeError", "NotUnimodular",
     "Singular", "Inconsistent",
     "vec_add", "vec_sub", "vec_neg", "vec_scale", "dot", "cross",
     "identity_matrix", "transpose", "mat_vec", "mat_mul", "columns_matrix",
     "normalize_primitive", "determinant", "inverse_unimodular",
-    "solve_rational", "rank", "integer_kernel_vector",
+    "solve_rational",
 ]

@@ -90,8 +90,12 @@ class CanonicalPolytope:
     key: tuple
 
 
-def canonical_form(P):
+def canonical_form(P, H=None):
     """Orbit-minimal coordinates of a full-dimensional smooth polytope.
+
+    H is P's facet H-form when the caller already holds it (the pipeline
+    passes the fan's rays with their levels); by default it is computed
+    once with facets_of.  The facet order does not matter.
 
     Anchor at each vertex v with exactly d tight facets <n_i, x> <= b_i
     (i in T) whose normals have determinant +-1.  For each ordering of T,
@@ -112,7 +116,8 @@ def canonical_form(P):
     are the rows of -E^-1, so det A_T = +-1.
     """
     d = P.d
-    H = facets_of(P)
+    if H is None:
+        H = facets_of(P)
     slacks = [tuple(c - dot(n, x) for n, c in zip(H.A, H.b))
               for x in P.vertices]
     best = None

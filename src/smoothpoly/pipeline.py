@@ -25,7 +25,7 @@ from . import InvariantError, seeds
 from .exact_linalg import dot
 from .fans import ParamFan, fan_canonical_key
 from .iso_dedup import canonical_form, dedup
-from .polytopes import VPolytope, facets_of, lattice_points
+from .polytopes import HPolytope, VPolytope, facets_of, lattice_points
 from .rhs import (
     enumerate_rhs,
     least_perimeter,
@@ -133,15 +133,11 @@ class RunResult:
     warnings: tuple
 
 
-def _make_record(dim, poly, prov, max_points):
-    cf = canonical_form(poly)
-    cv = VPolytope(cf.vertices, dim)
-    H = facets_of(cv)
-    pts = lattice_points(H, _verts=cv)
-    if len(pts) > max_points:     # realize_and_filter already counted them
-        raise InvariantError("record has %d lattice points, budget %d"
-                             % (len(pts), max_points))
-    return ClassificationRecord(dim, cf.vertices, len(pts),
+def _make_record(dim, poly, H, num_points, prov):
+    """Record of a realized polytope from its facets H and its point count,
+    both known from the realization: no hull and no lattice scan."""
+    cf = canonical_form(poly, H)
+    return ClassificationRecord(dim, cf.vertices, num_points,
                                 len(cf.vertices), len(H.A), prov, cf.key)
 
 
@@ -156,12 +152,13 @@ def _realize_jobs(dim, jobs, max_points, diag):
         levels = enumerate_rhs(fan, max_points)
         diag.rhs_enumerated += len(levels)
         for b in levels:
-            poly, status = realize_and_filter(fan, b, max_points)
+            poly, status, num_points = realize_and_filter(fan, b, max_points)
             if poly is None:
                 diag.realizations_rejected += 1
                 continue
             prov = Provenance(prefix[0], prefix[1], prefix[2], tuple(b))
-            records.append(_make_record(dim, poly, prov, max_points))
+            records.append(_make_record(dim, poly, HPolytope(fan.rays, b, dim),
+                                        num_points, prov))
     return dedup(records)
 
 

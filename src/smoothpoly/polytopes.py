@@ -1,9 +1,13 @@
 """Exact H- and V-form polytopes, lattice points, smoothness, normal fans.
 
-All arithmetic is exact: vertices of rational polytopes come out as Fractions,
-lattice polytopes as plain ints.  Everything is brute force over subsets --
-the classification never sees more than a few dozen inequalities or vertices,
-and exactness plus determinism matter far more than asymptotics here.
+Dimensions 2 and 3 only.  All arithmetic is exact: vertices of rational
+polytopes come out as Fractions, lattice polytopes as plain ints.  The hull
+of a lattice point set is integer-only: the normal of d points is the
+perpendicular (2D) or cross product (3D) of their differences, made
+primitive, and spanning is a determinant test over d-subsets.  Everything is
+brute force over subsets -- the classification never sees more than a few
+dozen inequalities or vertices, and exactness plus determinism matter far
+more than asymptotics here.
 """
 
 from dataclasses import dataclass
@@ -13,11 +17,10 @@ from math import ceil, floor, gcd
 
 from . import InvariantError
 from .exact_linalg import (
+    cross,
     determinant,
     dot,
-    integer_kernel_vector,
     normalize_primitive,
-    rank,
     solve_rational,
     vec_neg,
     vec_sub,
@@ -37,6 +40,12 @@ class NotFullDim(ValueError):
     """A full-dimensional polytope was required."""
 
 
+def _check_dim(d):
+    if d not in (2, 3):
+        raise ValueError("polytopes are handled in dimension 2 or 3, got %r"
+                         % (d,))
+
+
 class HPolytope:
     """{x : A.x <= b} with primitive integer rows and integer rhs."""
 
@@ -48,6 +57,7 @@ class HPolytope:
         assert A and len(A) == len(b)
         if d is None:
             d = len(A[0])
+        _check_dim(d)
         for row in A:
             assert len(row) == d
             prim, factor = normalize_primitive(row)
@@ -75,25 +85,29 @@ class VPolytope:
         assert verts
         if d is None:
             d = len(verts[0])
+        _check_dim(d)
         assert all(len(v) == d for v in verts)
         self.vertices = tuple(verts)
         self.d = d
 
     @classmethod
     def from_points(cls, points, d=None):
-        """Hull vertices of an arbitrary finite point set (exact)."""
+        """Hull vertices of an arbitrary finite lattice point set.
+
+        A point is a vertex iff at least d facets are tight at it: in
+        dimension 2 or 3 any other boundary point lies inside one facet or
+        inside an edge, which lies in exactly d - 1 facets.
+        """
         pts = sorted(set(tuple(p) for p in points))
         assert pts
         if d is None:
             d = len(pts[0])
-        if _affine_rank(pts, d) < d:
+        _check_dim(d)
+        if not _full_dim(pts, d):
             raise NotFullDim("point set spans a lower-dimensional space")
         A, b = _hull_facets(pts, d)
-        verts = []
-        for p in pts:
-            tight = [A[f] for f in range(len(A)) if dot(A[f], p) == b[f]]
-            if tight and rank(tight) == d:
-                verts.append(p)
+        verts = [p for p in pts
+                 if sum(dot(row, p) == c for row, c in zip(A, b)) >= d]
         return cls(verts, d)
 
     @property
@@ -119,23 +133,30 @@ class EdgeData:
     lattice_length: int
 
 
-def _affine_rank(points, d):
-    if len(points) < 2:
-        return 0
+def _spans(vectors, d):
+    """Do the vectors span R^d?  Some d of them have a nonzero determinant."""
+    return any(determinant(sub) != 0 for sub in combinations(vectors, d))
+
+
+def _full_dim(points, d):
+    """Is the affine hull of the points all of R^d?"""
     base = points[0]
-    diffs = [_integerize(vec_sub(p, base)) for p in points[1:]]
-    return rank(diffs)
+    return _spans([vec_sub(p, base) for p in points[1:]], d)
 
 
-def _integerize(v):
-    """Scale a rational vector to integers (rank/kernel only care for span)."""
-    if all(isinstance(a, int) for a in v):
-        return v
-    q = 1
-    for a in v:
-        a = Fraction(a)
-        q = q * a.denominator // gcd(q, a.denominator)
-    return tuple(int(Fraction(a) * q) for a in v)
+def _normal(vectors):
+    """Primitive integer normal of d - 1 integer vectors in Z^d, or None
+    when they are dependent: the perpendicular in 2D, the cross product
+    in 3D, divided by the gcd of its entries."""
+    if len(vectors) == 1:
+        (x, y), = vectors
+        n = (-y, x)
+    else:
+        n = cross(*vectors)
+    g = gcd(*n)
+    if g == 0:
+        return None
+    return tuple(a // g for a in n)
 
 
 def vertices_of(P):
@@ -166,15 +187,12 @@ def vertices_of(P):
 
 def _recession_nonzero(A, d):
     """Does {x : A.x <= 0} contain a nonzero vector?"""
-    if rank(A) < d:
+    if not _spans(A, d):
         return True  # nonzero kernel vector is a recession direction
-    if d == 1:
-        return (all(row[0] <= 0 for row in A)
-                or all(row[0] >= 0 for row in A))
     # pointed cone: nonzero iff it has an extreme ray, spanned by the kernel
     # of d-1 tight rows
-    for idx in combinations(range(len(A)), d - 1):
-        z = integer_kernel_vector(tuple(A[i] for i in idx))
+    for rows in combinations(A, d - 1):
+        z = _normal(rows)
         if z is None:
             continue
         for cand in (z, vec_neg(z)):
@@ -209,44 +227,45 @@ def _feasible(A, b):
 def _lattice_iter(A, b, lo, hi):
     """Integer points of {A.x <= b} inside the box [lo, hi], lex order.
 
-    Coordinates are fixed left to right; each inequality is enforced exactly
-    at the depth where its last nonzero coefficient gets fixed, so no final
-    feasibility pass is needed.
+    Coordinates are fixed left to right, as an odometer over x; each
+    inequality is enforced exactly at the depth where its last nonzero
+    coefficient gets fixed, so no final feasibility pass is needed.
     """
     d = len(lo)
-    last_nz = []
+    rows_at = [[] for _ in range(d)]     # depth of the last nonzero entry
     for row, c in zip(A, b):
         nz = [k for k in range(d) if row[k] != 0]
-        if not nz:
-            if c < 0:
-                return
-            last_nz.append(-1)
-        else:
-            last_nz.append(nz[-1])
-    prefix = []
-
-    def rec(k):
-        if k == d:
-            yield tuple(prefix)
+        if nz:
+            rows_at[nz[-1]].append((row, c))
+        elif c < 0:
             return
-        lk, hk = lo[k], hi[k]
-        for row, c, ln in zip(A, b, last_nz):
-            if ln != k:
-                continue
-            resid = c - sum(row[j] * prefix[j] for j in range(k))
-            ak = row[k]
-            if ak > 0:
-                hk = min(hk, resid // ak)            # floor(resid/ak)
-            else:
-                lk = max(lk, -(resid // (-ak)))      # ceil(resid/ak)
-        x = lk
-        while x <= hk:
-            prefix.append(x)
-            yield from rec(k + 1)
-            prefix.pop()
-            x += 1
+    x = [0] * d
+    top = [0] * d
+    k = 0
+    x[0], top[0] = _window(rows_at[0], x, 0, lo[0], hi[0])
+    while k >= 0:
+        if x[k] > top[k]:
+            k -= 1
+            if k >= 0:
+                x[k] += 1
+        elif k == d - 1:
+            yield tuple(x)
+            x[k] += 1
+        else:
+            k += 1
+            x[k], top[k] = _window(rows_at[k], x, k, lo[k], hi[k])
 
-    yield from rec(0)
+
+def _window(rows, x, k, lk, hk):
+    """Range of x[k] allowed by the rows ending at k, given x[:k]."""
+    for row, c in rows:
+        resid = c - sum(row[j] * x[j] for j in range(k))
+        ak = row[k]
+        if ak > 0:
+            hk = min(hk, resid // ak)            # floor(resid/ak)
+        else:
+            lk = max(lk, -(resid // (-ak)))      # ceil(resid/ak)
+    return lk, hk
 
 
 def _bounding_box(verts, d):
@@ -261,7 +280,7 @@ def _bounding_box(verts, d):
 def lattice_points(P, _verts=None):
     """All integer points of a bounded full-dimensional H-polytope, lex order."""
     V = _verts if _verts is not None else vertices_of(P)
-    if _affine_rank(V.vertices, P.d) < P.d:
+    if not _full_dim(V.vertices, P.d):
         raise NotFullDim("polytope is not full-dimensional")
     lo, hi = _bounding_box(V.vertices, P.d)
     return list(_lattice_iter(P.A, P.b, lo, hi))
@@ -294,12 +313,8 @@ def _hull_facets(points, d):
     """
     facets = set()
     pts = list(points)
-    for sub in combinations(range(len(pts)), d):
-        chosen = [pts[i] for i in sub]
-        diffs = [vec_sub(p, chosen[0]) for p in chosen[1:]]
-        if d > 1 and rank(diffs) != d - 1:
-            continue
-        n = integer_kernel_vector(diffs) if d > 1 else (1,)
+    for chosen in combinations(pts, d):
+        n = _normal([vec_sub(p, chosen[0]) for p in chosen[1:]])
         if n is None:
             continue
         beta = dot(n, chosen[0])
@@ -317,7 +332,7 @@ def _hull_facets(points, d):
 def facets_of(P):
     """Recover the H-form of a full-dimensional lattice V-polytope."""
     assert P.is_lattice
-    if _affine_rank(P.vertices, P.d) < P.d:
+    if not _full_dim(P.vertices, P.d):
         raise NotFullDim("polytope is not full-dimensional")
     A, b = _hull_facets(P.vertices, P.d)
     return HPolytope(A, b, P.d)
@@ -326,21 +341,20 @@ def facets_of(P):
 def edges_of(P):
     """Every edge of a full-dimensional lattice polytope (V- or H-form).
 
-    Two vertices are adjacent iff their common tight facet normals span a
-    (d-1)-dimensional space: the face they cut out is then a segment, and
-    its endpoints are exactly these two vertices.
+    Two vertices are adjacent iff they share at least d - 1 tight facets.
+    In dimension 2 or 3, d - 1 distinct facets meet in a face of dimension
+    at most 1, so two vertices on it are the endpoints of an edge; and every
+    edge lies in exactly d - 1 facets, so no edge is missed.
     """
     V = P if isinstance(P, VPolytope) else vertices_of(P)
     H = facets_of(V)
     verts = V.vertices
-    tight = [tuple(f for f in range(len(H.A)) if dot(H.A[f], v) == H.b[f])
+    tight = [{f for f in range(len(H.A)) if dot(H.A[f], v) == H.b[f]}
              for v in verts]
     edges = []
-    tight_sets = [set(t) for t in tight]
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
-            common = [H.A[f] for f in tight[i] if f in tight_sets[j]]
-            if len(common) >= V.d - 1 and rank(common) == V.d - 1:
+            if len(tight[i] & tight[j]) >= V.d - 1:
                 direction, length = normalize_primitive(
                     vec_sub(verts[j], verts[i]))
                 edges.append(EdgeData((i, j), direction, length))
@@ -369,8 +383,6 @@ def normal_fan(P):
     """Fan of outer normal cones: rays are the primitive facet normals,
     maximal cones collect the facets through each vertex."""
     V = P if isinstance(P, VPolytope) else vertices_of(P)
-    if _affine_rank(V.vertices, V.d) < V.d:
-        raise NotFullDim("polytope is not full-dimensional")
     H = facets_of(V)
     cones = []
     for v in V.vertices:

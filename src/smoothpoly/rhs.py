@@ -34,8 +34,19 @@ from fractions import Fraction
 
 from . import InvariantError
 from .exact_linalg import dot, solve_rational
-from .fans import ParamExpr, edge_parameters, wall_table, walls_of
-from .polytopes import HPolytope, VPolytope, count_lattice_points, is_smooth
+from .fans import (
+    ParamExpr,
+    edge_parameters,
+    is_smooth_fan,
+    wall_table,
+    walls_of,
+)
+from .polytopes import (
+    HPolytope,
+    VPolytope,
+    count_lattice_points,
+    is_smooth,  # unused: kept for perfbench/traced.py to wrap
+)
 
 
 class NonIntegralVertex(ValueError):
@@ -200,35 +211,34 @@ def enumerate_rhs(fan, max_points):
                                        [f for _, f, _ in data], caps, pinned)
     if at_start:
         return []        # a form on pinned rays alone measures 0 < 1
-    b = [0] * len(fan.rays)
     out = []
-    last = len(steps)
-
-    def recurse(t, used):
-        if t == last:
-            out.append(tuple(b))
-            return
-        ray, window, cap, checks = steps[t]
-        rest = sum(c * b[i] for i, c in window)
-        others = [(sum(c * b[i] for i, c in terms), c_new, fcap)
-                  for terms, c_new, fcap in checks]
-        # every completed form adds length - 1 >= 0 to used
-        for ell in range(1, min(cap, slack - used + 1) + 1):
-            level = ell - rest
-            total = used + ell - 1
-            for base, c_new, fcap in others:
-                length = base + c_new * level
-                if length < 1 or length > fcap:
-                    break
-                total += length - 1
-            else:
-                if total <= slack:
-                    b[ray] = level
-                    recurse(t + 1, total)
-
-    recurse(0, 0)
+    _assign(steps, 0, 0, slack, [0] * len(fan.rays), out)
     out.sort()
     return out
+
+
+def _assign(steps, t, used, slack, b, out):
+    """Levels for steps[t:] given b so far; used is sum(length - 1)."""
+    if t == len(steps):
+        out.append(tuple(b))
+        return
+    ray, window, cap, checks = steps[t]
+    rest = sum(c * b[i] for i, c in window)
+    others = [(sum(c * b[i] for i, c in terms), c_new, fcap)
+              for terms, c_new, fcap in checks]
+    # every completed form adds length - 1 >= 0 to used
+    for ell in range(1, min(cap, slack - used + 1) + 1):
+        level = ell - rest
+        total = used + ell - 1
+        for base, c_new, fcap in others:
+            length = base + c_new * level
+            if length < 1 or length > fcap:
+                break
+            total += length - 1
+        else:
+            if total <= slack:
+                b[ray] = level
+                _assign(steps, t + 1, total, slack, b, out)
 
 
 def least_perimeter(cycle):
@@ -286,9 +296,15 @@ def least_perimeter(cycle):
 def realize_and_filter(fan, b, max_points):
     """Solve for the vertex of every cone and validate the result.
 
-    Returns (polytope, "ok"), or (None, "mismatch") when b does not realize
-    this fan (degenerate or shifted vertices), or (None, "too_many_points")
-    when the polytope is genuine but too big.
+    Returns (polytope, "ok", lattice-point count), or (None, "mismatch",
+    None) when b does not realize this fan (degenerate or shifted
+    vertices), or (None, "too_many_points", None) when the polytope is
+    genuine but too big.
+
+    A realized polytope is {x : <r, x> <= b_r} over the fan's rays, and its
+    normal fan is the fan: vertex i is tight exactly on the rays of cone i.
+    So its facets are the rays, and it is smooth iff the fan is; no hull is
+    built.  A non-smooth fan that gets this far raises InvariantError.
     """
     verts = []
     for cone in fan.cones:
@@ -298,20 +314,21 @@ def realize_and_filter(fan, b, max_points):
             raise NonIntegralVertex("vertex of cone %r is %r" % (cone, sol))
         verts.append(tuple(int(x) for x in sol))
     if len(set(verts)) != len(verts):
-        return None, "mismatch"
+        return None, "mismatch", None
     for cone, v in zip(fan.cones, verts):
         for ri, ray in enumerate(fan.rays):
             if ri not in cone and dot(ray, v) >= b[ri]:
-                return None, "mismatch"
+                return None, "mismatch", None
     poly = VPolytope(verts, fan.d)
-    hull = HPolytope(list(fan.rays), list(b), fan.d)
-    if count_lattice_points(hull, limit=max_points, _verts=poly) > max_points:
-        return None, "too_many_points"
-    smooth, witness = is_smooth(poly)
-    if not smooth:       # guaranteed by the exact tight sets above
-        raise InvariantError("realized polytope is not smooth: %r"
-                             % (witness,))
-    return poly, "ok"
+    hull = HPolytope(fan.rays, b, fan.d)
+    n = count_lattice_points(hull, limit=max_points, _verts=poly)
+    if n > max_points:
+        return None, "too_many_points", None
+    smooth, ci = is_smooth_fan(fan)
+    if not smooth:
+        raise InvariantError("realized polytope is not smooth: cone %r of "
+                             "its normal fan is %r" % (ci, fan.cones[ci]))
+    return poly, "ok", n
 
 
 # ---------------------------------------------------------------------------

@@ -73,17 +73,25 @@ def all_records(run2d, run3d):
 
 @pytest.fixture(scope="module")
 def realized(all_records):
-    """Per record: polytope, facet data, normal fan, edges, directions."""
+    """Per record: polytope, facet data, normal fan, edges, directions.
+
+    The run takes each record's facet count and lattice-point count from
+    the fan and levels that realized it; here both are recounted from a
+    hull of the canonical vertices and a lattice scan.
+    """
     out = []
     for r in all_records:
         V = VPolytope(r.vertices, r.dimension)
         H = facets_of(V)
+        assert r.facet_count == len(H.A)
+        assert r.num_lattice_points == len(lattice_points(H, _verts=V))
         fan = normal_fan(V)
         # rays follow the facet rows and maximal cones follow the vertex
         # order, which the edge tests below rely on
         assert fan.rays == tuple(H.A)
         assert len(fan.cones) == len(V.vertices)
         out.append((r, V, H, fan, edges_of(V), vertex_directions(V)))
+    assert len(out) == 74
     return out
 
 
@@ -238,6 +246,18 @@ def test_criterion_6c_thickened_edge_counts(realized):
             thick = VPolytope.from_points(pts, d)
             count = len(lattice_points(facets_of(thick), _verts=thick))
             assert count == d * (length + 1) + sum(coeffs)
+
+
+def test_criterion_6g_euler_relation(realized):
+    """V - E + F = 2 on every 3D record, and E = V on every polygon."""
+    solids = 0
+    for r, V, H, fan, edges, vdirs in realized:
+        if r.dimension == 2:
+            assert len(edges) == len(V.vertices)
+        else:
+            assert len(V.vertices) - len(edges) + len(H.A) == 2
+            solids += 1
+    assert solids == 33
 
 
 def test_criterion_6d_edge_direction_transfer(realized):

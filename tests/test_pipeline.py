@@ -6,15 +6,13 @@ import random
 
 import pytest
 
-from smoothpoly import InvariantError, seeds
+from smoothpoly import InvariantError, polytopes, seeds
 from smoothpoly.fans import Fan, fan_canonical_key, instantiate
 from smoothpoly.iso_dedup import canonical_form
 from smoothpoly.pipeline import (
     ConfigError,
-    Provenance,
     RunConfig,
     _dihedral_key,
-    _make_record,
     _min_interior,
     _polygon_cycle,
     _splice_cycle,
@@ -201,6 +199,18 @@ def test_classify_dim2_past_twelve_points_digest():
         "2fdd45e3cce3579c04d13212c0547c8d27ed204a5750b68b590be930dee6194d")
 
 
+def test_polygon_run_builds_no_hull(monkeypatch):
+    """Facets and point counts of realized polygons come from the fan and
+    its levels: with the hull disabled the N = 12 report is unchanged."""
+    def no_hull(points, d):
+        raise AssertionError("hull of %r" % (points,))
+
+    monkeypatch.setattr(polytopes, "_hull_facets", no_hull)
+    res = run_classify(RunConfig(2, 12))
+    assert hashlib.sha256(render_json(res).encode()).hexdigest() == (
+        "a9efaa6dccc6318130e6a288fdae6d3fa68666ae5e85a18c28c8c9f38d2f09d8")
+
+
 def test_classify_dim3_matches_golden_subset():
     res = run_classify(RunConfig(3, 8))
     golden = _golden("golden_polytopes3d_max12.json", 3, 8)
@@ -239,14 +249,6 @@ def test_trace_tree_lists_every_visited_node(tmp_path):
         assert label == "F_p" or label.startswith("F_a(a=")
         assert int(depth) >= 0 and int(cones) >= 3
         assert step == "root" or step.startswith("cone:")
-
-
-def test_record_over_budget_raises_invariant_error():
-    triangle = VPolytope([(0, 0), (2, 0), (0, 2)], 2)    # 6 lattice points
-    prov = Provenance("F_p", (), (), (0, 0, 2))
-    assert _make_record(2, triangle, prov, 6).num_lattice_points == 6
-    with pytest.raises(InvariantError):
-        _make_record(2, triangle, prov, 5)
 
 
 def test_count_tree_values():

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -228,6 +229,46 @@ def test_edge_lattice_point_consistency_random():
         assert len(on_edges) == total + len(V.vertices)
         pts = set(lattice_points(H))
         assert on_edges <= pts
+
+
+def test_euler_relation_random():
+    # the counting rules of from_points and edges_of on arbitrary hulls,
+    # simple or not: V - E + F = 2 in 3D, E = V in 2D
+    rng = random.Random(848)
+    for d, npts in ((3, 6), (3, 9), (3, 14), (2, 9)):
+        for _ in range(15):
+            V = random_lattice_polytope(rng, d, npts=npts)
+            nv, ne, nf = (len(V.vertices), len(edges_of(V)),
+                          len(facets_of(V).A))
+            if d == 3:
+                assert nv - ne + nf == 2, V.vertices
+            else:
+                assert ne == nv == nf, V.vertices
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_polytopes_need_dimension_two_or_three(d):
+    unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    simplex = [tuple(0 for _ in range(d))] + unit
+    with pytest.raises(ValueError, match="dimension 2 or 3"):
+        HPolytope(unit + [tuple(-1 for _ in range(d))], [1] * (d + 1))
+    with pytest.raises(ValueError, match="dimension 2 or 3"):
+        VPolytope(simplex)
+    with pytest.raises(ValueError, match="dimension 2 or 3"):
+        VPolytope.from_points(simplex)
+
+
+def test_lattice_count_leaves_no_reference_cycle():
+    # an early-stopped count drops a suspended point iterator; it must be
+    # freed by reference counting alone
+    P = hull_h([(0, 0), (6, 0), (0, 6)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_lattice_points(P, limit=5) == 6
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_hull_facets_needs_a_facet():

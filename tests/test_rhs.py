@@ -2,13 +2,14 @@
 interval search against a box-scan oracle, realization, and the wall-sum
 prefilter."""
 
+import gc
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from smoothpoly import InvariantError, rhs, seeds
+from smoothpoly import InvariantError, seeds
 from smoothpoly.fans import Fan, ParamFan, instantiate, walls_of
 from smoothpoly.rhs import (
     NonIntegralVertex,
@@ -90,28 +91,28 @@ def test_enumerate_rhs_simplex_3d():
 
 def test_realize_triangle():
     fan = fp()
-    poly, status = realize_and_filter(fan, (0, 0, 2), 12)
+    poly, status, num_points = realize_and_filter(fan, (0, 0, 2), 12)
     assert status == "ok"
     assert poly.vertices == ((-2, 0), (0, -2), (0, 0))
     from smoothpoly.polytopes import HPolytope, count_lattice_points
     hull = HPolytope(list(fan.rays), [0, 0, 2], 2)
-    assert count_lattice_points(hull) == 6
+    assert count_lattice_points(hull) == num_points == 6
 
 
 def test_realize_rejects_oversized():
-    poly, status = realize_and_filter(fp(), (0, 0, 4), 12)
-    assert poly is None and status == "too_many_points"
+    poly, status, num_points = realize_and_filter(fp(), (0, 0, 4), 12)
+    assert poly is None and status == "too_many_points" and num_points is None
 
 
 def test_realize_rejects_degenerate():
     # vertical edges of length zero: two cones solve to the same vertex
-    poly, status = realize_and_filter(fa(0), (0, 0, 3, 0), 12)
-    assert poly is None and status == "mismatch"
+    poly, status, num_points = realize_and_filter(fa(0), (0, 0, 3, 0), 12)
+    assert poly is None and status == "mismatch" and num_points is None
 
 
 def test_realize_rejects_shifted_vertex():
-    poly, status = realize_and_filter(fp(), (0, 0, -1), 12)
-    assert poly is None and status == "mismatch"
+    poly, status, num_points = realize_and_filter(fp(), (0, 0, -1), 12)
+    assert poly is None and status == "mismatch" and num_points is None
 
 
 def test_realize_square_band():
@@ -121,20 +122,35 @@ def test_realize_square_band():
     kept = []
     rejected = 0
     for b in levels:
-        poly, status = realize_and_filter(fan, b, 12)
+        poly, status, num_points = realize_and_filter(fan, b, 12)
         if poly is None:
             assert status == "too_many_points"
             rejected += 1
         else:
             kept.append(poly)
+            w, h = b[2] + b[0], b[3] + b[1]
+            assert num_points == (w + 1) * (h + 1)
     # rectangles (w+1)(h+1) <= 12 with w + h <= 6, w, h >= 1
     assert len(kept) == 12 and rejected == 3
 
 
-def test_realize_non_smooth_raises_invariant_error(monkeypatch):
-    monkeypatch.setattr(rhs, "is_smooth", lambda poly: (False, (0, 0)))
-    with pytest.raises(InvariantError):
-        realize_and_filter(fp(), (0, 0, 2), 12)
+def test_realize_non_smooth_raises_invariant_error():
+    # cone (0, 2) has determinant -2, yet every vertex comes out integral
+    # and tight exactly on its own cone: the triangle (0,0), (-2,0), (0,-1)
+    fan = Fan([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)], 2)
+    with pytest.raises(InvariantError, match="not smooth"):
+        realize_and_filter(fan, (0, 0, 2), 12)
+
+
+def test_enumerate_rhs_leaves_no_reference_cycle():
+    fan = fp()
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_rhs(fan, 12)) > 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unreachable_cones_raise_invariant_error():
