@@ -7,7 +7,7 @@ from collections import Counter
 
 from smoothpoly.iso_dedup import lattice_isomorphic
 from smoothpoly.pipeline import RunConfig, run_classify
-from smoothpoly.polytopes import VPolytope, interior_lattice_points, facets_of
+from smoothpoly.polytopes import VPolytope, interior_lattice_points
 
 DIM = 2
 N = 12
@@ -30,7 +30,7 @@ print("  built from seed %s via %s, rhs %s"
       % (biggest.provenance.seed, biggest.provenance.path or "(no blow-ups)",
          biggest.provenance.rhs))
 P = VPolytope(biggest.vertices, DIM)
-print("  interior points:", interior_lattice_points(facets_of(P)))
+print("  interior points:", interior_lattice_points(P))
 
 # records are canonical, so recognising a polytope someone else wrote down
 # is one isomorphism test per record

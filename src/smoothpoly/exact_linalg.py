@@ -5,8 +5,10 @@ Every matrix acts on column vectors (U applied to v is mat_vec(U, v)).
 Dimensions stay tiny here (8 at the very most), so clarity wins over speed:
 cofactor expansion and fraction-free Bareiss elimination cover everything
 without ever rounding.  fractions.Fraction appears only in solve_rational,
-which solves for a vertex; polytope normals are integer cross products and
-perpendiculars (polytopes, d in {2, 3}), and spanning is a determinant test.
+the general exact solve, which the classification does not call: a vertex
+of a smooth cone comes from Cramer's rule over determinant (rhs), polytope
+normals are integer cross products and perpendiculars (polytopes, d in
+{2, 3}), and spanning is a determinant test.
 """
 
 from fractions import Fraction

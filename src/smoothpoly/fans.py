@@ -23,9 +23,7 @@ from .exact_linalg import (
     Inconsistent,
     Singular,
     columns_matrix,
-    cross,
     determinant,
-    dot,
     inverse_unimodular,  # unused: kept for perfbench/traced.py to wrap
     normalize_primitive,
     vec_add,
@@ -411,49 +409,25 @@ def is_smooth_fan(fan):
     return True, None
 
 
-def _cone_ridges(fan, cone):
-    """Ridges ((d-1)-faces) of one maximal cone, as sorted ray-index tuples.
-
-    Simplicial cones drop one ray at a time.  A 3D cone with extra rays (a
-    normal cone of a non-simple vertex) exposes a ray pair as a 2-face iff
-    all other rays sit strictly on one side of the pair's plane.
-    """
-    d = fan.d
-    if len(cone) == d:
-        return [tuple(i for i in cone if i != drop) for drop in cone]
-    assert d == 3, "non-simplicial cones only handled in dimension 3"
-    ridges = []
-    for a in range(len(cone)):
-        for b in range(a + 1, len(cone)):
-            w = cross(fan.rays[cone[a]], fan.rays[cone[b]])
-            if all(x == 0 for x in w):
-                continue
-            sides = [dot(w, fan.rays[i])
-                     for i in cone if i not in (cone[a], cone[b])]
-            if all(s > 0 for s in sides) or all(s < 0 for s in sides):
-                ridges.append(tuple(sorted((cone[a], cone[b]))))
-    return ridges
-
-
 def is_complete_fan(fan):
     """Ridge pairing + adjacency connectivity + the Euler count.
 
     d=2 needs |rays| = |cones|; d=3 needs |rays| - |walls| + |cones| = 2.
-    Returns False (never raises) on any structural defect.
+    Returns False when a ridge does not lie in exactly two cones; a cone
+    with other than d rays has no ridges to pair and raises ValueError,
+    as in walls_of.
     """
     assert fan.d in (2, 3)
-    ridge_map = {}
-    for ci, cone in enumerate(fan.cones):
-        for ridge in _cone_ridges(fan, cone):
-            ridge_map.setdefault(ridge, []).append(ci)
-    if any(len(cs) != 2 for cs in ridge_map.values()):
+    try:
+        paired = _paired_ridges(fan)
+    except NotComplete:
         return False
     # walk the wall-adjacency graph
     n = len(fan.cones)
     seen = {0}
     queue = [0]
     adj = {}
-    for c1, c2 in ridge_map.values():
+    for _, c1, _, c2, _ in paired:
         adj.setdefault(c1, []).append(c2)
         adj.setdefault(c2, []).append(c1)
     while queue:
@@ -466,7 +440,7 @@ def is_complete_fan(fan):
         return False
     if fan.d == 2:
         return len(fan.rays) == len(fan.cones)
-    return len(fan.rays) - len(ridge_map) + len(fan.cones) == 2
+    return len(fan.rays) - len(paired) + len(fan.cones) == 2
 
 
 def blow_up(fan, target):

@@ -235,12 +235,19 @@ def _splice_cycle(order, cycle, cone, new_index):
 
 
 def _dihedral_key(cycle):
-    """Least rotation or reversed rotation of the coefficient cycle."""
+    """Least rotation or reversed rotation of the coefficient cycle.
+
+    The least one starts with min(cycle), so only the rotations that start
+    at an occurrence of it are compared.
+    """
     n = len(cycle)
+    low = min(cycle)
     best = None
     for seq in (cycle, cycle[::-1]):
         doubled = seq + seq
         for s in range(n):
+            if seq[s] != low:
+                continue
             cand = doubled[s:s + n]
             if best is None or cand < best:
                 best = cand
@@ -356,7 +363,7 @@ def polygon_stats_from_records(records, max_points):
     for r in records:
         cv = VPolytope(r.vertices, 2)
         H = facets_of(cv)
-        pts = lattice_points(H, _verts=cv)
+        pts = lattice_points(cv, H)
         interior = sum(1 for p in pts
                        if all(dot(row, p) < c
                               for row, c in zip(H.A, H.b)))

@@ -1,8 +1,9 @@
-"""Exact H- and V-form polytopes, lattice points, smoothness, normal fans.
+"""Lattice polytopes: H- and V-forms, lattice points, smoothness, normal fans.
 
-Dimensions 2 and 3 only.  All arithmetic is exact: vertices of rational
-polytopes come out as Fractions, lattice polytopes as plain ints.  The hull
-of a lattice point set is integer-only: the normal of d points is the
+Dimensions 2 and 3 only.  Every polytope here is a lattice polytope, given
+by its integer vertices; its H-form is the integer hull of those vertices
+(facets_of), or the fan's rays with their levels when the caller already
+holds them.  The hull is integer-only: the normal of d points is the
 perpendicular (2D) or cross product (3D) of their differences, made
 primitive, and spanning is a determinant test over d-subsets.  Everything is
 brute force over subsets -- the classification never sees more than a few
@@ -11,9 +12,8 @@ more than asymptotics here.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, gcd
+from math import gcd
 
 from . import InvariantError
 from .exact_linalg import (
@@ -21,19 +21,10 @@ from .exact_linalg import (
     determinant,
     dot,
     normalize_primitive,
-    solve_rational,
     vec_neg,
     vec_sub,
 )
 from .fans import Fan
-
-
-class Unbounded(ValueError):
-    """The inequality system describes an unbounded polyhedron."""
-
-
-class Empty(ValueError):
-    """The inequality system has no solution."""
 
 
 class NotFullDim(ValueError):
@@ -71,11 +62,12 @@ class HPolytope:
 
 
 class VPolytope:
-    """Vertex list of a polytope, sorted lexicographically.
+    """Vertex list of a lattice polytope, sorted lexicographically.
 
     The constructor trusts that the given points are exactly the vertices
     (it only sorts and deduplicates); use from_points to reduce an arbitrary
-    point set to its hull vertices.
+    point set to its hull vertices.  A non-integer coordinate raises
+    ValueError.
     """
 
     __slots__ = ("vertices", "d")
@@ -87,6 +79,9 @@ class VPolytope:
             d = len(verts[0])
         _check_dim(d)
         assert all(len(v) == d for v in verts)
+        if not all(isinstance(a, int) for v in verts for a in v):
+            raise ValueError("lattice polytope has a non-integer vertex "
+                             "coordinate: %r" % (verts,))
         self.vertices = tuple(verts)
         self.d = d
 
@@ -109,10 +104,6 @@ class VPolytope:
         verts = [p for p in pts
                  if sum(dot(row, p) == c for row, c in zip(A, b)) >= d]
         return cls(verts, d)
-
-    @property
-    def is_lattice(self):
-        return all(isinstance(a, int) for v in self.vertices for a in v)
 
     def __eq__(self, other):
         return isinstance(other, VPolytope) and self.vertices == other.vertices
@@ -159,71 +150,6 @@ def _normal(vectors):
     return tuple(a // g for a in n)
 
 
-def vertices_of(P):
-    """Exact vertex enumeration of a bounded H-polytope.
-
-    Brute force: every d-subset of inequalities with invertible matrix is
-    solved and kept when feasible.  Raises Unbounded when the recession cone
-    {A.x <= 0} contains a nonzero vector, Empty when nothing is feasible.
-    """
-    A, b, d = P.A, P.b, P.d
-    found = set()
-    for idx in combinations(range(len(A)), d):
-        M = tuple(A[i] for i in idx)
-        if determinant(M) == 0:
-            continue
-        x = solve_rational(M, tuple(b[i] for i in idx))
-        if all(dot(row, x) <= c for row, c in zip(A, b)):
-            found.add(tuple(int(f) if f.denominator == 1 else f for f in x))
-    if found:
-        if _recession_nonzero(A, d):
-            raise Unbounded("feasible but with a nonzero recession direction")
-        return VPolytope(sorted(found), d)
-    # no vertex at all: either empty, or it contains a line
-    if _feasible(A, b):
-        raise Unbounded("nonempty polyhedron without vertices")
-    raise Empty("inequality system is infeasible")
-
-
-def _recession_nonzero(A, d):
-    """Does {x : A.x <= 0} contain a nonzero vector?"""
-    if not _spans(A, d):
-        return True  # nonzero kernel vector is a recession direction
-    # pointed cone: nonzero iff it has an extreme ray, spanned by the kernel
-    # of d-1 tight rows
-    for rows in combinations(A, d - 1):
-        z = _normal(rows)
-        if z is None:
-            continue
-        for cand in (z, vec_neg(z)):
-            if all(dot(row, cand) <= 0 for row in A):
-                return True
-    return False
-
-
-def _feasible(A, b):
-    """Fourier-Motzkin feasibility test; only used on tiny systems."""
-    rows = [([Fraction(a) for a in row], Fraction(c))
-            for row, c in zip(A, b)]
-    n = len(A[0])
-    for var in range(n - 1, -1, -1):
-        pos, neg, new = [], [], []
-        for coeffs, c in rows:
-            if coeffs[var] > 0:
-                pos.append((coeffs, c))
-            elif coeffs[var] < 0:
-                neg.append((coeffs, c))
-            else:
-                new.append((coeffs, c))
-        for pc, pb in pos:
-            for nc, nb in neg:
-                f1, f2 = -nc[var], pc[var]
-                comb = [f1 * x + f2 * y for x, y in zip(pc, nc)]
-                new.append((comb, f1 * pb + f2 * nb))
-        rows = new
-    return all(c >= 0 for _, c in rows)
-
-
 def _lattice_iter(A, b, lo, hi):
     """Integer points of {A.x <= b} inside the box [lo, hi], lex order.
 
@@ -268,41 +194,42 @@ def _window(rows, x, k, lk, hk):
     return lk, hk
 
 
-def _bounding_box(verts, d):
-    lo, hi = [], []
-    for k in range(d):
-        vals = [v[k] for v in verts]
-        lo.append(ceil(min(vals)))
-        hi.append(floor(max(vals)))
-    return lo, hi
+def _bounding_box(verts):
+    cols = list(zip(*verts))
+    return [min(c) for c in cols], [max(c) for c in cols]
 
 
-def lattice_points(P, _verts=None):
-    """All integer points of a bounded full-dimensional H-polytope, lex order."""
-    V = _verts if _verts is not None else vertices_of(P)
-    if not _full_dim(V.vertices, P.d):
-        raise NotFullDim("polytope is not full-dimensional")
-    lo, hi = _bounding_box(V.vertices, P.d)
-    return list(_lattice_iter(P.A, P.b, lo, hi))
+def lattice_points(V, H=None):
+    """All integer points of a full-dimensional lattice polytope, lex order.
+
+    H is V's facet H-form when the caller already holds it; by default it
+    is facets_of(V), which raises NotFullDim for a degenerate V.  The same
+    holds for count_lattice_points.
+    """
+    if H is None:
+        H = facets_of(V)
+    lo, hi = _bounding_box(V.vertices)
+    return list(_lattice_iter(H.A, H.b, lo, hi))
 
 
-def count_lattice_points(P, limit=None, _verts=None):
-    """|P cap Z^d|, stopping early at limit+1 when a limit is given."""
-    V = _verts if _verts is not None else vertices_of(P)
-    lo, hi = _bounding_box(V.vertices, P.d)
+def count_lattice_points(V, H=None, limit=None):
+    """|V cap Z^d|, stopping early at limit+1 when a limit is given."""
+    if H is None:
+        H = facets_of(V)
+    lo, hi = _bounding_box(V.vertices)
     n = 0
-    for _ in _lattice_iter(P.A, P.b, lo, hi):
+    for _ in _lattice_iter(H.A, H.b, lo, hi):
         n += 1
         if limit is not None and n > limit:
             return n
     return n
 
 
-def interior_lattice_points(P):
-    """Integer points satisfying every inequality strictly, lex order."""
-    pts = lattice_points(P)
-    return [p for p in pts
-            if all(dot(row, p) < c for row, c in zip(P.A, P.b))]
+def interior_lattice_points(V):
+    """Integer points satisfying every facet inequality strictly, lex order."""
+    H = facets_of(V)
+    return [p for p in lattice_points(V, H)
+            if all(dot(row, p) < c for row, c in zip(H.A, H.b))]
 
 
 def _hull_facets(points, d):
@@ -331,7 +258,6 @@ def _hull_facets(points, d):
 
 def facets_of(P):
     """Recover the H-form of a full-dimensional lattice V-polytope."""
-    assert P.is_lattice
     if not _full_dim(P.vertices, P.d):
         raise NotFullDim("polytope is not full-dimensional")
     A, b = _hull_facets(P.vertices, P.d)
@@ -339,22 +265,21 @@ def facets_of(P):
 
 
 def edges_of(P):
-    """Every edge of a full-dimensional lattice polytope (V- or H-form).
+    """Every edge of a full-dimensional lattice V-polytope.
 
     Two vertices are adjacent iff they share at least d - 1 tight facets.
     In dimension 2 or 3, d - 1 distinct facets meet in a face of dimension
     at most 1, so two vertices on it are the endpoints of an edge; and every
     edge lies in exactly d - 1 facets, so no edge is missed.
     """
-    V = P if isinstance(P, VPolytope) else vertices_of(P)
-    H = facets_of(V)
-    verts = V.vertices
+    H = facets_of(P)
+    verts = P.vertices
     tight = [{f for f in range(len(H.A)) if dot(H.A[f], v) == H.b[f]}
              for v in verts]
     edges = []
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
-            if len(tight[i] & tight[j]) >= V.d - 1:
+            if len(tight[i] & tight[j]) >= P.d - 1:
                 direction, length = normalize_primitive(
                     vec_sub(verts[j], verts[i]))
                 edges.append(EdgeData((i, j), direction, length))
@@ -364,15 +289,14 @@ def edges_of(P):
 def is_smooth(P):
     """(True, None) if P is simple with unimodular edge bases at every
     vertex; (False, offending vertex) otherwise."""
-    V = P if isinstance(P, VPolytope) else vertices_of(P)
-    dirs_at = {i: [] for i in range(len(V.vertices))}
-    for e in edges_of(V):
+    dirs_at = {i: [] for i in range(len(P.vertices))}
+    for e in edges_of(P):
         i, j = e.endpoints
         dirs_at[i].append(e.direction)
         dirs_at[j].append(vec_neg(e.direction))
-    for i, v in enumerate(V.vertices):
+    for i, v in enumerate(P.vertices):
         dirs = dirs_at[i]
-        if len(dirs) != V.d:
+        if len(dirs) != P.d:
             return False, v
         if determinant(tuple(dirs)) not in (1, -1):
             return False, v
@@ -382,18 +306,15 @@ def is_smooth(P):
 def normal_fan(P):
     """Fan of outer normal cones: rays are the primitive facet normals,
     maximal cones collect the facets through each vertex."""
-    V = P if isinstance(P, VPolytope) else vertices_of(P)
-    H = facets_of(V)
+    H = facets_of(P)
     cones = []
-    for v in V.vertices:
+    for v in P.vertices:
         cones.append(tuple(f for f in range(len(H.A))
                            if dot(H.A[f], v) == H.b[f]))
-    return Fan(H.A, cones, V.d)
+    return Fan(H.A, cones, P.d)
 
 
 __all__ = [
-    "Unbounded", "Empty", "NotFullDim",
-    "HPolytope", "VPolytope", "EdgeData",
-    "vertices_of", "facets_of", "lattice_points", "count_lattice_points",
+    "NotFullDim", "HPolytope", "VPolytope", "EdgeData", "facets_of", "lattice_points", "count_lattice_points",
     "interior_lattice_points", "edges_of", "is_smooth", "normal_fan",
 ]

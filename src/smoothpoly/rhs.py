@@ -33,11 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import InvariantError
-from .exact_linalg import dot, solve_rational
+from .exact_linalg import determinant, dot
 from .fans import (
     ParamExpr,
     edge_parameters,
-    is_smooth_fan,
     wall_table,
     walls_of,
 )
@@ -47,15 +46,6 @@ from .polytopes import (
     count_lattice_points,
     is_smooth,  # unused: kept for perfbench/traced.py to wrap
 )
-
-
-class NonIntegralVertex(ValueError):
-    """A cone's level system solved to a fractional vertex.
-
-    Cannot happen while the pipeline only realizes smooth fans (the system
-    is unimodular); raised rather than silently rounded if an unsanitized
-    fan slips through.
-    """
 
 
 @dataclass(frozen=True)
@@ -301,33 +291,41 @@ def realize_and_filter(fan, b, max_points):
     vertices), or (None, "too_many_points", None) when the polytope is
     genuine but too big.
 
+    Every cone of a smooth fan is unimodular, so its vertex, the solution
+    of <r, x> = b_r over the cone's rays r, is integral and comes from
+    Cramer's rule with determinant +-1: x_j = det * det(rows with column j
+    replaced by the levels).  A cone with other than d rays or another
+    determinant raises InvariantError before anything is solved.
+
     A realized polytope is {x : <r, x> <= b_r} over the fan's rays, and its
     normal fan is the fan: vertex i is tight exactly on the rays of cone i.
-    So its facets are the rays, and it is smooth iff the fan is; no hull is
-    built.  A non-smooth fan that gets this far raises InvariantError.
+    So its facets are the rays, and it is smooth because the fan is; no
+    hull is built.
     """
+    d = fan.d
     verts = []
     for cone in fan.cones:
         rows = [fan.rays[i] for i in cone]
-        sol = solve_rational(rows, [b[i] for i in cone])
-        if any(x.denominator != 1 for x in sol):
-            raise NonIntegralVertex("vertex of cone %r is %r" % (cone, sol))
-        verts.append(tuple(int(x) for x in sol))
+        det = determinant(rows) if len(rows) == d else None
+        if det not in (1, -1):
+            raise InvariantError("realized polytope is not smooth: cone %r "
+                                 "of its normal fan has rays %r"
+                                 % (cone, rows))
+        levels = [b[i] for i in cone]
+        verts.append(tuple(
+            det * determinant([row[:j] + (level,) + row[j + 1:]
+                               for row, level in zip(rows, levels)])
+            for j in range(d)))
     if len(set(verts)) != len(verts):
         return None, "mismatch", None
     for cone, v in zip(fan.cones, verts):
         for ri, ray in enumerate(fan.rays):
             if ri not in cone and dot(ray, v) >= b[ri]:
                 return None, "mismatch", None
-    poly = VPolytope(verts, fan.d)
-    hull = HPolytope(fan.rays, b, fan.d)
-    n = count_lattice_points(hull, limit=max_points, _verts=poly)
+    poly = VPolytope(verts, d)
+    n = count_lattice_points(poly, HPolytope(fan.rays, b, d), limit=max_points)
     if n > max_points:
         return None, "too_many_points", None
-    smooth, ci = is_smooth_fan(fan)
-    if not smooth:
-        raise InvariantError("realized polytope is not smooth: cone %r of "
-                             "its normal fan is %r" % (ci, fan.cones[ci]))
     return poly, "ok", n
 
 
@@ -388,7 +386,7 @@ def wall_sum_mask(fan, grids, max_points):
 
 
 __all__ = [
-    "NonIntegralVertex", "EdgeLengthForm", "edge_length_form",
+    "EdgeLengthForm", "edge_length_form",
     "RhsPolytope", "build_rhs_polytope", "enumerate_rhs",
     "least_perimeter", "realize_and_filter",
     "wall_sums", "passes_wall_sum", "wall_sum_mask",

@@ -84,7 +84,7 @@ def realized(all_records):
         V = VPolytope(r.vertices, r.dimension)
         H = facets_of(V)
         assert r.facet_count == len(H.A)
-        assert r.num_lattice_points == len(lattice_points(H, _verts=V))
+        assert r.num_lattice_points == len(lattice_points(V, H))
         fan = normal_fan(V)
         # rays follow the facet rows and maximal cones follow the vertex
         # order, which the edge tests below rely on
@@ -244,7 +244,7 @@ def test_criterion_6c_thickened_edge_counts(realized):
                    + [vec_add(v1, w) for w in trans1]
                    + [vec_add(v2, w) for w in trans2])
             thick = VPolytope.from_points(pts, d)
-            count = len(lattice_points(facets_of(thick), _verts=thick))
+            count = len(lattice_points(thick))
             assert count == d * (length + 1) + sum(coeffs)
 
 

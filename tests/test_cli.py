@@ -152,7 +152,7 @@ def test_invariant_failure_exits_3_under_optimize():
         "import sys\n"
         "from smoothpoly import cli, rhs\n"
         "assert False, 'asserts are on'\n"
-        "rhs.is_smooth_fan = lambda fan: (False, 0)\n"
+        "rhs.determinant = lambda rows: 2\n"
         "sys.exit(cli.main(['classify', '--dim', '2', '--max-points', '6']))\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", script],

@@ -288,6 +288,14 @@ def test_is_complete_fan():
                 (0, 1, 5), (1, 2, 5), (2, 3, 5), (3, 0, 5)])
     assert is_complete_fan(octa)
     assert len(walls_of(octa)) == 12  # 6 - 12 + 8 = 2
+    # the normal fan of the octahedron: six cones of four rays each; only
+    # a simplicial fan has ridges to pair, so it is rejected as in walls_of
+    cube = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+    quads = Fan(cube, [[i for i, r in enumerate(cube) if r[k] == s]
+                       for k in range(3) for s in (-1, 1)])
+    assert max(len(c) for c in quads.cones) == 4
+    with pytest.raises(ValueError):
+        is_complete_fan(quads)
 
 
 def test_blow_up_fp():

@@ -3,10 +3,13 @@
 import hashlib
 import json
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from smoothpoly import InvariantError, polytopes, seeds
+from smoothpoly import InvariantError, pipeline, polytopes, seeds
+from smoothpoly.exact_linalg import solve_rational
 from smoothpoly.fans import Fan, fan_canonical_key, instantiate
 from smoothpoly.iso_dedup import canonical_form
 from smoothpoly.pipeline import (
@@ -36,7 +39,7 @@ def _golden(name, dim, max_points):
     kept = []
     for vs in data:
         V = VPolytope([tuple(v) for v in vs], dim)
-        if len(lattice_points(facets_of(V), _verts=V)) <= max_points:
+        if len(lattice_points(V)) <= max_points:
             kept.append(V)
     return kept
 
@@ -133,6 +136,27 @@ def test_dihedral_key_symmetry():
     assert key in variants
 
 
+def _dihedral_key_all_rotations(cycle):
+    n = len(cycle)
+    return min(seq[s:] + seq[:s]
+               for seq in (cycle, cycle[::-1]) for s in range(n))
+
+
+def test_dihedral_key_compares_rotations_at_the_minimum(polygon_class_reps):
+    # the key tries only rotations that start at min(cycle); on every class
+    # of the N = 12 walk, in any rotation or reflection, it equals the least
+    # over all rotations
+    assert len(polygon_class_reps) == 1992
+    for fan in polygon_class_reps:
+        _, cycle = _polygon_cycle(fan)
+        cycle = tuple(cycle)
+        key = _dihedral_key_all_rotations(cycle)
+        n = len(cycle)
+        for s in range(n):
+            for seq in (cycle[s:] + cycle[:s], (cycle[s:] + cycle[:s])[::-1]):
+                assert _dihedral_key(seq) == key
+
+
 def test_dihedral_key_agrees_with_canonical_key():
     # the cyclic coefficient key and the generic fan key must induce the
     # same isomorphism classes
@@ -211,6 +235,53 @@ def test_polygon_run_builds_no_hull(monkeypatch):
         "a9efaa6dccc6318130e6a288fdae6d3fa68666ae5e85a18c28c8c9f38d2f09d8")
 
 
+def test_realization_solves_in_integers(monkeypatch):
+    """Every realized vertex comes from an integer solve: with the rational
+    solve disabled in every smoothpoly module, both N = 12 reports are
+    unchanged, and each realized polytope's vertices are the Fraction
+    solutions of its cones."""
+    def no_solve(*args):
+        raise AssertionError("rational solve of %r" % (args,))
+
+    for name, module in list(sys.modules.items()):
+        if name == "smoothpoly" or name.startswith("smoothpoly."):
+            monkeypatch.setattr(module, "solve_rational", no_solve,
+                                raising=False)
+    calls = []
+    realize = pipeline.realize_and_filter
+
+    def recorded(fan, b, max_points):
+        out = realize(fan, b, max_points)
+        calls.append((fan, b, out))
+        return out
+
+    monkeypatch.setattr(pipeline, "realize_and_filter", recorded)
+    digests = []
+    statuses = []
+    for dim in (2, 3):
+        calls.clear()
+        res = run_classify(RunConfig(dim, 12))
+        digests.append(hashlib.sha256(render_json(res).encode()).hexdigest())
+        statuses.append(Counter((fan.d, out[1]) for fan, _, out in calls))
+        for fan, b, (poly, status, _) in calls:
+            if status != "ok":
+                continue
+            solved = set()
+            for cone in fan.cones:
+                x = solve_rational([fan.rays[i] for i in cone],
+                                   [b[i] for i in cone])
+                assert all(f.denominator == 1 for f in x), (fan, b, cone)
+                solved.add(tuple(int(f) for f in x))
+            assert len(solved) == len(fan.cones)
+            assert solved == set(poly.vertices)
+    assert digests == [
+        "a9efaa6dccc6318130e6a288fdae6d3fa68666ae5e85a18c28c8c9f38d2f09d8",
+        "9dcc83cfe3a06e55d10ea5a79ca885b051a30fe1475e733a191be6d3acc48cc1"]
+    polygons = {(2, "ok"): 50, (2, "too_many_points"): 122}
+    assert statuses == [polygons, {**polygons, (3, "ok"): 35,
+                                   (3, "too_many_points"): 3}]
+
+
 def test_classify_dim3_matches_golden_subset():
     res = run_classify(RunConfig(3, 8))
     golden = _golden("golden_polytopes3d_max12.json", 3, 8)
@@ -224,7 +295,7 @@ def test_classify_dim3_matches_golden_subset():
         assert ok, why
         H = facets_of(V)
         assert r.facet_count == len(H.A)
-        assert r.num_lattice_points == len(lattice_points(H, _verts=V))
+        assert r.num_lattice_points == len(lattice_points(V, H))
 
 
 def test_records_sorted_and_deterministic():

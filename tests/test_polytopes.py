@@ -1,17 +1,22 @@
 import gc
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from smoothpoly import InvariantError
-from smoothpoly.exact_linalg import dot, vec_add, vec_scale
+from smoothpoly.exact_linalg import (
+    determinant,
+    dot,
+    solve_rational,
+    vec_add,
+    vec_scale,
+)
 from smoothpoly.fans import fan_canonical_key, Fan, is_smooth_fan
 from smoothpoly.polytopes import (
-    Empty,
     HPolytope,
     NotFullDim,
-    Unbounded,
     VPolytope,
     count_lattice_points,
     edges_of,
@@ -20,85 +25,70 @@ from smoothpoly.polytopes import (
     is_smooth,
     lattice_points,
     normal_fan,
-    vertices_of,
     _hull_facets,
 )
 
 
-def unit_square_h():
-    return HPolytope([(1, 0), (0, 1), (-1, 0), (0, -1)], [1, 1, 0, 0])
+def unit_square():
+    return VPolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
-def hull_h(points):
-    return facets_of(VPolytope.from_points(points))
+def hull(points):
+    return VPolytope.from_points(points)
 
 
-def test_vertices_of_unit_square():
-    v = vertices_of(unit_square_h())
-    assert v.vertices == ((0, 0), (0, 1), (1, 0), (1, 1))
+def brute_vertices(H):
+    """H -> V by brute force: solve every d-subset of inequalities with a
+    nonzero determinant, keep the integral solutions that satisfy all."""
+    found = set()
+    for idx in itertools.combinations(range(len(H.A)), H.d):
+        M = [H.A[i] for i in idx]
+        if determinant(M) == 0:
+            continue
+        x = solve_rational(M, [H.b[i] for i in idx])
+        if all(dot(row, x) <= c for row, c in zip(H.A, H.b)):
+            assert all(f.denominator == 1 for f in x), (H.A, H.b, x)
+            found.add(tuple(int(f) for f in x))
+    return VPolytope(found, H.d)
 
 
-def test_vertices_of_fp_triangle():
-    P = HPolytope([(1, 0), (0, 1), (-1, -1)], [0, 0, 2])
-    assert set(vertices_of(P).vertices) == {(0, 0), (-2, 0), (0, -2)}
-
-
-def test_vertices_of_single_halfspace_unbounded():
-    with pytest.raises(Unbounded):
-        vertices_of(HPolytope([(1, 0)], [0]))
-
-
-def test_vertices_of_unbounded_with_vertex():
-    with pytest.raises(Unbounded):
-        vertices_of(HPolytope([(-1, 0), (0, -1)], [0, 0]))
-
-
-def test_vertices_of_empty():
-    with pytest.raises(Empty):
-        vertices_of(HPolytope([(1, 0), (-1, 0)], [-1, 0]))
-    with pytest.raises(Empty):
-        vertices_of(HPolytope([(1, 0), (-1, 0), (0, 1), (0, -1)],
-                              [-1, 0, 1, 0]))
-
-
-def test_vertices_of_rational():
-    P = HPolytope([(2, 1), (-1, 0), (0, -1)], [1, 0, 0])
-    assert vertices_of(P).vertices == (
-        (0, 0), (0, 1), (Fraction(1, 2), 0))
+def test_vpolytope_rejects_non_integer_vertex():
+    with pytest.raises(ValueError, match="non-integer"):
+        VPolytope([(0, 0), (Fraction(1, 2), 0), (0, 1)])
 
 
 def test_lattice_points_triangle():
-    P = hull_h([(0, 0), (2, 0), (0, 2)])
+    P = hull([(0, 0), (2, 0), (0, 2)])
     assert lattice_points(P) == [(0, 0), (0, 1), (0, 2),
                                  (1, 0), (1, 1), (2, 0)]
 
 
 def test_lattice_points_cube():
-    P = hull_h([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    P = hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     assert len(lattice_points(P)) == 8
 
 
 def test_lattice_points_segment_rejected():
-    seg = HPolytope([(0, 1), (0, -1), (1, 0), (-1, 0)], [0, 0, 3, 0])
+    seg = VPolytope([(0, 0), (3, 0)])
     with pytest.raises(NotFullDim):
         lattice_points(seg)
 
 
 def test_count_lattice_points_cutoff():
-    P = hull_h([(0, 0), (2, 0), (0, 2)])
+    P = hull([(0, 0), (2, 0), (0, 2)])
     assert count_lattice_points(P) == 6
     assert count_lattice_points(P, limit=4) == 5
     assert count_lattice_points(P, limit=6) == 6
 
 
 def test_interior_lattice_points():
-    assert interior_lattice_points(hull_h([(0, 0), (2, 0), (0, 2)])) == []
-    assert interior_lattice_points(hull_h([(0, 0), (3, 0), (0, 3)])) == [(1, 1)]
-    assert interior_lattice_points(unit_square_h()) == []
+    assert interior_lattice_points(hull([(0, 0), (2, 0), (0, 2)])) == []
+    assert interior_lattice_points(hull([(0, 0), (3, 0), (0, 3)])) == [(1, 1)]
+    assert interior_lattice_points(unit_square()) == []
 
 
 def test_edges_of_unit_square():
-    edges = edges_of(vertices_of(unit_square_h()))
+    edges = edges_of(unit_square())
     assert len(edges) == 4
     assert all(e.lattice_length == 1 for e in edges)
 
@@ -141,7 +131,7 @@ def test_is_smooth_octahedron_not_simple():
 
 
 def test_normal_fan_unit_square():
-    fan = normal_fan(vertices_of(unit_square_h()))
+    fan = normal_fan(unit_square())
     assert set(fan.rays) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
     assert len(fan.cones) == 4
 
@@ -154,7 +144,7 @@ def test_normal_fan_simplex_is_fp():
 
 
 def test_normal_fan_duality_square():
-    V = vertices_of(unit_square_h())
+    V = unit_square()
     assert is_smooth(V)[0]
     assert is_smooth_fan(normal_fan(V))[0]
 
@@ -192,8 +182,8 @@ def test_roundtrip_h_v_random():
         d = rng.choice([2, 3])
         V = random_lattice_polytope(rng, d)
         H = facets_of(V)
-        assert vertices_of(H) == V
-        H2 = facets_of(vertices_of(H))
+        assert brute_vertices(H) == V
+        H2 = facets_of(brute_vertices(H))
         assert H2.A == H.A and H2.b == H.b
 
 
@@ -203,8 +193,8 @@ def test_point_partition_random():
         d = rng.choice([2, 3])
         V = random_lattice_polytope(rng, d)
         H = facets_of(V)
-        pts = lattice_points(H)
-        interior = interior_lattice_points(H)
+        pts = lattice_points(V, H)
+        interior = interior_lattice_points(V)
         boundary = [p for p in pts
                     if any(dot(row, p) == c for row, c in zip(H.A, H.b))]
         assert len(pts) == len(interior) + len(boundary)
@@ -227,7 +217,7 @@ def test_edge_lattice_point_consistency_random():
                                      vec_scale(t, e.direction)))
             total += e.lattice_length - 1
         assert len(on_edges) == total + len(V.vertices)
-        pts = set(lattice_points(H))
+        pts = set(lattice_points(V, H))
         assert on_edges <= pts
 
 
@@ -261,7 +251,7 @@ def test_polytopes_need_dimension_two_or_three(d):
 def test_lattice_count_leaves_no_reference_cycle():
     # an early-stopped count drops a suspended point iterator; it must be
     # freed by reference counting alone
-    P = hull_h([(0, 0), (6, 0), (0, 6)])
+    P = hull([(0, 0), (6, 0), (0, 6)])
     gc.collect()
     gc.disable()
     try:

@@ -12,7 +12,6 @@ import pytest
 from smoothpoly import InvariantError, seeds
 from smoothpoly.fans import Fan, ParamFan, instantiate, walls_of
 from smoothpoly.rhs import (
-    NonIntegralVertex,
     build_rhs_polytope,
     edge_length_form,
     enumerate_rhs,
@@ -94,9 +93,8 @@ def test_realize_triangle():
     poly, status, num_points = realize_and_filter(fan, (0, 0, 2), 12)
     assert status == "ok"
     assert poly.vertices == ((-2, 0), (0, -2), (0, 0))
-    from smoothpoly.polytopes import HPolytope, count_lattice_points
-    hull = HPolytope(list(fan.rays), [0, 0, 2], 2)
-    assert count_lattice_points(hull) == num_points == 6
+    from smoothpoly.polytopes import count_lattice_points
+    assert count_lattice_points(poly) == num_points == 6
 
 
 def test_realize_rejects_oversized():
@@ -163,8 +161,10 @@ def test_unreachable_cones_raise_invariant_error():
 
 
 def test_non_integral_vertex_raises():
+    # the cone's determinant is 2: its vertex (0, 1/2) is not integral, and
+    # the fan is not smooth, which is what realization reports
     fan = Fan([(1, 0), (1, 2)], [(0, 1)], 2)
-    with pytest.raises(NonIntegralVertex):
+    with pytest.raises(InvariantError, match="not smooth"):
         realize_and_filter(fan, (0, 1), 12)
 
 
