@@ -15,7 +15,7 @@ at N = 12 that skips 1962 of the 1992 classes.
 Dimension 3 has no such monotonicity (wall blow-ups destroy the offending
 wall), so the walk is parametric, every node is filtered by the smooth
 polygon criterion from the 2D results, and surviving nodes are instantiated
-over their parameter boxes with a vectorized wall-sum test.
+over the points of their parameter boxes that pass the wall-sum test.
 """
 
 import json
@@ -31,7 +31,9 @@ from .rhs import (
     least_perimeter,
     passes_wall_sum,
     realize_and_filter,
-    wall_sum_mask,
+    wall_sum_box,
+    # unused: kept for perfbench/traced.py to wrap
+    wall_sum_box as wall_sum_mask,
 )
 from .search import (
     count_polygon_tree,
@@ -325,15 +327,9 @@ def _masked_instances(fan, max_points):
     if not isinstance(fan, ParamFan) or not fan.bounds:
         return [({}, fan)] if passes_wall_sum(fan, max_points) else []
     names, axes = parameter_axes(fan)
-    if not all(axes):
-        return []
-    import numpy as np    # only 3D parameter boxes need numpy
-    mesh = np.meshgrid(*[np.array(ax, dtype=np.int64) for ax in axes],
-                       indexing="ij")
-    grids = {n: m.reshape(-1) for n, m in zip(names, mesh)}
-    mask = wall_sum_mask(fan, grids, max_points)
-    return instantiate_each(fan, ({n: int(grids[n][idx]) for n in names}
-                                  for idx in np.nonzero(mask)[0]))
+    return instantiate_each(fan, (dict(zip(names, values)) for values
+                                  in wall_sum_box(fan, names, axes,
+                                                  max_points)))
 
 
 def _classify_3d(max_points, stats, trace):

@@ -57,13 +57,13 @@ class SearchNode:
     cones are the maximal cones as sorted ray-index tuples, in the
     positions fans.blow_up gives them, and num_rays counts the seed's rays
     plus one new ray per blow-up: the walk and its ordering rule read
-    nothing else.  cone_flags is aligned with cones.  wall_order lists wall
-    keys (sorted ray-index pairs) in their stable iteration order:
-    survivors keep their relative order across a blow-up, new walls are
-    appended sorted.  path records the blow-ups from the seed:
-    ("cone", position) or ("wall", key) steps.  blown_up holds the ray
-    indices each step blew up, so the j-th new ray is the sum of the rays
-    blown_up[j] names.
+    nothing else.  cone_flags is aligned with cones.  wall_flags maps wall
+    keys (sorted ray-index pairs) to flags, and its insertion order is the
+    walls' stable iteration order: survivors keep their relative order
+    across a blow-up, new walls are appended sorted.  path records the
+    blow-ups from the seed: ("cone", position) or ("wall", key) steps.
+    blown_up holds the ray indices each step blew up, so the j-th new ray
+    is the sum of the rays blown_up[j] names.
 
     fan is the Fan (or ParamFan) itself, built from seed_fan, blown_up and
     path on first read and then kept on the node.  A node refers to its
@@ -71,10 +71,10 @@ class SearchNode:
     """
 
     __slots__ = ("seed_fan", "cones", "num_rays", "depth", "path",
-                 "blown_up", "cone_flags", "wall_order", "wall_flags", "_fan")
+                 "blown_up", "cone_flags", "wall_flags", "_fan")
 
     def __init__(self, seed_fan, cones, num_rays, depth, path, blown_up,
-                 cone_flags, wall_order, wall_flags):
+                 cone_flags, wall_flags):
         self.seed_fan = seed_fan
         self.cones = cones
         self.num_rays = num_rays
@@ -82,7 +82,6 @@ class SearchNode:
         self.path = path
         self.blown_up = blown_up
         self.cone_flags = cone_flags
-        self.wall_order = wall_order
         self.wall_flags = wall_flags
         self._fan = None
 
@@ -120,13 +119,10 @@ def _build_fan(node):
 
 def make_root(fan):
     cone_flags = tuple(_CONSIDER for _ in fan.cones)
-    if fan.d == 3:
-        wall_order = tuple(w.ray_indices for w in walls_of(fan))
-        wall_flags = {key: _CONSIDER for key in wall_order}
-    else:
-        wall_order, wall_flags = (), {}
+    wall_flags = ({w.ray_indices: _CONSIDER for w in walls_of(fan)}
+                  if fan.d == 3 else {})
     node = SearchNode(fan, fan.cones, len(fan.rays), 0, (), (), cone_flags,
-                      wall_order, wall_flags)
+                      wall_flags)
     node._fan = fan
     return node
 
@@ -169,15 +165,13 @@ def _cone_child(node, i, cones_running, walls_running):
         a, b, c = target
         for pair in ((a, b), (a, c), (b, c)):
             wflags[pair] = _ALWAYS_IGNORE
-        new_keys = tuple((c, s) for c in target)
-        for key in new_keys:
-            wflags[key] = _CONSIDER
-        worder = node.wall_order + new_keys
+        for x in target:            # appended sorted: dict order is wall order
+            wflags[(x, s)] = _CONSIDER
     else:
-        wflags, worder = {}, ()
+        wflags = {}
     return SearchNode(node.seed_fan, child_cones, s + 1, node.depth + 1,
                       node.path + (("cone", i),), node.blown_up + (target,),
-                      tuple(flags), worder, wflags)
+                      tuple(flags), wflags)
 
 
 def _wall_child(node, key, cones_running, walls_running):
@@ -211,14 +205,11 @@ def _wall_child(node, key, cones_running, walls_running):
             side = _sorted_pair(x, n)
             if wflags[side] is _IGNORE:
                 wflags[side] = _ALWAYS_CONSIDER
-    new_keys = tuple((x, s) for x in sorted((p, q, n1, n2)))
-    for nk in new_keys:
-        wflags[nk] = _CONSIDER
-    at = node.wall_order.index(key)
-    worder = node.wall_order[:at] + node.wall_order[at + 1:] + new_keys
+    for x in sorted((p, q, n1, n2)):
+        wflags[(x, s)] = _CONSIDER
     return SearchNode(node.seed_fan, tuple(child_cones), s + 1,
                       node.depth + 1, node.path + (("wall", key),),
-                      node.blown_up + (key,), tuple(flags), worder, wflags)
+                      node.blown_up + (key,), tuple(flags), wflags)
 
 
 def _sorted_pair(a, b):
@@ -243,7 +234,7 @@ def enumerate_blowups(node, max_cones, pruned=True):
             yield _cone_child(node, i, cones_running, walls_running)
             cones_running[i] = _IGNORE
     if d == 3:
-        for key in node.wall_order:
+        for key in node.wall_flags:
             if not pruned or walls_running[key] in _EXPAND:
                 yield _wall_child(node, key, cones_running, walls_running)
                 if walls_running[key] is not _ALWAYS_CONSIDER:

@@ -225,12 +225,32 @@ def test_traced_benchmark_finds_every_layer(tmp_path):
     assert out.stdout.strip() == "19"
 
 
-def test_import_leaves_numpy_unloaded():
-    """Only the 3D parameter-box mask needs numpy, so start-up skips it."""
+def test_import_leaves_numpy_unloaded(tmp_path):
+    """The program needs no numpy: start-up leaves it unloaded, and a 3D
+    N = 12 run with numpy unimportable gives the reference report and the
+    pinned --trace-tree file."""
     probe = "import sys, smoothpoly.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe],
                          capture_output=True, text=True, env=_package_env())
     assert out.returncode == 0 and out.stdout.strip() == "False"
+
+    trace = tmp_path / "trace.txt"
+    blocked = ("import sys; sys.modules['numpy'] = None\n"
+               "from smoothpoly import cli\n"
+               "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", blocked, "classify", "--dim", "3",
+         "--max-points", "12", "--format", "json", "--trace-tree",
+         str(trace)],
+        env=_package_env(), capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(REPO / "perfbench" / "reference.json") as fh:
+        want = json.load(fh)["solids-n12"]["sha256"]
+    assert hashlib.sha256(proc.stdout).hexdigest() == want
+    text = trace.read_bytes()
+    assert text.count(b"\n") == 31698
+    assert hashlib.sha256(text).hexdigest() == (
+        "f38a9666feac8396ab45abd115d77e60381c126ece86ab1540e97f728b54e9e4")
 
 
 @pytest.mark.parametrize("demo,line", [

@@ -322,6 +322,16 @@ def test_trace_tree_lists_every_visited_node(tmp_path):
         assert step == "root" or step.startswith("cone:")
 
 
+def test_trace_tree_digest_2d(tmp_path):
+    """The N = 12 polygon --trace-tree file is byte-identical run to run."""
+    path = tmp_path / "trace.txt"
+    run_classify(RunConfig(2, 12, trace_tree=str(path)))
+    text = path.read_bytes()
+    assert text.count(b"\n") == 23409
+    assert hashlib.sha256(text).hexdigest() == (
+        "97186ff87e911a358940029dd916cbb81e5fa80c3bae475fabb4e4b143c60575")
+
+
 def test_count_tree_values():
     assert run_count_tree("F_p", 3) == 1
     assert run_count_tree("F_p", 6) == 41

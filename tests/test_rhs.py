@@ -6,11 +6,16 @@ import gc
 import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from smoothpoly import InvariantError, seeds
-from smoothpoly.fans import Fan, ParamFan, instantiate, walls_of
+from smoothpoly import InvariantError, pipeline, seeds
+from smoothpoly.fans import (
+    DegenerateRay,
+    Fan,
+    ParamFan,
+    instantiate,
+    walls_of,
+)
 from smoothpoly.rhs import (
     build_rhs_polytope,
     edge_length_form,
@@ -18,7 +23,7 @@ from smoothpoly.rhs import (
     least_perimeter,
     passes_wall_sum,
     realize_and_filter,
-    wall_sum_mask,
+    wall_sum_box,
     wall_sums,
 )
 
@@ -146,6 +151,8 @@ def test_enumerate_rhs_leaves_no_reference_cycle():
     gc.disable()
     try:
         assert len(enumerate_rhs(fan, 12)) > 1
+        assert len(wall_sum_box(seeds.get_seed("4^6").build(12),
+                                ["a", "b", "c"], [[-2, 0, 2]] * 3, 12)) > 1
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -176,30 +183,48 @@ def test_wall_sum_scalar():
     assert passes_wall_sum(seeds.seed_fan("3^4", 12), 12)
 
 
-def test_wall_sum_mask_matches_scalar_2d():
-    pf = seeds.get_seed("F_a").build(12)
-    wide = ParamFan(pf.rays, pf.cones, {"a": (-20, 20)})
-    values = list(range(-5, 16))
-    mask = wall_sum_mask(wide, {"a": np.array(values, dtype=np.int64)}, 12)
-    scalar = [passes_wall_sum(instantiate(wide, {"a": v}), 12)
-              for v in values]
-    assert mask.tolist() == scalar
-
-
 @pytest.mark.parametrize("name,box", [
-    ("4^6", [("a", (-2, 0, 2)), ("b", (-2, 0, 2)), ("c", (-2, 0, 2))]),
-    ("3^2 4^3 6^2", [("a", tuple(range(-6, 6)))]),
+    ("4^6", [("a", [-2, 0, 2]), ("b", [-2, 0, 2]), ("c", [-2, 0, 2])]),
+    ("3^2 4^3 6^2", [("a", list(range(-6, 6)))]),
 ])
-def test_wall_sum_mask_matches_scalar_3d(name, box):
+def test_wall_sum_box_matches_scalar_3d(name, box):
     pf = seeds.get_seed(name).build(12)
     names = [n for n, _ in box]
-    combos = list(itertools.product(*(vals for _, vals in box)))
-    grids = {n: np.array([c[i] for c in combos], dtype=np.int64)
-             for i, n in enumerate(names)}
-    mask = wall_sum_mask(pf, grids, 12)
-    scalar = [passes_wall_sum(instantiate(pf, dict(zip(names, c))), 12)
-              for c in combos]
-    assert mask.tolist() == scalar
+    axes = [vals for _, vals in box]
+    kept = wall_sum_box(pf, names, axes, 12)
+    scalar = [c for c in itertools.product(*axes)
+              if passes_wall_sum(instantiate(pf, dict(zip(names, c))), 12)]
+    assert kept == scalar
+
+
+def test_wall_sum_box_matches_scalar_on_every_box_of_a_run(monkeypatch):
+    """Every parameter box of the 3D N = 12 run keeps exactly the points
+    whose instantiated fan passes the scalar test, in product order."""
+    calls = []
+    box = pipeline.wall_sum_box
+
+    def recorded(fan, names, axes, max_points):
+        out = box(fan, names, axes, max_points)
+        calls.append((fan, names, axes, out))
+        return out
+
+    monkeypatch.setattr(pipeline, "wall_sum_box", recorded)
+    pipeline.run_classify(pipeline.RunConfig(3, 12))
+    points = 0
+    for pf, names, axes, kept in calls:
+        scalar, degenerate = [], set()
+        for c in itertools.product(*axes):
+            points += 1
+            try:
+                fan = instantiate(pf, dict(zip(names, c)))
+            except DegenerateRay:
+                degenerate.add(c)
+                continue
+            if passes_wall_sum(fan, 12):
+                scalar.append(c)
+        assert [c for c in kept if c not in degenerate] == scalar
+    assert (len(calls), points, sum(len(k) for *_, k in calls)) == (
+        118, 57165, 3947)
 
 
 def test_enumerated_levels_lie_in_the_window():
