@@ -15,6 +15,16 @@ their neighbours the way cone blow-ups do, so walls carry four flag states:
 a wall that was passed over becomes expandable again (ALWAYS_CONSIDER) when
 a later wall blow-up touches the cones beside it, and the three old face
 walls of a blown-up cone never need expanding again (ALWAYS_IGNORE).
+
+Most nodes sit at the cone cap and are never expanded, so only a node the
+walk will expand carries flags; a leaf holds its cones and path alone.  An
+expandable 3D node also carries each wall's two cone positions, updated
+locally from its parent's (k is the parent's cone count, s the new ray):
+  - cone (a, b, c) at i: walls a-c and b-c move from i to k and k + 1;
+    new walls a-s, b-s, c-s lie in (i, k), (i, k + 1), (k, k + 1);
+  - wall (n1, n2) in cones i1 < i2 with opposite rays p, q: the wall goes,
+    p-n2 and q-n2 move from i1 to k and from i2 to k + 1; new walls n1-s,
+    n2-s, p-s, q-s lie in (i1, i2), (k, k + 1), (i1, k), (i2, k + 1).
 """
 
 import enum
@@ -57,13 +67,20 @@ class SearchNode:
     cones are the maximal cones as sorted ray-index tuples, in the
     positions fans.blow_up gives them, and num_rays counts the seed's rays
     plus one new ray per blow-up: the walk and its ordering rule read
-    nothing else.  cone_flags is aligned with cones.  wall_flags maps wall
-    keys (sorted ray-index pairs) to flags, and its insertion order is the
-    walls' stable iteration order: survivors keep their relative order
-    across a blow-up, new walls are appended sorted.  path records the
-    blow-ups from the seed: ("cone", position) or ("wall", key) steps.
-    blown_up holds the ray indices each step blew up, so the j-th new ray
-    is the sum of the rays blown_up[j] names.
+    nothing else.  path records the blow-ups from the seed: ("cone",
+    position) or ("wall", key) steps.  blown_up holds the ray indices each
+    step blew up, so the j-th new ray is the sum of the rays blown_up[j]
+    names.
+
+    Only a node the walk will expand carries the bookkeeping for its
+    children; at a leaf (a node the cone cap stops) cone_flags, wall_flags
+    and wall_cones are None.  cone_flags is aligned with cones.  wall_flags
+    maps wall keys (sorted ray-index pairs) to flags, and its insertion
+    order is the walls' stable iteration order: survivors keep their
+    relative order across a blow-up, new walls are appended sorted.
+    wall_cones maps the same keys to the positions (i1, i2), i1 < i2, of
+    the wall's two cones, as fans.walls_of gives them in Wall.incident.
+    In dimension 2 both wall maps are empty.
 
     fan is the Fan (or ParamFan) itself, built from seed_fan, blown_up and
     path on first read and then kept on the node.  A node refers to its
@@ -71,10 +88,10 @@ class SearchNode:
     """
 
     __slots__ = ("seed_fan", "cones", "num_rays", "depth", "path",
-                 "blown_up", "cone_flags", "wall_flags", "_fan")
+                 "blown_up", "cone_flags", "wall_flags", "wall_cones", "_fan")
 
     def __init__(self, seed_fan, cones, num_rays, depth, path, blown_up,
-                 cone_flags, wall_flags):
+                 cone_flags=None, wall_flags=None, wall_cones=None):
         self.seed_fan = seed_fan
         self.cones = cones
         self.num_rays = num_rays
@@ -83,6 +100,7 @@ class SearchNode:
         self.blown_up = blown_up
         self.cone_flags = cone_flags
         self.wall_flags = wall_flags
+        self.wall_cones = wall_cones
         self._fan = None
 
     @property
@@ -119,10 +137,14 @@ def _build_fan(node):
 
 def make_root(fan):
     cone_flags = tuple(_CONSIDER for _ in fan.cones)
-    wall_flags = ({w.ray_indices: _CONSIDER for w in walls_of(fan)}
-                  if fan.d == 3 else {})
+    if fan.d == 3:
+        walls = walls_of(fan)
+        wall_flags = {w.ray_indices: _CONSIDER for w in walls}
+        wall_cones = {w.ray_indices: w.incident for w in walls}
+    else:
+        wall_flags, wall_cones = {}, {}
     node = SearchNode(fan, fan.cones, len(fan.rays), 0, (), (), cone_flags,
-                      wall_flags)
+                      wall_flags, wall_cones)
     node._fan = fan
     return node
 
@@ -141,12 +163,13 @@ def propagate_bounds(bounds, kind):
     return dict(bounds)
 
 
-def _cone_child(node, i, cones_running, walls_running):
+def _cone_child(node, i, cones_running, walls_running, leaf):
     """Blow up the cone at position i (fans.blow_up's first index rule).
 
     With new ray s, the child cone missing the target's last ray replaces
     position i and the others follow at the end, last-but-one first.  s
-    exceeds every old index, so appending it keeps each child sorted.
+    exceeds every old index, so appending it keeps each child sorted.  A
+    leaf child gets no flags.
     """
     cones = node.cones
     target = cones[i]
@@ -156,6 +179,11 @@ def _cone_child(node, i, cones_running, walls_running):
                 for j in range(d - 1, -1, -1)]
     child_cones = (cones[:i] + (children[0],) + cones[i + 1:]
                    + tuple(children[1:]))
+    path = node.path + (("cone", i),)
+    blown_up = node.blown_up + (target,)
+    if leaf:
+        return SearchNode(node.seed_fan, child_cones, s + 1, node.depth + 1,
+                          path, blown_up)
     flags = list(cones_running)
     flags[i] = _CONSIDER
     flags.extend([_CONSIDER] * (d - 1))
@@ -167,31 +195,43 @@ def _cone_child(node, i, cones_running, walls_running):
             wflags[pair] = _ALWAYS_IGNORE
         for x in target:            # appended sorted: dict order is wall order
             wflags[(x, s)] = _CONSIDER
+        # {a,b,s} stays at i, {a,c,s} and {b,c,s} go to k and k + 1
+        k = len(cones)
+        wcones = dict(node.wall_cones)
+        wcones[(a, c)] = _moved(wcones[(a, c)], i, k)
+        wcones[(b, c)] = _moved(wcones[(b, c)], i, k + 1)
+        wcones[(a, s)] = (i, k)
+        wcones[(b, s)] = (i, k + 1)
+        wcones[(c, s)] = (k, k + 1)
     else:
-        wflags = {}
+        wflags, wcones = {}, {}
     return SearchNode(node.seed_fan, child_cones, s + 1, node.depth + 1,
-                      node.path + (("cone", i),), node.blown_up + (target,),
-                      tuple(flags), wflags)
+                      path, blown_up, tuple(flags), wflags, wcones)
 
 
-def _wall_child(node, key, cones_running, walls_running):
+def _wall_child(node, key, cones_running, walls_running, leaf):
     """Blow up the wall key = (n1, n2) (fans.blow_up's second index rule).
 
     The incident cones i1 < i2 have opposite rays p and q; with new ray s,
     {p,n1,s} replaces i1, {q,n1,s} replaces i2, and {p,n2,s}, {q,n2,s}
-    follow at the end.
+    follow at the end.  A leaf child gets no flags.
     """
     cones = node.cones
     s = node.num_rays
     n1, n2 = key
-    i1, i2 = [ci for ci, c in enumerate(cones) if n1 in c and n2 in c]
-    (p,) = [x for x in cones[i1] if x != n1 and x != n2]
-    (q,) = [x for x in cones[i2] if x != n1 and x != n2]
+    i1, i2 = node.wall_cones[key]
+    p = sum(cones[i1]) - n1 - n2
+    q = sum(cones[i2]) - n1 - n2
     child_cones = list(cones)
     child_cones[i1] = _sorted_pair(p, n1) + (s,)
     child_cones[i2] = _sorted_pair(q, n1) + (s,)
     child_cones.append(_sorted_pair(p, n2) + (s,))
     child_cones.append(_sorted_pair(q, n2) + (s,))
+    path = node.path + (("wall", key),)
+    blown_up = node.blown_up + (key,)
+    if leaf:
+        return SearchNode(node.seed_fan, tuple(child_cones), s + 1,
+                          node.depth + 1, path, blown_up)
     flags = list(cones_running)
     flags[i1] = _CONSIDER
     flags[i2] = _CONSIDER
@@ -207,13 +247,32 @@ def _wall_child(node, key, cones_running, walls_running):
                 wflags[side] = _ALWAYS_CONSIDER
     for x in sorted((p, q, n1, n2)):
         wflags[(x, s)] = _CONSIDER
+    # {p,n2,s} and {q,n2,s} at k and k + 1 take the walls p-n2 and q-n2
+    k = len(cones)
+    wcones = dict(node.wall_cones)
+    del wcones[key]
+    pn2 = _sorted_pair(p, n2)
+    qn2 = _sorted_pair(q, n2)
+    wcones[pn2] = _moved(wcones[pn2], i1, k)
+    wcones[qn2] = _moved(wcones[qn2], i2, k + 1)
+    wcones[(n1, s)] = (i1, i2)
+    wcones[(n2, s)] = (k, k + 1)
+    wcones[(p, s)] = (i1, k)
+    wcones[(q, s)] = (i2, k + 1)
     return SearchNode(node.seed_fan, tuple(child_cones), s + 1,
-                      node.depth + 1, node.path + (("wall", key),),
-                      node.blown_up + (key,), tuple(flags), wflags)
+                      node.depth + 1, path, blown_up, tuple(flags), wflags,
+                      wcones)
 
 
 def _sorted_pair(a, b):
     return (a, b) if a < b else (b, a)
+
+
+def _moved(incident, old, new):
+    """A wall's cone positions after its cone at old moves to new, where
+    new exceeds every position in use."""
+    x, y = incident
+    return (y if x == old else x, new)
 
 
 def enumerate_blowups(node, max_cones, pruned=True):
@@ -221,22 +280,30 @@ def enumerate_blowups(node, max_cones, pruned=True):
 
     pruned=False expands every cone and (in dimension 3) every wall, which
     revisits fans many times; it exists as the correctness oracle for the
-    flag discipline.
+    flag discipline.  Children that max_cones will stop are built as leaves,
+    without flags, so a leaf raises ValueError under a higher cap.
     """
     d = node.seed_fan.d
+    step = 1 if d == 2 else 2       # cones added by one blow-up
     k = len(node.cones)
-    if k + (1 if d == 2 else 2) > max_cones:
+    if k + step > max_cones:
         return
+    if node.cone_flags is None:
+        raise ValueError("node %r was built as a leaf under a lower cone "
+                         "cap and carries no flags to expand it; walk from "
+                         "its seed instead" % (node.path,))
+    leaf = k + 2 * step > max_cones
     cones_running = list(node.cone_flags)
     walls_running = dict(node.wall_flags)
     for i in range(k):
         if not pruned or cones_running[i] in _EXPAND:
-            yield _cone_child(node, i, cones_running, walls_running)
+            yield _cone_child(node, i, cones_running, walls_running, leaf)
             cones_running[i] = _IGNORE
     if d == 3:
         for key in node.wall_flags:
             if not pruned or walls_running[key] in _EXPAND:
-                yield _wall_child(node, key, cones_running, walls_running)
+                yield _wall_child(node, key, cones_running, walls_running,
+                                  leaf)
                 if walls_running[key] is not _ALWAYS_CONSIDER:
                     walls_running[key] = _IGNORE
     return

@@ -1,6 +1,11 @@
 """Blow-up tree tests: counting recurrences against real walks, the flag
 discipline against an exhaustive oracle, and the polygon criterion."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from smoothpoly import pipeline, search, seeds
@@ -156,10 +161,78 @@ def test_wall_blowup_flag_mechanics_3d():
                                    (0, 5), (1, 5), (2, 5), (3, 5))
 
 
+def _expandable(node, max_cones):
+    """Whether the walk to max_cones expands node, so that it carries flags
+    (a root always does)."""
+    step = 1 if node.seed_fan.d == 2 else 2
+    return node.depth == 0 or len(node.cones) + step <= max_cones
+
+
 def test_wall_order_tracks_actual_walls():
     for node in walk_tree(t34(), 8):
-        assert set(node.wall_flags) == {w.ray_indices
-                                        for w in walls_of(node.fan)}
+        if _expandable(node, 8):
+            assert set(node.wall_flags) == {w.ray_indices
+                                            for w in walls_of(node.fan)}
+        else:
+            assert (node.cone_flags, node.wall_flags,
+                    node.wall_cones) == (None, None, None)
+
+
+# per 3D seed, the nodes its walk to 12 cones expands (of 31698 in all)
+_EXPANDABLE_AT_12 = {"3^4": 1679, "(3^2 4^3)'": 229, "(3^2 4^3)''": 229,
+                     "4^6": 21, "3^2 4^3 6^2": 1}
+
+
+@pytest.mark.parametrize("name", seeds.seed_names(3))
+def test_wall_cones_match_a_scan(name):
+    """wall_cones, carried from parent to child by the local update rules,
+    equals a fresh walls_of scan on every expandable node, and the sum of a
+    cone less the wall's two rays is the wall's opposite ray there."""
+    expandable = 0
+    for node in walk_tree(seeds.seed_fan(name, 12), 12):
+        if not _expandable(node, 12):
+            continue
+        expandable += 1
+        walls = walls_of(node.fan)
+        assert node.wall_cones == {w.ray_indices: w.incident for w in walls}
+        assert set(node.wall_cones) == set(node.wall_flags)
+        for w in walls:
+            n1, n2 = w.ray_indices
+            assert tuple(sum(node.cones[i]) - n1 - n2
+                         for i in node.wall_cones[w.ray_indices]) == w.opposite
+    assert expandable == _EXPANDABLE_AT_12[name]
+
+
+def _leaf_node(name, max_cones):
+    """The first node the walk of seed name to max_cones does not expand."""
+    return next(node for node in walk_tree(seeds.seed_fan(name, 12),
+                                           max_cones)
+                if not _expandable(node, max_cones))
+
+
+def test_flagless_node_cannot_be_expanded():
+    for name, max_cones in (("3^4", 6), ("F_p", 4)):
+        leaf = _leaf_node(name, max_cones)
+        assert leaf.cone_flags is None
+        # at its own cap the leaf has no children, above it a clear error
+        assert list(enumerate_blowups(leaf, max_cones)) == []
+        with pytest.raises(ValueError, match="built as a leaf"):
+            list(walk_tree(leaf, max_cones + 2))
+    # an explicit raise, so the check holds under python -O as well
+    script = (
+        "from smoothpoly import seeds\n"
+        "from smoothpoly.search import walk_tree\n"
+        "assert False, 'asserts are on'\n"
+        "leaf = list(walk_tree(seeds.seed_fan('3^4', 12), 6))[-1]\n"
+        "list(walk_tree(leaf, 8))\n"
+    )
+    src = str(Path(search.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "ValueError" in proc.stderr and "built as a leaf" in proc.stderr
 
 
 def test_propagate_bounds():
@@ -260,9 +333,9 @@ def _reference_children(fan, bookkeeping, max_cones, pruned):
     The fan-based reference walk: every child is fans.blow_up of its
     parent with bounds passed through propagate_bounds, and incident cones
     are found by set scans on the fan.  bookkeeping is (path, cone_flags,
-    wall_order, wall_flags).
+    wall_order, wall_flags, wall_cones).
     """
-    path, cone_flags, wall_order, wall_flags = bookkeeping
+    path, cone_flags, wall_order, wall_flags, _ = bookkeeping
     k, d, s = len(fan.cones), fan.d, len(fan.rays)
     if k + (1 if d == 2 else 2) > max_cones:
         return []
@@ -297,8 +370,9 @@ def _reference_children(fan, bookkeeping, max_cones, pruned):
             new_keys = tuple(sorted((c, s) for c in target))
             wflags.update((key, CO) for key in new_keys)
             worder = wall_order + new_keys
-        kids.append((grown(target, "cone"), (path + (("cone", i),),
-                                            tuple(flags), worder, wflags)))
+        child = grown(target, "cone")
+        kids.append((child, (path + (("cone", i),), tuple(flags), worder,
+                             wflags, _scanned_wall_cones(child, worder))))
         cones_running[i] = IG
     for key in wall_order:
         if pruned and walls_running[key] not in (CO, AC):
@@ -319,17 +393,26 @@ def _reference_children(fan, bookkeeping, max_cones, pruned):
         new_keys = tuple(sorted((x, s) for x in (p, q) + key))
         wflags.update((nk, CO) for nk in new_keys)
         worder = tuple(w for w in wall_order if w != key) + new_keys
-        kids.append((grown(key, "wall"), (path + (("wall", key),),
-                                         tuple(flags), worder, wflags)))
+        child = grown(key, "wall")
+        kids.append((child, (path + (("wall", key),), tuple(flags), worder,
+                             wflags, _scanned_wall_cones(child, worder))))
         if walls_running[key] is not AC:
             walls_running[key] = IG
     return kids
 
 
+def _scanned_wall_cones(fan, wall_order):
+    """Per wall key, the positions of the cones holding both its rays."""
+    return {key: tuple(ci for ci, c in enumerate(fan.cones)
+                       if set(key) <= set(c))
+            for key in wall_order}
+
+
 def _reference_walk(fan, max_cones, pruned):
     root = make_root(fan)
-    stack = [(fan, (root.path, root.cone_flags, tuple(root.wall_flags),
-                    root.wall_flags))]
+    wall_order = tuple(root.wall_flags)
+    stack = [(fan, (root.path, root.cone_flags, wall_order, root.wall_flags,
+                    _scanned_wall_cones(fan, wall_order)))]
     while stack:
         fan, bookkeeping = stack.pop()
         yield fan, bookkeeping
@@ -344,16 +427,22 @@ _EQUIVALENCE_ROOTS = [(name, 9) for name in seeds.seed_names(3)] + [
 @pytest.mark.parametrize("pruned", [True, False])
 @pytest.mark.parametrize("name,max_cones", _EQUIVALENCE_ROOTS)
 def test_walk_equals_blow_up_replay(name, max_cones, pruned):
-    """Every node's lazily built fan and its flags equal the fans.blow_up
-    walk's, node for node and in the same order."""
+    """Every node's lazily built fan equals the fans.blow_up walk's, node for
+    node and in the same order, and so do the flags and wall cones of every
+    node the walk expands; the others carry none."""
     fan = seeds.seed_fan(name, 12)
     nodes = list(walk_tree(fan, max_cones, pruned=pruned))
     reference = list(_reference_walk(fan, max_cones, pruned))
     assert len(nodes) == len(reference)
     for node, (ref, bookkeeping) in zip(nodes, reference):
-        # dict equality ignores order, so the wall order is compared apart
-        assert (node.path, node.cone_flags, tuple(node.wall_flags),
-                node.wall_flags) == bookkeeping
+        assert node.path == bookkeeping[0]
+        if _expandable(node, max_cones):
+            # dict equality ignores order, so the wall order is compared apart
+            assert (node.path, node.cone_flags, tuple(node.wall_flags),
+                    node.wall_flags, node.wall_cones) == bookkeeping
+        else:
+            assert (node.cone_flags, node.wall_flags,
+                    node.wall_cones) == (None, None, None)
         assert node.cones == ref.cones
         assert node.num_rays == len(ref.rays)
         built = node.fan
