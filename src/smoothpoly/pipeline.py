@@ -8,10 +8,15 @@ deduplicates up to lattice isomorphism.
 Dimension 2 walks concrete fans (one tree per Hirzebruch width) and may cut
 whole subtrees: wall coefficients only ever grow under 2D blow-ups, so a
 fan with a coefficient past the cap never has feasible descendants.  The
-walk keys classes by their coefficient cycle, and a class whose least
-perimeter (rhs.least_perimeter, an integer bound read off the cycle)
-exceeds the budget is counted but never gets a fan or a level search:
-at N = 12 that skips 1962 of the 1992 classes.
+walk is one loop over plain tuples (cones, ray count, start, path, ray
+order, coefficient cycle) with no search node: in 2D the flag discipline
+reduces to a start position, a child of position i expanding only
+positions >= i.  It keys classes by their coefficient cycle, and a class
+whose least perimeter (rhs.least_perimeter, an integer bound read off the
+cycle) exceeds the budget is counted but never gets a fan or a level
+search: at N = 12 that skips 1962 of the 1992 classes.  The other 30 get
+their fan by replaying the class's path from its root fan into a
+search.SearchNode.
 Dimension 3 has no such monotonicity (wall blow-ups destroy the offending
 wall), so the walk is parametric, every node is filtered by the smooth
 polygon criterion from the 2D results, and surviving nodes are instantiated
@@ -36,11 +41,16 @@ from .rhs import (
     wall_sum_box as wall_sum_mask,
 )
 from .search import (
+    SearchNode,
+    _cone_child,
     count_polygon_tree,
     degree_profile,
+    # unused: kept for perfbench/traced.py to wrap
     enumerate_blowups,
+    format_trace_line,
     instantiate_all,
     instantiate_each,
+    # unused: kept for perfbench/traced.py to wrap
     make_root,
     parameter_axes,
     polygon_criterion,
@@ -165,7 +175,7 @@ def _realize_jobs(dim, jobs, max_points, diag):
 
 
 def _note_class(classes, key, prefix, item):
-    """Keep item (a fan, or a 2D search node) for the least prefix."""
+    """Keep item (a fan) for the least prefix."""
     cur = classes.get(key)
     if cur is None or prefix < cur[0]:
         classes[key] = (prefix, item)
@@ -270,11 +280,15 @@ def _min_interior(n):
 
 
 def _polygon_walk(max_points, trace, diag):
-    """The 2D class table: (prefix, cycle key, node) per fan class.
+    """The 2D class table: (prefix, cycle key, root fan) per fan class.
 
     Walks the polygon trees, counts nodes_visited in diag, and keeps one
-    search node per dihedral key, the one with the least prefix; sorted by
-    prefix.  No fan below a root is built here.
+    row per dihedral key, the one with the least prefix; sorted by prefix.
+    A node is the tuple (cones, num_rays, start, path, order, cycle), and
+    its children blow up the positions start..k-1 only: in 2D that is all
+    the flag discipline of search.enumerate_blowups leaves, as in
+    count_polygon_tree's recurrence.  No fan below a root is built here;
+    _class_fan replays a row's path when its fan is needed.
     """
     cap = max_points - 4      # thickened edge: 2(l+1) + a*l <= N at l = 1
     max_rays = max_points
@@ -285,26 +299,45 @@ def _polygon_walk(max_points, trace, diag):
         label = name if not assignment else \
             "%s(a=%d)" % (name, assignment["a"])
         prefix_assignment = tuple(sorted(assignment.items()))
-        order0, cycle0 = _polygon_cycle(fan)
-        stack = [(make_root(fan), order0, cycle0)]
+        order, cycle = _polygon_cycle(fan)
+        stack = [(fan.cones, len(fan.rays), 0, (), order, cycle)]
         while stack:
-            node, order, cycle = stack.pop()
+            cones, s, start, path, order, cycle = stack.pop()
             diag.nodes_visited += 1
+            k = len(cones)
             if trace is not None:
-                trace.write("%s\t%s\n" % (label, trace_line(node)))
+                trace.write("%s\t%s\n" % (
+                    label, format_trace_line(len(path), k, path)))
             if max(cycle) > cap:
                 continue          # coefficients only grow: subtree is dead
-            key = _dihedral_key(cycle)
-            _note_class(classes, key, (name, node.path, prefix_assignment),
-                        node)
-            children = [(child,) + _splice_cycle(
-                            order, cycle, node.cones[child.path[-1][1]],
-                            node.num_rays)
-                        for child in enumerate_blowups(node, max_rays)]
-            stack.extend(reversed(children))
-    return sorted(((prefix, key, node)
-                   for key, (prefix, node) in classes.items()),
+            _note_class(classes, _dihedral_key(cycle),
+                        (name, path, prefix_assignment), fan)
+            if k + 1 > max_rays:
+                continue
+            # search._cone_child's 2D rule: (a, s) replaces position i and
+            # (b, s) is appended; pushed last to first, popped in order
+            for i in range(k - 1, start - 1, -1):
+                a, b = cones[i]
+                stack.append((cones[:i] + ((a, s),) + cones[i + 1:]
+                              + ((b, s),), s + 1, i, path + (("cone", i),))
+                             + _splice_cycle(order, cycle, (a, b), s))
+    return sorted(((prefix, key, root)
+                   for key, (prefix, root) in classes.items()),
                   key=lambda row: row[0])
+
+
+def _class_fan(root, path):
+    """The fan at path below a 2D root fan.
+
+    The path is replayed through search's cone rule into a SearchNode, so
+    search._build_fan stays the one fan builder; a root is its own fan.
+    """
+    if not path:
+        return root
+    node = SearchNode(root, root.cones, len(root.rays), 0, (), ())
+    for _, i in path:
+        node = _cone_child(node, i, None, None, True)
+    return node.fan
 
 
 def _classify_2d(max_points, trace):
@@ -316,7 +349,8 @@ def _classify_2d(max_points, trace):
     diag = Diagnostics()
     table = _polygon_walk(max_points, trace, diag)
     diag.fans_tested = len(table)
-    jobs = [(prefix, node.fan) for prefix, key, node in table
+    jobs = [(prefix, _class_fan(root, prefix[1]))
+            for prefix, key, root in table
             if least_perimeter(key) <= max_points]
     records = _realize_jobs(2, jobs, max_points, diag)
     return records, diag

@@ -222,11 +222,16 @@ def _wall_child(node, key, cones_running, walls_running, leaf):
     i1, i2 = node.wall_cones[key]
     p = sum(cones[i1]) - n1 - n2
     q = sum(cones[i2]) - n1 - n2
+    # n1 < n2 < s, so only p and q need placing
+    pn1 = (p, n1) if p < n1 else (n1, p)
+    qn1 = (q, n1) if q < n1 else (n1, q)
+    pn2 = (p, n2) if p < n2 else (n2, p)
+    qn2 = (q, n2) if q < n2 else (n2, q)
     child_cones = list(cones)
-    child_cones[i1] = _sorted_pair(p, n1) + (s,)
-    child_cones[i2] = _sorted_pair(q, n1) + (s,)
-    child_cones.append(_sorted_pair(p, n2) + (s,))
-    child_cones.append(_sorted_pair(q, n2) + (s,))
+    child_cones[i1] = pn1 + (s,)
+    child_cones[i2] = qn1 + (s,)
+    child_cones.append(pn2 + (s,))
+    child_cones.append(qn2 + (s,))
     path = node.path + (("wall", key),)
     blown_up = node.blown_up + (key,)
     if leaf:
@@ -240,19 +245,15 @@ def _wall_child(node, key, cones_running, walls_running, leaf):
     del wflags[key]
     # the side walls of the two destroyed cones may now lead to new fans
     # even if an earlier step passed them over
-    for x in (p, q):
-        for n in key:
-            side = _sorted_pair(x, n)
-            if wflags[side] is _IGNORE:
-                wflags[side] = _ALWAYS_CONSIDER
+    for side in (pn1, pn2, qn1, qn2):
+        if wflags[side] is _IGNORE:
+            wflags[side] = _ALWAYS_CONSIDER
     for x in sorted((p, q, n1, n2)):
         wflags[(x, s)] = _CONSIDER
     # {p,n2,s} and {q,n2,s} at k and k + 1 take the walls p-n2 and q-n2
     k = len(cones)
     wcones = dict(node.wall_cones)
     del wcones[key]
-    pn2 = _sorted_pair(p, n2)
-    qn2 = _sorted_pair(q, n2)
     wcones[pn2] = _moved(wcones[pn2], i1, k)
     wcones[qn2] = _moved(wcones[qn2], i2, k + 1)
     wcones[(n1, s)] = (i1, i2)
@@ -262,10 +263,6 @@ def _wall_child(node, key, cones_running, walls_running, leaf):
     return SearchNode(node.seed_fan, tuple(child_cones), s + 1,
                       node.depth + 1, path, blown_up, tuple(flags), wflags,
                       wcones)
-
-
-def _sorted_pair(a, b):
-    return (a, b) if a < b else (b, a)
 
 
 def _moved(incident, old, new):
@@ -312,25 +309,37 @@ def enumerate_blowups(node, max_cones, pruned=True):
 def walk_tree(root, max_cones, pruned=True):
     """Pre-order walk of the blow-up tree.
 
-    root may be a Fan or a prepared SearchNode.
+    root may be a Fan or a prepared SearchNode.  Children that the cone cap
+    makes leaves are yielded right after their parent: nothing lies below
+    them, so pre-order is kept without a stack entry or an
+    enumerate_blowups call per leaf.
     """
     node = root if isinstance(root, SearchNode) else make_root(root)
+    step = 1 if node.seed_fan.d == 2 else 2     # cones added by one blow-up
     stack = [node]
     while stack:
         node = stack.pop()
         yield node
         children = list(enumerate_blowups(node, max_cones, pruned))
-        stack.extend(reversed(children))
+        if len(node.cones) + 2 * step > max_cones:
+            yield from children
+        else:
+            stack.extend(reversed(children))
 
 
 def trace_line(node):
     """One stable text line per node for --trace-tree output."""
-    if not node.path:
+    return format_trace_line(node.depth, len(node.cones), node.path)
+
+
+def format_trace_line(depth, num_cones, path):
+    """trace_line from the fields it reads, for walks without nodes."""
+    if not path:
         step = "root"
     else:
-        kind, t = node.path[-1]
+        kind, t = path[-1]
         step = "cone:%d" % t if kind == "cone" else "wall:%d-%d" % t
-    return "%d\t%d\t%s" % (node.depth, len(node.cones), step)
+    return "%d\t%d\t%s" % (depth, num_cones, step)
 
 
 def count_polygon_tree(start_cones, max_cones, pruned=True):
@@ -479,7 +488,7 @@ def polygon_criterion(profile, stats):
 
 __all__ = [
     "ConeFlag", "SearchNode", "make_root", "propagate_bounds",
-    "enumerate_blowups", "walk_tree", "trace_line",
+    "enumerate_blowups", "walk_tree", "trace_line", "format_trace_line",
     "count_polygon_tree", "instantiate_all", "parameter_axes",
     "instantiate_each",
     "degree_profile", "PolygonStats", "polygon_stats",

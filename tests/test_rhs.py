@@ -295,12 +295,13 @@ def test_least_perimeter_is_dihedral_invariant(polygon_class_table):
                 assert least_perimeter(seq[s:] + seq[:s]) == want, key
 
 
-def test_least_perimeter_skips_only_empty_classes(polygon_class_table):
+def test_least_perimeter_skips_only_empty_classes(polygon_class_table,
+                                                  polygon_class_reps):
     rejected = 0
-    for _, key, node in polygon_class_table:
+    for (_, key, _), fan in zip(polygon_class_table, polygon_class_reps):
         if least_perimeter(key) > 12:
             rejected += 1
-            assert enumerate_rhs(node.fan, 12) == [], key
+            assert enumerate_rhs(fan, 12) == [], key
     assert rejected == 1962
 
 
@@ -320,10 +321,11 @@ def _exact_least_perimeter(rays, max_points):
     return None
 
 
-def test_least_perimeter_never_exceeds_the_exact_least(polygon_class_table):
+def test_least_perimeter_never_exceeds_the_exact_least(polygon_class_table,
+                                                       polygon_class_reps):
     within = tight = 0
-    for _, key, node in polygon_class_table:
-        exact = _exact_least_perimeter(node.fan.rays, 12)
+    for (_, key, _), fan in zip(polygon_class_table, polygon_class_reps):
+        exact = _exact_least_perimeter(fan.rays, 12)
         if exact is None:
             continue
         bound = least_perimeter(key)

@@ -26,6 +26,7 @@ from smoothpoly.search import (
     count_polygon_tree,
     degree_profile,
     enumerate_blowups,
+    format_trace_line,
     instantiate_all,
     make_root,
     polygon_criterion,
@@ -278,6 +279,38 @@ def test_trace_line():
     assert trace_line(child) == "1\t4\tcone:2"
     node3 = list(enumerate_blowups(make_root(t34()), 12))[5]
     assert trace_line(node3) == "1\t6\twall:0-2"
+    # the node-free form that the polygon loop writes with
+    assert format_trace_line(1, 4, (("cone", 2),)) == trace_line(child)
+    assert format_trace_line(0, 3, ()) == trace_line(root)
+
+
+def test_walk_tree_expands_only_expandable_nodes(monkeypatch):
+    # leaf children are yielded right after their parent, in the pre-order
+    # of a walk that expands every node, and never reach enumerate_blowups
+    def stack_walk(fan, max_cones):
+        stack = [make_root(fan)]
+        while stack:
+            node = stack.pop()
+            yield node.path
+            stack.extend(reversed(list(enumerate_blowups(node, max_cones))))
+
+    cases = ((t34(), 12, 2, 24517, 1679), (fp(), 9, 1, 1429, 428))
+    for fan, max_cones, step, nodes, expandable in cases:
+        calls = []
+        expand = search.enumerate_blowups
+
+        def counting(node, *args):
+            calls.append(node.path)
+            return expand(node, *args)
+
+        monkeypatch.setattr(search, "enumerate_blowups", counting)
+        walked = [node.path for node in walk_tree(fan, max_cones)]
+        monkeypatch.setattr(search, "enumerate_blowups", expand)
+        assert walked == list(stack_walk(fan, max_cones))
+        assert len(walked) == nodes and len(calls) == expandable
+        assert calls == [path for path in walked
+                         if len(fan.cones) + step * (len(path) + 1)
+                         <= max_cones]
 
 
 def test_polygon_stats_componentwise_minima():
