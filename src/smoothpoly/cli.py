@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 2 for configuration errors (bad dimension,
-budget, seed name, or flag combination), 3 when an internal invariant
-trips, with a reproducer dump on stderr.
+budget, seed name, flag combination, or an output path that cannot be
+written), 3 when an internal invariant trips, with a reproducer dump on
+stderr.
 """
 
 import argparse
@@ -67,14 +68,15 @@ def _cmd_classify(args):
                     allow_unvalidated=args.allow_unvalidated)
     for warning in cfg.validate():
         print(warning, file=sys.stderr)
-    result = pipeline.run_classify(cfg)
-    text = pipeline.render_json(result) if cfg.fmt == "json" \
-        else pipeline.render_text(result)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    out = pipeline.open_output(cfg.out) if cfg.out else None
+    try:
+        result = pipeline.run_classify(cfg)
+        text = pipeline.render_json(result) if cfg.fmt == "json" \
+            else pipeline.render_text(result)
+        (out or sys.stdout).write(text)
+    finally:
+        if out is not None:
+            out.close()
     return 0
 
 

@@ -1,10 +1,10 @@
 """Rational simplicial fans: walls, edge-parameters, blow-ups, canonical keys.
 
 A fan is stored combinatorially: a tuple of primitive rays plus maximal cones
-as sorted tuples of ray indices.  Parametric fans carry rays whose entries are
-affine expressions in named integer parameters (the families from the figure
-catalogue, e.g. the ray (-1,-a)); substituting an in-bounds assignment turns
-them into concrete fans.
+as sorted tuples of ray indices, and a box of named integer parameters.  In a
+family from the figure catalogue, ray entries are affine expressions in those
+parameters (e.g. the ray (-1,-a)), and substituting an in-box assignment gives
+a concrete fan: a fan whose box is empty, so its one point is ().
 
 The blow-up of a fan at a cone sigma is the stellar subdivision at the sum of
 sigma's primitive rays: every cone containing sigma is split.  For smooth fans
@@ -152,10 +152,6 @@ class ParamExpr:
         return "".join(parts)
 
 
-def as_expr(x):
-    return x if isinstance(x, ParamExpr) else ParamExpr(x)
-
-
 def expr_value(x):
     """Plain integer of a constant entry (int or constant ParamExpr)."""
     if isinstance(x, ParamExpr):
@@ -179,11 +175,16 @@ class Fan:
     tolerated at construction so that normal fans of non-simple polytopes can
     be represented; such fans only flow into is_smooth_fan (which reports
     them non-smooth) and are rejected by the structural operations.
+
+    Ray entries may be ParamExpr over the parameters of the box: bounds maps
+    parameter name -> (lower, upper) and excluded maps parameter name ->
+    frozenset of forbidden values inside those bounds.  Both are empty for a
+    concrete fan.
     """
 
-    __slots__ = ("rays", "cones", "d")
+    __slots__ = ("rays", "cones", "d", "bounds", "excluded")
 
-    def __init__(self, rays, cones, d=None):
+    def __init__(self, rays, cones, d=None, bounds=None, excluded=None):
         rays = tuple(tuple(r) for r in rays)
         assert rays, "fan needs at least one ray"
         if d is None:
@@ -195,6 +196,10 @@ class Fan:
         self.rays = rays
         self.cones = cones
         self.d = d
+        self.bounds = {n: (int(lo), int(hi))
+                       for n, (lo, hi) in (bounds or {}).items()}
+        self.excluded = {n: frozenset(vs)
+                         for n, vs in (excluded or {}).items() if vs}
 
     def __eq__(self, other):
         return (isinstance(other, Fan) and self.rays == other.rays
@@ -206,28 +211,6 @@ class Fan:
     def __repr__(self):
         return "Fan(d=%d, %d rays, %d cones)" % (self.d, len(self.rays),
                                                  len(self.cones))
-
-
-class ParamFan(Fan):
-    """Fan family: ray entries may be ParamExpr, with finite integer bounds.
-
-    bounds maps parameter name -> (lower, upper); excluded maps parameter
-    name -> frozenset of forbidden values inside those bounds.
-    """
-
-    __slots__ = ("bounds", "excluded")
-
-    def __init__(self, rays, cones, bounds, excluded=None, d=None):
-        rays = tuple(tuple(as_expr(a) if isinstance(a, ParamExpr) else a
-                           for a in r) for r in rays)
-        super().__init__(rays, cones, d)
-        self.bounds = {n: (int(lo), int(hi)) for n, (lo, hi) in bounds.items()}
-        self.excluded = {n: frozenset(vs) for n, vs in (excluded or {}).items()
-                         if vs}
-
-    @property
-    def params(self):
-        return tuple(sorted(self.bounds))
 
 
 @dataclass(frozen=True)
@@ -499,18 +482,15 @@ def blow_up(fan, target):
         # smoothness guarantees the sum of a cone's rays is primitive, but
         # normalize defensively for inputs outside the pipeline
         new_ray, _ = normalize_primitive(tuple(expr_value(a) for a in new_ray))
-    rays = fan.rays + (new_ray,)
-    if isinstance(fan, ParamFan):
-        return ParamFan(rays, cones, fan.bounds, fan.excluded, d)
-    return Fan(rays, cones, d)
+    return Fan(fan.rays + (new_ray,), cones, d, fan.bounds, fan.excluded)
 
 
 def instantiate(pf, assignment):
-    """Substitute an integer assignment into a parametric fan.
+    """The concrete fan at one point of pf's parameter box.
 
     Checks bounds and exclusions (OutOfBounds), evaluates every ray, then
     normalizes primitively and verifies no ray vanished or collided with
-    another (DegenerateRay).
+    another (DegenerateRay).  A concrete pf has the one point {}.
     """
     for name, (lo, hi) in pf.bounds.items():
         v = assignment[name]
@@ -632,8 +612,8 @@ def _flag_walk(cones, across, start, flag, best):
 __all__ = [
     "NotComplete", "InvalidCone", "NonIntegral", "ParametricWallUnsupported",
     "OutOfBounds", "DegenerateRay",
-    "ParamExpr", "as_expr", "expr_value", "is_numeric_vector",
-    "Fan", "ParamFan", "Wall", "EdgeParams",
+    "ParamExpr", "expr_value", "is_numeric_vector",
+    "Fan", "Wall", "EdgeParams",
     "walls_of", "edge_parameters", "wall_table",
     "is_smooth_fan", "is_complete_fan", "blow_up", "instantiate",
     "fan_canonical_key",

@@ -20,7 +20,8 @@ search.SearchNode.
 Dimension 3 has no such monotonicity (wall blow-ups destroy the offending
 wall), so the walk is parametric, every node is filtered by the smooth
 polygon criterion from the 2D results, and surviving nodes are instantiated
-over the points of their parameter boxes that pass the wall-sum test.
+over the points of their parameter boxes that pass the wall-sum test (the
+box of a node without parameters is the one point ()).
 """
 
 import json
@@ -28,13 +29,13 @@ from dataclasses import dataclass, field
 
 from . import InvariantError, seeds
 from .exact_linalg import dot
-from .fans import ParamFan, fan_canonical_key
+from .fans import fan_canonical_key
 from .iso_dedup import canonical_form, dedup
 from .polytopes import HPolytope, VPolytope, facets_of, lattice_points
 from .rhs import (
     enumerate_rhs,
     least_perimeter,
-    passes_wall_sum,
+    passes_wall_sum,  # unused: kept for perfbench/traced.py to wrap
     realize_and_filter,
     wall_sum_box,
     # unused: kept for perfbench/traced.py to wrap
@@ -183,11 +184,9 @@ def _note_class(classes, key, prefix, item):
 
 def _polygon_roots(max_points):
     """Concrete root fans for dimension 2: F_p plus each Hirzebruch width."""
-    roots = [("F_p", {}, seeds.seed_fan("F_p", max_points))]
-    fa = seeds.seed_fan("F_a", max_points)
-    for assignment, fan in instantiate_all(fa):
-        roots.append(("F_a", assignment, fan))
-    return roots
+    return [(name, assignment, fan) for name in seeds.seed_names(2)
+            for assignment, fan in instantiate_all(
+                seeds.seed_fan(name, max_points))]
 
 
 def _polygon_cycle(fan):
@@ -306,8 +305,7 @@ def _polygon_walk(max_points, trace, diag):
             diag.nodes_visited += 1
             k = len(cones)
             if trace is not None:
-                trace.write("%s\t%s\n" % (
-                    label, format_trace_line(len(path), k, path)))
+                trace.write("%s\t%s\n" % (label, format_trace_line(k, path)))
             if max(cycle) > cap:
                 continue          # coefficients only grow: subtree is dead
             _note_class(classes, _dihedral_key(cycle),
@@ -334,7 +332,7 @@ def _class_fan(root, path):
     """
     if not path:
         return root
-    node = SearchNode(root, root.cones, len(root.rays), 0, (), ())
+    node = SearchNode(root, root.cones, len(root.rays), (), ())
     for _, i in path:
         node = _cone_child(node, i, None, None, True)
     return node.fan
@@ -357,9 +355,10 @@ def _classify_2d(max_points, trace):
 
 
 def _masked_instances(fan, max_points):
-    """In-box assignments passing the wall-sum cap, with their fans."""
-    if not isinstance(fan, ParamFan) or not fan.bounds:
-        return [({}, fan)] if passes_wall_sum(fan, max_points) else []
+    """In-box assignments passing the wall-sum cap, with their fans.
+
+    A concrete fan is the one-point box (), kept or dropped as a whole.
+    """
     names, axes = parameter_axes(fan)
     return instantiate_each(fan, (dict(zip(names, values)) for values
                                   in wall_sum_box(fan, names, axes,
@@ -410,9 +409,22 @@ def _histogram(records, dim):
             for k in range(dim + 1, top + 1)}
 
 
+def open_output(path):
+    """path opened for writing, or ConfigError when it cannot be written.
+
+    The CLI's --out and the trace file are opened with it before any
+    classification work, so a bad path costs no run.
+    """
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s"
+                          % (path, exc.strerror)) from None
+
+
 def run_classify(cfg):
     warnings = cfg.validate()
-    trace = open(cfg.trace_tree, "w") if cfg.trace_tree else None
+    trace = open_output(cfg.trace_tree) if cfg.trace_tree else None
     try:
         if cfg.dimension == 2:
             records, diag = _classify_2d(cfg.max_points, trace)
@@ -588,5 +600,5 @@ __all__ = [
     "Diagnostics", "RunResult", "run_classify", "run_count_tree",
     "run_stats", "list_seeds", "polygon_stats_from_records",
     "render_json", "render_text", "render_stats", "render_seeds",
-    "VALIDATED_3D_MAX_POINTS",
+    "open_output", "VALIDATED_3D_MAX_POINTS",
 ]

@@ -348,11 +348,12 @@ def passes_wall_sum(fan, max_points):
 def wall_sum_box(fan, names, axes, max_points):
     """Value tuples of the box product(*axes) that pass passes_wall_sum.
 
-    fan is a 3D ParamFan, names its parameters in the order of axes.  The
-    test runs on the evaluated rays, before any normalization: with s the
-    sum of a wall's two opposite rays, s = a1 n1 + a2 n2 holds inside
-    span(n1, n2), so with w = n1 x n2 the coefficient sum needs no
-    division, (a1 + a2) <w, w> = <s x n2 + n1 x s, w>.  Parameters are
+    fan is a 3D fan, names its parameters in the order of axes (none for a
+    concrete fan, whose box is the one point ()).  The test runs on the
+    evaluated rays, before any normalization: with s the sum of a wall's
+    two opposite rays, s = a1 n1 + a2 n2 holds inside span(n1, n2), so with
+    w = n1 x n2 the coefficient sum needs no division, (a1 + a2) <w, w> =
+    <s x n2 + n1 x s, w>.  Parameters are
     fixed in names order; a ray is evaluated once all it reads are fixed,
     and a wall is tested once its four rays are, so a failed wall drops
     the rest of the box below it.  Tuples come in itertools.product order.

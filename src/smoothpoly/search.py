@@ -36,7 +36,6 @@ from .exact_linalg import normalize_primitive, vec_add
 from .fans import (
     DegenerateRay,
     Fan,
-    ParamFan,
     blow_up,  # the reference for the index rules; perfbench/traced.py wraps it
     expr_value,
     instantiate,
@@ -82,20 +81,19 @@ class SearchNode:
     the wall's two cones, as fans.walls_of gives them in Wall.incident.
     In dimension 2 both wall maps are empty.
 
-    fan is the Fan (or ParamFan) itself, built from seed_fan, blown_up and
-    path on first read and then kept on the node.  A node refers to its
-    seed fan, never to its parent.
+    fan is the Fan itself, built from seed_fan, blown_up and path on first
+    read and then kept on the node.  A node refers to its seed fan, never
+    to its parent.
     """
 
-    __slots__ = ("seed_fan", "cones", "num_rays", "depth", "path",
-                 "blown_up", "cone_flags", "wall_flags", "wall_cones", "_fan")
+    __slots__ = ("seed_fan", "cones", "num_rays", "path", "blown_up",
+                 "cone_flags", "wall_flags", "wall_cones", "_fan")
 
-    def __init__(self, seed_fan, cones, num_rays, depth, path, blown_up,
+    def __init__(self, seed_fan, cones, num_rays, path, blown_up,
                  cone_flags=None, wall_flags=None, wall_cones=None):
         self.seed_fan = seed_fan
         self.cones = cones
         self.num_rays = num_rays
-        self.depth = depth
         self.path = path
         self.blown_up = blown_up
         self.cone_flags = cone_flags
@@ -114,8 +112,8 @@ def _build_fan(node):
     """The node's fan: each new ray is the sum of the rays it blew up.
 
     As in fans.blow_up, a sum with no parameter left is normalized to a
-    primitive integer vector, and the bounds of a parameter family pass
-    through propagate_bounds once per step.
+    primitive integer vector, and the seed's parameter box passes through
+    propagate_bounds once per step (an empty box stays empty).
     """
     seed = node.seed_fan
     rays = list(seed.rays)
@@ -127,12 +125,10 @@ def _build_fan(node):
             new_ray, _ = normalize_primitive(
                 tuple(expr_value(a) for a in new_ray))
         rays.append(new_ray)
-    if not isinstance(seed, ParamFan):
-        return Fan(rays, node.cones, seed.d)
     bounds = seed.bounds
     for kind, _ in node.path:
         bounds = propagate_bounds(bounds, kind)
-    return ParamFan(rays, node.cones, bounds, seed.excluded, seed.d)
+    return Fan(rays, node.cones, seed.d, bounds, seed.excluded)
 
 
 def make_root(fan):
@@ -143,7 +139,7 @@ def make_root(fan):
         wall_cones = {w.ray_indices: w.incident for w in walls}
     else:
         wall_flags, wall_cones = {}, {}
-    node = SearchNode(fan, fan.cones, len(fan.rays), 0, (), (), cone_flags,
+    node = SearchNode(fan, fan.cones, len(fan.rays), (), (), cone_flags,
                       wall_flags, wall_cones)
     node._fan = fan
     return node
@@ -182,8 +178,7 @@ def _cone_child(node, i, cones_running, walls_running, leaf):
     path = node.path + (("cone", i),)
     blown_up = node.blown_up + (target,)
     if leaf:
-        return SearchNode(node.seed_fan, child_cones, s + 1, node.depth + 1,
-                          path, blown_up)
+        return SearchNode(node.seed_fan, child_cones, s + 1, path, blown_up)
     flags = list(cones_running)
     flags[i] = _CONSIDER
     flags.extend([_CONSIDER] * (d - 1))
@@ -205,8 +200,8 @@ def _cone_child(node, i, cones_running, walls_running, leaf):
         wcones[(c, s)] = (k, k + 1)
     else:
         wflags, wcones = {}, {}
-    return SearchNode(node.seed_fan, child_cones, s + 1, node.depth + 1,
-                      path, blown_up, tuple(flags), wflags, wcones)
+    return SearchNode(node.seed_fan, child_cones, s + 1, path, blown_up,
+                      tuple(flags), wflags, wcones)
 
 
 def _wall_child(node, key, cones_running, walls_running, leaf):
@@ -235,8 +230,8 @@ def _wall_child(node, key, cones_running, walls_running, leaf):
     path = node.path + (("wall", key),)
     blown_up = node.blown_up + (key,)
     if leaf:
-        return SearchNode(node.seed_fan, tuple(child_cones), s + 1,
-                          node.depth + 1, path, blown_up)
+        return SearchNode(node.seed_fan, tuple(child_cones), s + 1, path,
+                          blown_up)
     flags = list(cones_running)
     flags[i1] = _CONSIDER
     flags[i2] = _CONSIDER
@@ -260,9 +255,8 @@ def _wall_child(node, key, cones_running, walls_running, leaf):
     wcones[(n2, s)] = (k, k + 1)
     wcones[(p, s)] = (i1, k)
     wcones[(q, s)] = (i2, k + 1)
-    return SearchNode(node.seed_fan, tuple(child_cones), s + 1,
-                      node.depth + 1, path, blown_up, tuple(flags), wflags,
-                      wcones)
+    return SearchNode(node.seed_fan, tuple(child_cones), s + 1, path,
+                      blown_up, tuple(flags), wflags, wcones)
 
 
 def _moved(incident, old, new):
@@ -329,17 +323,18 @@ def walk_tree(root, max_cones, pruned=True):
 
 def trace_line(node):
     """One stable text line per node for --trace-tree output."""
-    return format_trace_line(node.depth, len(node.cones), node.path)
+    return format_trace_line(len(node.cones), node.path)
 
 
-def format_trace_line(depth, num_cones, path):
-    """trace_line from the fields it reads, for walks without nodes."""
+def format_trace_line(num_cones, path):
+    """trace_line from the fields it reads, for walks without nodes: the
+    depth is the length of the path."""
     if not path:
         step = "root"
     else:
         kind, t = path[-1]
         step = "cone:%d" % t if kind == "cone" else "wall:%d-%d" % t
-    return "%d\t%d\t%s" % (depth, num_cones, step)
+    return "%d\t%d\t%s" % (len(path), num_cones, step)
 
 
 def count_polygon_tree(start_cones, max_cones, pruned=True):
@@ -374,12 +369,11 @@ def count_polygon_tree(start_cones, max_cones, pruned=True):
 def instantiate_all(fan):
     """(assignment, concrete fan) for every point of the parameter box.
 
-    Parameter-free fans yield themselves once.  Combinations where a ray
-    degenerates (vanishes or collides with another) do not correspond to a
-    fan of this combinatorial type and are skipped.
+    A concrete fan has the one-point box () and yields ({}, a fan equal to
+    it) once.  Combinations where a ray degenerates (vanishes or collides
+    with another) do not correspond to a fan of this combinatorial type and
+    are skipped.
     """
-    if not isinstance(fan, ParamFan) or not fan.bounds:
-        return [({}, fan)]
     names, axes = parameter_axes(fan)
     return instantiate_each(fan, (dict(zip(names, combo))
                                   for combo in itertools.product(*axes)))

@@ -6,7 +6,8 @@ minimal classes with at most eight rays (Oda, Convex Bodies and Algebraic
 Geometry); five of them survive the smooth-polygon criterion and are seeded
 here with their parameter bounds, the other fourteen are recorded with
 their vertex-degree profiles so the criterion can report why each one is
-out.
+out.  Every seed is a Fan with a parameter box; F_p and 3^4 have none, so
+their box is the one point ().
 
 Ray coordinates, cone structure and the wall annotations below are
 transcribed from the standard figures of the five survivors.  The
@@ -18,7 +19,7 @@ callables on the assignment.
 
 from dataclasses import dataclass
 
-from .fans import Fan, ParamExpr, ParamFan
+from .fans import Fan, ParamExpr
 
 A = ParamExpr.var("a")
 B = ParamExpr.var("b")
@@ -34,7 +35,7 @@ class Seed:
     """One minimal fan (or family): builder plus documentation data."""
     name: str
     dim: int
-    build: object            # callable: N -> Fan | ParamFan
+    build: object            # callable: N -> Fan
     params_desc: str
     wall_annotations: dict   # (sorted ray indices) -> coefficient tuple
 
@@ -75,9 +76,9 @@ def _build_fa(N):
     # a = 0 is the square fan, a = 1 is excluded: it equals the blow-up of
     # F_p and would be enumerated twice; a >= 2 are the proper Hirzebruch
     # fans (a and -a are isomorphic, so negative values add nothing)
-    return ParamFan([(1, 0), (0, 1), (-1, -A), (0, -1)],
-                    [(0, 1), (1, 2), (2, 3), (3, 0)],
-                    bounds={"a": (0, N)}, excluded={"a": {1}})
+    return Fan([(1, 0), (0, 1), (-1, -A), (0, -1)],
+               [(0, 1), (1, 2), (2, 3), (3, 0)],
+               bounds={"a": (0, N)}, excluded={"a": {1}})
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +96,7 @@ def _build_34(N):
 def _build_3243p(N):
     # rays: 0 P1=(-1,-1,-a), 1 P2=(0,0,1), 2 P3=(1,0,0), 3 P4=(0,0,-1),
     # 4 inf=(0,1,0); the square P1 P2 P3 P4 is split along P1-P3
-    return ParamFan(
+    return Fan(
         [(-1, -1, -A), (0, 0, 1), (1, 0, 0), (0, 0, -1), (0, 1, 0)],
         [(0, 1, 2), (0, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)],
         bounds={"a": (0, N)})
@@ -104,7 +105,7 @@ def _build_3243p(N):
 def _build_3243pp(N):
     # rays: 0 P1=(0,-1,-1), 1 P2=(1,0,0), 2 P3=(0,1,0), 3 P4=(-1,b,c),
     # 4 inf=(0,0,1); same combinatorics as the primed variant
-    return ParamFan(
+    return Fan(
         [(0, -1, -1), (1, 0, 0), (0, 1, 0), (-1, B, C), (0, 0, 1)],
         [(0, 1, 2), (0, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)],
         bounds={"b": (-N, N), "c": (-N, N)})
@@ -113,7 +114,7 @@ def _build_3243pp(N):
 def _build_46(N):
     # rays: 0 P1=(0,-1,b), 1 P2=(1,0,0), 2 P3=(0,1,0), 3 P4=(-1,-a,c),
     # 4 X=(0,0,-1), 5 inf=(0,0,1); octahedral combinatorics
-    return ParamFan(
+    return Fan(
         [(0, -1, B), (1, 0, 0), (0, 1, 0), (-1, -A, C),
          (0, 0, -1), (0, 0, 1)],
         [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4),
@@ -124,7 +125,7 @@ def _build_46(N):
 def _build_324362(N):
     # rays: 0 P1=(0,1,-1), 1 P2=(0,1,0), 2 P3=(0,0,1), 3 P4=(0,0,-1),
     # 4 M_b=(-1,2,-1), 5 M_t=(0,-1,-a), 6 inf=(1,0,0)
-    return ParamFan(
+    return Fan(
         [(0, 1, -1), (0, 1, 0), (0, 0, 1), (0, 0, -1),
          (-1, 2, -1), (0, -1, -A), (1, 0, 0)],
         [(0, 3, 4), (3, 4, 5), (1, 2, 4), (2, 4, 5),

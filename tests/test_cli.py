@@ -71,6 +71,22 @@ def test_classify_trace_file_is_replaced(capsys, tmp_path):
     assert trace.read_text() == first
 
 
+@pytest.mark.parametrize("flag", ["--out", "--trace-tree"])
+def test_classify_unwritable_path_exits_2_before_classifying(
+        capsys, monkeypatch, tmp_path, flag):
+    def no_run(*args):
+        raise AssertionError("classification ran")
+
+    # a classification reached would trip this and exit 3
+    monkeypatch.setattr(pipeline, "_classify_2d", no_run)
+    path = tmp_path / "missing" / "report"
+    code, out, err = run_cli(["classify", "--dim", "2", "--max-points",
+                              "12", flag, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write %s: No such file or directory\n" % (
+        path,)
+
+
 def test_classify_rejects_bad_config(capsys):
     code, _, err = run_cli(["classify", "--dim", "4", "--max-points", "9"],
                            capsys)
@@ -117,6 +133,10 @@ def test_stats_command(capsys):
     assert code == 0
     assert out.splitlines()[1].split() == ["l", "3", "4", ">6", ">6",
                                            ">6", ">6"]
+    code, out, _ = run_cli(["stats", "--max-points", "12"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f8c5aa25424d41998aff68a9cfb31a755aa1e6ae3de239b513d8202dfa756204")
 
 
 def test_seeds_command(capsys):
@@ -124,6 +144,9 @@ def test_seeds_command(capsys):
     assert code == 0
     assert "F_p" in out and "4^6" in out
     assert "eliminated minimal fans" in out
+    # the whole listing: every seed's rays, cones and parameter text
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "84fc62e6baadc572a012bb176088174a92b61bddc1ed646aa2e21cbfa97f322e")
 
 
 def test_invariant_failure_exits_3(capsys, monkeypatch):

@@ -12,7 +12,6 @@ from smoothpoly import InvariantError, pipeline, seeds
 from smoothpoly.fans import (
     DegenerateRay,
     Fan,
-    ParamFan,
     instantiate,
     walls_of,
 )
@@ -34,7 +33,7 @@ def fp():
 
 def fa(a):
     pf = seeds.get_seed("F_a").build(12)
-    wide = ParamFan(pf.rays, pf.cones, {"a": (-20, 20)})
+    wide = Fan(pf.rays, pf.cones, bounds={"a": (-20, 20)})
     return instantiate(wide, {"a": a})
 
 
@@ -199,7 +198,8 @@ def test_wall_sum_box_matches_scalar_3d(name, box):
 
 def test_wall_sum_box_matches_scalar_on_every_box_of_a_run(monkeypatch):
     """Every parameter box of the 3D N = 12 run keeps exactly the points
-    whose instantiated fan passes the scalar test, in product order."""
+    whose instantiated fan passes the scalar test, in product order.  The
+    472 concrete nodes that pass the criterion are one-point boxes ()."""
     calls = []
     box = pipeline.wall_sum_box
 
@@ -224,7 +224,7 @@ def test_wall_sum_box_matches_scalar_on_every_box_of_a_run(monkeypatch):
                 scalar.append(c)
         assert [c for c in kept if c not in degenerate] == scalar
     assert (len(calls), points, sum(len(k) for *_, k in calls)) == (
-        118, 57165, 3947)
+        590, 57637, 4419)
 
 
 def test_enumerated_levels_lie_in_the_window():

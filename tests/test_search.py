@@ -12,7 +12,6 @@ from smoothpoly import pipeline, search, seeds
 from smoothpoly.fans import (
     Fan,
     ParamExpr,
-    ParamFan,
     blow_up,
     fan_canonical_key,
     walls_of,
@@ -166,7 +165,7 @@ def _expandable(node, max_cones):
     """Whether the walk to max_cones expands node, so that it carries flags
     (a root always does)."""
     step = 1 if node.seed_fan.d == 2 else 2
-    return node.depth == 0 or len(node.cones) + step <= max_cones
+    return not node.path or len(node.cones) + step <= max_cones
 
 
 def test_wall_order_tracks_actual_walls():
@@ -244,7 +243,8 @@ def test_propagate_bounds():
 def test_walk_widens_parametric_bounds():
     fa = seeds.seed_fan("F_a", 12)
     for node in walk_tree(fa, 6):
-        assert node.fan.bounds == {"a": (-node.depth, 12 + node.depth)}
+        depth = len(node.path)
+        assert node.fan.bounds == {"a": (-depth, 12 + depth)}
         assert node.fan.excluded == {"a": frozenset({1})}
 
 
@@ -252,7 +252,7 @@ def test_instantiate_all():
     pairs = instantiate_all(seeds.seed_fan("F_a", 12))
     assert len(pairs) == 12
     assert [asg["a"] for asg, _ in pairs] == [0] + list(range(2, 13))
-    assert all(isinstance(f, Fan) and not isinstance(f, ParamFan)
+    assert all(isinstance(f, Fan) and f.bounds == f.excluded == {}
                for _, f in pairs)
 
     only = instantiate_all(t34())
@@ -264,9 +264,9 @@ def test_instantiate_all():
 
 def test_instantiate_all_skips_degenerate_combinations():
     A = ParamExpr.var("a")
-    pf = ParamFan([(1, 0), (0, 1), (-1, -A), (-1, -1)],
-                  [(0, 1), (1, 2), (2, 3), (3, 0)],
-                  bounds={"a": (0, 2)})
+    pf = Fan([(1, 0), (0, 1), (-1, -A), (-1, -1)],
+             [(0, 1), (1, 2), (2, 3), (3, 0)],
+             bounds={"a": (0, 2)})
     # a = 1 makes rays 2 and 3 coincide
     pairs = instantiate_all(pf)
     assert [asg["a"] for asg, _ in pairs] == [0, 2]
@@ -280,8 +280,8 @@ def test_trace_line():
     node3 = list(enumerate_blowups(make_root(t34()), 12))[5]
     assert trace_line(node3) == "1\t6\twall:0-2"
     # the node-free form that the polygon loop writes with
-    assert format_trace_line(1, 4, (("cone", 2),)) == trace_line(child)
-    assert format_trace_line(0, 3, ()) == trace_line(root)
+    assert format_trace_line(4, (("cone", 2),)) == trace_line(child)
+    assert format_trace_line(3, ()) == trace_line(root)
 
 
 def test_walk_tree_expands_only_expandable_nodes(monkeypatch):
@@ -375,11 +375,8 @@ def _reference_children(fan, bookkeeping, max_cones, pruned):
 
     def grown(target, kind):
         child = blow_up(fan, target)
-        if isinstance(child, ParamFan) and child.bounds:
-            child = ParamFan(child.rays, child.cones,
-                             propagate_bounds(child.bounds, kind),
-                             child.excluded, child.d)
-        return child
+        return Fan(child.rays, child.cones, child.d,
+                   propagate_bounds(child.bounds, kind), child.excluded)
 
     def faces(cone):
         return [(cone[a], cone[b])
@@ -484,9 +481,8 @@ def test_walk_equals_blow_up_replay(name, max_cones, pruned):
         assert ([[type(a) for a in r] for r in built.rays]
                 == [[type(a) for a in r] for r in ref.rays])
         assert built.d == ref.d
-        if isinstance(ref, ParamFan):
-            assert built.bounds == ref.bounds
-            assert built.excluded == ref.excluded
+        assert built.bounds == ref.bounds
+        assert built.excluded == ref.excluded
         # a node refers to its seed fan, never to another node
         assert not any(isinstance(getattr(node, slot), SearchNode)
                        for slot in SearchNode.__slots__)
@@ -497,8 +493,8 @@ def test_built_rays_normalize_like_blow_up():
     # primitive and integer exactly as fans.blow_up does
     one = ParamExpr(1)
     fans_in = [Fan([(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
-               ParamFan([(one, 0), (0, one), (-1, -ParamExpr.var("a"))],
-                        [(0, 1), (1, 2), (0, 2)], bounds={"a": (0, 2)})]
+               Fan([(one, 0), (0, one), (-1, -ParamExpr.var("a"))],
+                   [(0, 1), (1, 2), (0, 2)], bounds={"a": (0, 2)})]
     for fan in fans_in:
         child = next(enumerate_blowups(make_root(fan), 4))
         ref = blow_up(fan, fan.cones[0])

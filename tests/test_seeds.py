@@ -50,7 +50,7 @@ SWEEPS = {
 
 def seed_instances(seed, N=12):
     fan = seed.build(N)
-    if not getattr(fan, "params", ()):
+    if not fan.bounds:
         return [fan]
     return [instantiate(fan, asg) for asg in SWEEPS[seed.name]]
 
@@ -98,7 +98,7 @@ def test_seed_cones_unimodular_for_all_parameters():
     grid = (-2, -1, 0, 1, 2)
     for seed in seeds._ALL_SEEDS:
         fan = seed.build(12)
-        params = sorted(getattr(fan, "params", ()))
+        params = sorted(fan.bounds)
         if not params:
             smooth, _ = is_smooth_fan(fan)
             assert smooth, seed.name
@@ -130,7 +130,7 @@ def test_wall_annotations_symbolic():
             assert ep.coeffs == seed.wall_annotations[wall.ray_indices], \
                 (seed.name, wall.ray_indices)
             checked += 1
-        if not getattr(fan, "params", ()):
+        if not fan.bounds:
             assert checked == len(walls)
 
 
@@ -139,7 +139,7 @@ def test_wall_annotations_numeric():
     # against the stored entry evaluated at the same assignment
     for seed in seeds._ALL_SEEDS:
         fan = seed.build(12)
-        if not getattr(fan, "params", ()):
+        if not fan.bounds:
             continue
         for asg in SWEEPS[seed.name]:
             inst = instantiate(fan, asg)
