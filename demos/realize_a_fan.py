@@ -4,20 +4,19 @@
 
 from smoothpoly import seeds
 from smoothpoly.exact_linalg import dot
-from smoothpoly.fans import instantiate, walls_of
+from smoothpoly.fans import instantiate, wall_table
 from smoothpoly.polytopes import edges_of
-from smoothpoly.rhs import (
-    build_rhs_polytope, edge_length_form, enumerate_rhs, realize_and_filter,
-)
+from smoothpoly.rhs import enumerate_rhs, realize_and_filter
 
 N = 12
 fan = instantiate(seeds.get_seed("4^6").build(N), {"a": 0, "b": 0, "c": 0})
 print("cube fan rays:", fan.rays)
 
 # P = {x : <ray_i, x> <= b_i}; which b give a polytope with normal fan F
-# and at most N lattice points?  b lives in an explicit bounding polytope.
-B = build_rhs_polytope(fan, N)
-print("pinned rays (b=0):", B.pinned, " slack:", B.slack)
+# and at most N lattice points?  Translations are removed by pinning b = 0
+# on the rays of the least cone, and the edge lengths minus one may add up
+# to at most N - #cones (the slack), since every cone gives a vertex.
+print("pinned rays (b=0):", min(fan.cones), " slack:", N - len(fan.cones))
 
 levels = enumerate_rhs(fan, N)
 print("%d candidate right-hand sides" % len(levels))
@@ -31,7 +30,9 @@ for b in levels:
           % (num_points, poly.vertices[:2] + ("...",)))
 
 # each wall of the fan is dual to an edge of the polytope, and its length
-# is a linear form in b; check that against the geometry for one b
+# is a linear form in b: with opposite rays p, q and wall coefficients a_i
+# on the spanning rays n_i (p + q = sum a_i n_i), the length is
+# b_p + b_q - sum a_i b_{n_i}.  Check that against the geometry for one b.
 b = levels[-1]
 poly, _, _ = realize_and_filter(fan, b, N)
 edges = {frozenset(e.endpoints): e.lattice_length for e in edges_of(poly)}
@@ -45,8 +46,8 @@ for ci, cone in enumerate(fan.cones):
             at_vertex[ci] = vi
 
 print("\nedge lengths for b =", b)
-for wall in walls_of(fan):
-    form = edge_length_form(fan, wall)
-    pair = frozenset(at_vertex[c] for c in wall.incident)
+for ridge, incident, (p, q), coeffs in wall_table(fan):
+    length = b[p] + b[q] - sum(a * b[n] for n, a in zip(ridge, coeffs))
+    pair = frozenset(at_vertex[c] for c in incident)
     print("  wall %s: form says %d, geometry says %d"
-          % (wall.ray_indices, form.evaluate(b), edges[pair]))
+          % (ridge, length, edges[pair]))

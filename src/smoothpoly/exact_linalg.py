@@ -1,17 +1,15 @@
-"""Exact integer and rational linear algebra for small dimensions.
+"""Exact integer linear algebra for small dimensions.
 
 Vectors are plain tuples of Python ints, matrices are tuples of row tuples.
 Every matrix acts on column vectors (U applied to v is mat_vec(U, v)).
 Dimensions stay tiny here (8 at the very most), so clarity wins over speed:
 cofactor expansion and fraction-free Bareiss elimination cover everything
-without ever rounding.  fractions.Fraction appears only in solve_rational,
-the general exact solve, which the classification does not call: a vertex
-of a smooth cone comes from Cramer's rule over determinant (rhs), polytope
-normals are integer cross products and perpendiculars (polytopes, d in
-{2, 3}), and spanning is a determinant test.
+without ever rounding, and there is no rational solve: a vertex of a smooth
+cone comes from Cramer's rule over determinant (rhs), polytope normals are
+integer cross products and perpendiculars (polytopes, d in {2, 3}), and
+spanning is a determinant test.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from . import InvariantError
@@ -50,10 +48,6 @@ def vec_sub(u, v):
 
 def vec_neg(v):
     return tuple(-a for a in v)
-
-
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
 
 
 def dot(u, v):
@@ -95,7 +89,7 @@ def columns_matrix(vectors):
 def normalize_primitive(v):
     """Divide out the gcd of the entries, keeping the direction.
 
-    Returns (primitive, factor) with vec_scale(factor, primitive) == v and
+    Returns (primitive, factor) with factor * primitive == v entrywise and
     factor a positive integer.  Raises ZeroVectorError for the zero vector,
     which has no direction to keep.
     """
@@ -173,51 +167,10 @@ def inverse_unimodular(M):
     return inv
 
 
-def solve_rational(M, y):
-    """Solve M.x = y exactly, the columns of M acting as the basis.
-
-    M has m rows and n <= m columns of plain integers.  Returns the unique
-    solution as a tuple of Fractions.  Raises Singular if the columns are
-    linearly dependent and Inconsistent if y lies outside their span.
-
-    Entries of y may also be any value supporting field arithmetic with
-    Fraction (we use this for affine parameter expressions); such entries
-    pass through the elimination untouched by coercion.
-    """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if any(len(row) != n for row in M):
-        raise ShapeError("ragged matrix")
-    if len(y) != m:
-        raise ShapeError("rhs length %d does not match %d rows" % (len(y), m))
-    if n > m:
-        raise Singular("more columns than rows, columns cannot be independent")
-    # Gauss-Jordan on the augmented matrix [M | y] over Fraction.
-    aug = [[Fraction(M[i][j]) for j in range(n)]
-           + [Fraction(y[i]) if isinstance(y[i], int) else y[i]]
-           for i in range(m)]
-    for c in range(n):
-        p = next((i for i in range(c, m) if aug[i][c] != 0), None)
-        if p is None:
-            raise Singular("columns are linearly dependent")
-        aug[c], aug[p] = aug[p], aug[c]
-        piv = aug[c][c]
-        aug[c] = [a / piv for a in aug[c]]
-        for i in range(m):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    for i in range(n, m):
-        if aug[i][n] != 0:
-            raise Inconsistent("rhs is outside the column span")
-    return tuple(aug[i][n] for i in range(n))
-
-
 __all__ = [
-    "Fraction", "ZeroVectorError", "ShapeError", "NotUnimodular",
+    "ZeroVectorError", "ShapeError", "NotUnimodular",
     "Singular", "Inconsistent",
-    "vec_add", "vec_sub", "vec_neg", "vec_scale", "dot", "cross",
+    "vec_add", "vec_sub", "vec_neg", "dot", "cross",
     "identity_matrix", "transpose", "mat_vec", "mat_mul", "columns_matrix",
     "normalize_primitive", "determinant", "inverse_unimodular",
-    "solve_rational",
 ]

@@ -1,4 +1,4 @@
-"""Rational simplicial fans: walls, edge-parameters, blow-ups, canonical keys.
+"""Rational simplicial fans: walls, wall tables, blow-ups, canonical keys.
 
 A fan is stored combinatorially: a tuple of primitive rays plus maximal cones
 as sorted tuples of ray indices, and a box of named integer parameters.  In a
@@ -12,18 +12,18 @@ this is exactly the equivariant blow-up of the associated toric variety, and
 it preserves smoothness and completeness (the new ray completes the same
 bases; determinants are unchanged since det(z1,...,z_{d-1}, z1+...+zd) =
 det(z1,...,zd)).
+
+Wall coefficients are solved in integers only, one wall_table per concrete
+fan; a family is instantiated before any wall is solved.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from operator import add
 
 from .exact_linalg import (
     Inconsistent,
     Singular,
-    columns_matrix,
-    determinant,
     inverse_unimodular,  # unused: kept for perfbench/traced.py to wrap
     normalize_primitive,
     vec_add,
@@ -42,10 +42,6 @@ class NonIntegral(ValueError):
     """Edge-parameter solve came out fractional: non-smooth wall data."""
 
 
-class ParametricWallUnsupported(ValueError):
-    """Edge parameters requested on a wall spanned by parametric rays."""
-
-
 class OutOfBounds(ValueError):
     """Parameter assignment violates the declared bounds or exclusions."""
 
@@ -58,11 +54,10 @@ class DegenerateRay(ValueError):
 # affine parameter expressions
 
 class ParamExpr:
-    """Affine expression const + sum(coeff * parameter) with exact values.
+    """Affine expression const + sum(coeff * parameter) with integer values.
 
-    Coefficients are integers in all stored fan data; Fractions appear only
-    transiently inside linear solves.  Zero coefficients are never stored, so
-    equal expressions compare and hash equal.
+    Zero coefficients are never stored, so equal expressions compare and
+    hash equal.
     """
 
     __slots__ = ("const", "coeffs")
@@ -91,7 +86,7 @@ class ParamExpr:
             for n, c in other.coeffs.items():
                 coeffs[n] = coeffs.get(n, 0) + sign * c
             return ParamExpr(self.const + sign * other.const, coeffs)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return ParamExpr(self.const + sign * other, self.coeffs)
         return NotImplemented
 
@@ -103,24 +98,15 @@ class ParamExpr:
     def __sub__(self, other):
         return self._binop(other, -1)
 
-    def __rsub__(self, other):
-        return (-self)._binop(other, 1)
-
     def __neg__(self):
         return ParamExpr(-self.const, {n: -c for n, c in self.coeffs.items()})
 
     def __mul__(self, k):
-        if not isinstance(k, (int, Fraction)):
+        if not isinstance(k, int):
             return NotImplemented
         return ParamExpr(self.const * k, {n: c * k for n, c in self.coeffs.items()})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, k):
-        if not isinstance(k, (int, Fraction)):
-            return NotImplemented
-        return ParamExpr(Fraction(self.const) / k,
-                         {n: Fraction(c) / k for n, c in self.coeffs.items()})
 
     def _key(self):
         return (self.const, tuple(sorted(self.coeffs.items())))
@@ -128,7 +114,7 @@ class ParamExpr:
     def __eq__(self, other):
         if isinstance(other, ParamExpr):
             return self._key() == other._key()
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return not self.coeffs and self.const == other
         return NotImplemented
 
@@ -173,8 +159,8 @@ class Fan:
 
     Cones are normalized to sorted tuples.  Cones with more than d rays are
     tolerated at construction so that normal fans of non-simple polytopes can
-    be represented; such fans only flow into is_smooth_fan (which reports
-    them non-smooth) and are rejected by the structural operations.
+    be represented; the structural operations (walls_of, wall_table,
+    blow_up) reject them.
 
     Ray entries may be ParamExpr over the parameters of the box: bounds maps
     parameter name -> (lower, upper) and excluded maps parameter name ->
@@ -225,13 +211,6 @@ class Wall:
     opposite: tuple
 
 
-@dataclass(frozen=True)
-class EdgeParams:
-    """Integer coefficients a_i with r1 + r2 = sum a_i * n_i across a wall."""
-    wall: Wall
-    coeffs: tuple
-
-
 def walls_of(fan):
     """All walls of a complete simplicial fan, sorted by spanning ray indices.
 
@@ -275,36 +254,18 @@ def _paired_ridges(fan):
     return paired
 
 
-def edge_parameters(fan, wall):
-    """Solve r1 + r2 = sum a_i n_i for the wall's edge-parameters.
-
-    The n_i are the wall's spanning rays, r1/r2 the opposite rays of the two
-    incident cones; the solve is _wall_coeffs.  On parametric fans the
-    spanning rays must be parameter-free (ParametricWallUnsupported
-    otherwise); the opposite rays may be parametric, giving ParamExpr
-    coefficients.
-    """
-    spanning = [fan.rays[i] for i in wall.ray_indices]
-    for v in spanning:
-        if not is_numeric_vector(v):
-            raise ParametricWallUnsupported(
-                "wall %r is spanned by parametric rays" % (wall.ray_indices,))
-    spanning = [tuple(expr_value(a) for a in v) for v in spanning]
-    s = vec_add(fan.rays[wall.opposite[0]], fan.rays[wall.opposite[1]])
-    return EdgeParams(wall, _wall_coeffs(spanning, s, wall.ray_indices))
-
-
 def wall_table(fan):
     """(ridge, incident, opposite, coeffs) for every wall, in walls_of order.
 
     The ridges are paired as in walls_of (incident in increasing order,
     opposite[i] the ray completing incident[i]); then each wall is solved
-    by _wall_coeffs, so coeffs equals edge_parameters(fan, wall).coeffs.
-    Needs a simplicial fan with integer rays in dimension 2 or 3.  Raises
-    what walls_of and edge_parameters raise: NotComplete for a ridge in a
-    number of cones other than two (checked on every ridge before any wall
-    is solved), ValueError for a cone with other than d rays, and
-    Inconsistent, NonIntegral or Singular from the solve.
+    by _wall_coeffs: coeffs are the integers a_i with r1 + r2 = sum a_i n_i,
+    n_i the wall's spanning rays and r1, r2 its opposite rays.  Needs a
+    concrete simplicial fan in dimension 2 or 3, so a family is
+    instantiated first.  Raises what walls_of raises: NotComplete for a
+    ridge in a number of cones other than two (checked on every ridge
+    before any wall is solved) and ValueError for a cone with other than d
+    rays; and Inconsistent, NonIntegral or Singular from the solve.
     """
     rays = fan.rays
     table = []
@@ -318,8 +279,8 @@ def wall_table(fan):
 def _wall_coeffs(spanning, s, ridge):
     """The integer coefficients a_i with s = sum a_i n_i on one wall.
 
-    spanning holds the wall's integer rays n_i, and s is an integer or
-    ParamExpr vector.  With no division until the end:
+    spanning holds the wall's integer rays n_i, and s is an integer
+    vector.  With no division until the end:
 
       d=2 (wall = one ray n):  a = s_k / n_k at the first nonzero n_k,
       d=3 (w = n1 x n2):       a1 <w,w> = <s x n2, w>,  a2 <w,w> = <n1 x s, w>.
@@ -364,66 +325,9 @@ def _wall_coeffs(spanning, s, ridge):
 
 
 def _exact_quotient(x, den):
-    """x / den for an int or ParamExpr x when exact, else None."""
-    if isinstance(x, ParamExpr):
-        if x.is_constant:
-            x = x.const
-        else:
-            if any(p % den for p in (x.const, *x.coeffs.values())):
-                return None
-            return ParamExpr(x.const // den,
-                             {n: c // den for n, c in x.coeffs.items()})
+    """x / den for an int x when exact, else None."""
     q, r = divmod(x, den)
     return None if r else q
-
-
-def is_smooth_fan(fan):
-    """(True, None) iff every maximal cone is simplicial with determinant +-1.
-
-    Otherwise (False, index of an offending cone).  Needs a concrete fan;
-    parametric rays have no numeric determinant.
-    """
-    for ci, cone in enumerate(fan.cones):
-        if len(cone) != fan.d:
-            return False, ci
-        M = columns_matrix([fan.rays[i] for i in cone])
-        if determinant(M) not in (1, -1):
-            return False, ci
-    return True, None
-
-
-def is_complete_fan(fan):
-    """Ridge pairing + adjacency connectivity + the Euler count.
-
-    d=2 needs |rays| = |cones|; d=3 needs |rays| - |walls| + |cones| = 2.
-    Returns False when a ridge does not lie in exactly two cones; a cone
-    with other than d rays has no ridges to pair and raises ValueError,
-    as in walls_of.
-    """
-    assert fan.d in (2, 3)
-    try:
-        paired = _paired_ridges(fan)
-    except NotComplete:
-        return False
-    # walk the wall-adjacency graph
-    n = len(fan.cones)
-    seen = {0}
-    queue = [0]
-    adj = {}
-    for _, c1, _, c2, _ in paired:
-        adj.setdefault(c1, []).append(c2)
-        adj.setdefault(c2, []).append(c1)
-    while queue:
-        c = queue.pop()
-        for nb in adj.get(c, ()):
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    if len(seen) != n:
-        return False
-    if fan.d == 2:
-        return len(fan.rays) == len(fan.cones)
-    return len(fan.rays) - len(paired) + len(fan.cones) == 2
 
 
 def blow_up(fan, target):
@@ -610,11 +514,11 @@ def _flag_walk(cones, across, start, flag, best):
 
 
 __all__ = [
-    "NotComplete", "InvalidCone", "NonIntegral", "ParametricWallUnsupported",
+    "NotComplete", "InvalidCone", "NonIntegral",
     "OutOfBounds", "DegenerateRay",
     "ParamExpr", "expr_value", "is_numeric_vector",
-    "Fan", "Wall", "EdgeParams",
-    "walls_of", "edge_parameters", "wall_table",
-    "is_smooth_fan", "is_complete_fan", "blow_up", "instantiate",
+    "Fan", "Wall",
+    "walls_of", "wall_table",
+    "blow_up", "instantiate",
     "fan_canonical_key",
 ]

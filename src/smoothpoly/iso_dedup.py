@@ -49,17 +49,20 @@ def lattice_isomorphic(P, Q):
     """Decide whether U.P + t = Q for some unimodular U, integer t.
 
     Returns (True, (U, t)) with a verified witness, or (False, None).
-    P must be simple and smooth at its first vertex; Q may be any lattice
-    polytope (non-simple vertices just contribute more candidate bases).
+    P must be simple and smooth at its first vertex, else ValueError;
+    Q may be any lattice polytope (non-simple vertices just contribute
+    more candidate bases).
     """
     if P.d != Q.d or len(P.vertices) != len(Q.vertices):
         return False, None
     d = P.d
     v0 = P.vertices[0]
     base = vertex_directions(P)[0]
-    assert len(base) == d, "anchor vertex of P is not simple"
+    if len(base) != d:
+        raise ValueError("anchor vertex of P is not simple")
     E_p = columns_matrix(base)
-    assert determinant(E_p) in (1, -1), "anchor vertex of P is not smooth"
+    if determinant(E_p) not in (1, -1):
+        raise ValueError("anchor vertex of P is not smooth")
     E_p_inv = inverse_unimodular(E_p)
 
     p_verts = P.vertices

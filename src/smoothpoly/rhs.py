@@ -16,12 +16,10 @@ Translation freedom is removed by pinning b = 0 on the rays of the
 lexicographically least cone, which parks that cone's vertex at the origin.
 
 The wall coefficients come from one fans.wall_table per fan, which the
-level enumeration, the reference RhsPolytope and the wall-sum filter
-read; edge_length_form solves a single given wall with edge_parameters.
+level enumeration and the wall-sum filter read.
 
 Edge lengths are integers, so enumeration floors each cap once, to
-(N - sum(a) - d) // d, and works in integers only.  The Fraction caps
-remain only in RhsPolytope, whose contains is the slow reference.
+(N - sum(a) - d) // d, and works in integers only.
 
 In 2D, least_perimeter bounds the edge-length sum of any polygon with a
 given coefficient cycle from below, in integers and without building the
@@ -30,13 +28,11 @@ enumerates levels only for classes within the bound.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import InvariantError
 from .exact_linalg import determinant, dot
 from .fans import (
     ParamExpr,
-    edge_parameters,
     wall_table,
     walls_of,
 )
@@ -53,33 +49,16 @@ class EdgeLengthForm:
     """Lattice length of one edge as a linear form over all ray levels."""
     wall: tuple          # spanning ray indices
     terms: tuple         # (ray index, coeff) for each nonzero coeff
-    size: int            # number of fan rays
-
-    @property
-    def coeffs(self):
-        """Dense coefficients, one entry per fan ray."""
-        dense = [0] * self.size
-        for i, c in self.terms:
-            dense[i] = c
-        return tuple(dense)
-
-    def evaluate(self, b):
-        return sum(c * b[i] for i, c in self.terms)
 
 
-def _form(ridge, opposite, coeffs, size):
+def _form(ridge, opposite, coeffs):
     dense = {}
     for opp in opposite:
         dense[opp] = dense.get(opp, 0) + 1
     for idx, a in zip(ridge, coeffs):
         dense[idx] = dense.get(idx, 0) - a
     terms = tuple(sorted((i, c) for i, c in dense.items() if c))
-    return EdgeLengthForm(ridge, terms, size)
-
-
-def edge_length_form(fan, wall):
-    return _form(wall.ray_indices, wall.opposite,
-                 edge_parameters(fan, wall).coeffs, len(fan.rays))
+    return EdgeLengthForm(ridge, terms)
 
 
 def _wall_forms(fan):
@@ -87,47 +66,11 @@ def _wall_forms(fan):
 
     One wall_table per fan: every wall is solved once, in walls_of order.
     """
-    size = len(fan.rays)
     out = []
     for row in wall_table(fan):
         ridge, _, opposite, coeffs = row
-        out.append((row, _form(ridge, opposite, coeffs, size), sum(coeffs)))
+        out.append((row, _form(ridge, opposite, coeffs), sum(coeffs)))
     return out
-
-
-@dataclass(frozen=True)
-class RhsPolytope:
-    """The set of b-vectors kept by the three bounds above.
-
-    The slow reference for enumerate_rhs: it keeps the rational caps as
-    Fractions (it lives in b-space, not in R^d), where enumeration uses
-    the floored integer caps.
-    """
-    max_points: int
-    pinned: tuple        # ray indices with b forced to 0
-    forms: tuple         # EdgeLengthForm per wall, in walls_of order
-    uppers: tuple        # Fraction cap per form
-    slack: int           # cap on sum over walls of (length - 1)
-
-    def contains(self, b):
-        if any(b[i] != 0 for i in self.pinned):
-            return False
-        total = 0
-        for form, cap in zip(self.forms, self.uppers):
-            ell = form.evaluate(b)
-            if ell < 1 or ell > cap:
-                return False
-            total += ell - 1
-        return total <= self.slack
-
-
-def build_rhs_polytope(fan, max_points):
-    data = _wall_forms(fan)
-    return RhsPolytope(max_points, min(fan.cones),
-                       tuple(form for _, form, _ in data),
-                       tuple(Fraction(max_points - a_sum, fan.d) - 1
-                             for _, _, a_sum in data),
-                       max_points - len(fan.cones))
 
 
 def _assignment_plan(fan, walls, forms, caps, pinned):
@@ -187,7 +130,7 @@ def _assignment_plan(fan, walls, forms, caps, pinned):
 
 
 def enumerate_rhs(fan, max_points):
-    """All integer level vectors inside build_rhs_polytope, sorted lex.
+    """All integer level vectors that the three bounds keep, sorted lex.
 
     Integer-only: each cap is floored once, the step's window form fixes
     the new level for each edge length ell, and only the forms completed at
@@ -255,7 +198,7 @@ def least_perimeter(cycle):
     level vector, as sum_i (b_{i-1} + b_{i+1} - a_i b_i) r_i = sum_i b_i
     (r_{i-1} + r_{i+1} - a_i r_i) = 0).  The bound keeps l >= 1 and the
     closure and drops the edge caps and integrality, so it only relaxes
-    the RhsPolytope conditions: every level vector has k + ceil(g) <=
+    the three bounds: every level vector has k + ceil(g) <=
     sum l <= N, and a cycle with least_perimeter > N has none.
     """
     k = len(cycle)
@@ -413,8 +356,7 @@ def _fix_parameters(axes, plans, t, vals, rays, cap, out):
 
 
 __all__ = [
-    "EdgeLengthForm", "edge_length_form",
-    "RhsPolytope", "build_rhs_polytope", "enumerate_rhs",
+    "EdgeLengthForm", "enumerate_rhs",
     "least_perimeter", "realize_and_filter",
     "wall_sums", "passes_wall_sum", "wall_sum_box",
 ]

@@ -9,12 +9,11 @@ their vertex-degree profiles so the criterion can report why each one is
 out.  Every seed is a Fan with a parameter box; F_p and 3^4 have none, so
 their box is the one point ().
 
-Ray coordinates, cone structure and the wall annotations below are
-transcribed from the standard figures of the five survivors.  The
-annotations are redundant data (edge_parameters recomputes them from rays
-and cones) kept as a cross-check against transcription slips; entries that
-are not affine in the parameters (two bilinear ones on 4^6) are stored as
-callables on the assignment.
+Ray coordinates and cone structure below are transcribed from the
+standard figures of the five survivors.  The wall coefficients printed in
+those figures are redundant data (wall_table recomputes them from rays and
+cones), so they live in the tests, as a cross-check against transcription
+slips.
 """
 
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ class Seed:
     dim: int
     build: object            # callable: N -> Fan
     params_desc: str
-    wall_annotations: dict   # (sorted ray indices) -> coefficient tuple
 
 
 @dataclass(frozen=True)
@@ -133,90 +131,15 @@ def _build_324362(N):
         bounds={"a": (-((N + 1) // 2), (N - 1) // 2)})
 
 
-# Wall annotations, aligned with the sorted ray-index pair (or singleton in
-# dimension 2).  These restate the figure labels in ray-index form.
-
-_WALLS_FP = {(0,): (-1,), (1,): (-1,), (2,): (-1,)}
-
-_WALLS_FA = {(0,): (0,), (1,): (-A,), (2,): (0,), (3,): (A,)}
-
-_WALLS_34 = {key: (-1, -1)
-             for key in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]}
-
-_WALLS_3243P = {
-    (0, 2): (0, 0),          # diagonal P1-P3
-    (0, 4): (0, 0),
-    (2, 4): (0, 0),
-    # the figure prints +1 at the inf end of the {P4, inf} wall; solving
-    # P3 + P1 = a*P4 + t*inf forces t = -1 (the mirror wall {P2, inf} is
-    # printed -1 as expected)
-    (3, 4): (A, -1),
-    (1, 4): (-A, -1),
-    (0, 3): (-1, A),
-    (2, 3): (-1, A),
-    (0, 1): (-1, -A),
-    (1, 2): (-A, -1),
-}
-
-_WALLS_3243PP = {
-    (0, 4): (-B, C - B),
-    (0, 2): (-C, B - C),     # diagonal P1-P3
-    (2, 4): (B, C),
-    (3, 4): (0, -1),
-    (0, 3): (-1, 0),
-    (2, 3): (-1, 0),
-    (1, 4): (0, -1),
-    (0, 1): (-1, 0),
-    (1, 2): (0, -1),
-}
-
-_WALLS_46 = {
-    # two annotations are bilinear (c - ab and ab - c) and cannot be held
-    # as affine expressions; stored as callables on the assignment
-    (0, 5): (A, lambda v: v["c"] - v["a"] * v["b"]),
-    (0, 4): (A, lambda v: v["a"] * v["b"] - v["c"]),
-    (2, 4): (-A, -C),
-    (2, 5): (-A, C),
-    (3, 4): (0, -B),
-    (1, 4): (0, -B),
-    (3, 5): (0, B),
-    (1, 5): (0, B),
-    (0, 3): (0, 0),
-    (2, 3): (0, 0),
-    (0, 1): (0, 0),
-    (1, 2): (0, 0),
-}
-
-_WALLS_324362 = {
-    (0, 6): (2, -1),
-    (2, 4): (-A, 0),
-    (2, 6): (-A, 0),
-    (3, 6): (A + 1, 0),
-    (3, 4): (A + 1, 0),
-    (1, 6): (2, -1),
-    (0, 3): (2, -1),
-    (4, 6): (1, 1),
-    (4, 5): (0, 0),
-    (5, 6): (0, 0),
-    (1, 2): (2, -1),
-    (0, 4): (2, -1),
-    (1, 4): (2, -1),
-    (3, 5): (2 * A + 1, -2),
-    (2, 5): (-2 * A - 1, -2),
-}
-
-
 _ALL_SEEDS = (
-    Seed("F_p", 2, _build_fp, "none", _WALLS_FP),
-    Seed("F_a", 2, _build_fa, "a in [0, N], a != 1", _WALLS_FA),
-    Seed("3^4", 3, _build_34, "none", _WALLS_34),
-    Seed("(3^2 4^3)'", 3, _build_3243p, "a in [0, N]", _WALLS_3243P),
-    Seed("(3^2 4^3)''", 3, _build_3243pp,
-         "b in [-N, N], c in [-N, N]", _WALLS_3243PP),
-    Seed("4^6", 3, _build_46,
-         "a, b, c in [-N, N]", _WALLS_46),
+    Seed("F_p", 2, _build_fp, "none"),
+    Seed("F_a", 2, _build_fa, "a in [0, N], a != 1"),
+    Seed("3^4", 3, _build_34, "none"),
+    Seed("(3^2 4^3)'", 3, _build_3243p, "a in [0, N]"),
+    Seed("(3^2 4^3)''", 3, _build_3243pp, "b in [-N, N], c in [-N, N]"),
+    Seed("4^6", 3, _build_46, "a, b, c in [-N, N]"),
     Seed("3^2 4^3 6^2", 3, _build_324362,
-         "a in [-(N+1)/2, (N-1)/2] (integer floor/ceil)", _WALLS_324362),
+         "a in [-(N+1)/2, (N-1)/2] (integer floor/ceil)"),
 )
 
 

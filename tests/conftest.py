@@ -1,6 +1,8 @@
 """Shared helpers for the test suite (imported as `from conftest import ...`)."""
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,18 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 12):
         elif op == 2:
             M[i] = [-a for a in M[i]]
     return tuple(tuple(row) for row in M)
+
+
+def package_env():
+    """Environment whose PYTHONPATH puts this test's copy of smoothpoly first,
+    for subprocesses that import it."""
+    import smoothpoly
+
+    env = dict(os.environ)
+    root = str(Path(smoothpoly.__file__).parent.parent)
+    rest = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = root + os.pathsep + rest if rest else root
+    return env
 
 
 def random_translation(rng: random.Random, n: int, bound: int = 9):

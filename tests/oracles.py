@@ -1,0 +1,235 @@
+"""Reference solvers that only the tests read (`from oracles import ...`).
+
+The program solves every wall, level and vertex in integers: wall tables,
+floored caps and Cramer's rule.  The routines here are the slower general
+forms those replaced, kept as independent checks: a Gauss-Jordan solve
+over Fraction, the per-wall edge parameters of a possibly parametric fan,
+smoothness and completeness tests on a whole fan, and the window of level
+vectors with its rational caps.
+
+A parametric target is solved by linearity (solve_by_parts): once for its
+constant vector and once for each parameter's integer vector, so no solve
+ever does arithmetic on a ParamExpr.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from smoothpoly.exact_linalg import (
+    Inconsistent,
+    ShapeError,
+    Singular,
+    columns_matrix,
+    determinant,
+    dot,
+    vec_add,
+)
+from smoothpoly.fans import (
+    NotComplete,
+    ParamExpr,
+    _paired_ridges,
+    _wall_coeffs,
+    expr_value,
+    is_numeric_vector,
+    walls_of,
+)
+
+
+def vec_scale(c, v):
+    return tuple(c * a for a in v)
+
+
+def solve_rational(M, y):
+    """Solve M.x = y exactly, the columns of M acting as the basis.
+
+    M has m rows and n <= m columns of plain integers, and y holds m
+    integers.  Returns the unique solution as a tuple of Fractions.  Raises
+    Singular if the columns are linearly dependent and Inconsistent if y
+    lies outside their span.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    if any(len(row) != n for row in M):
+        raise ShapeError("ragged matrix")
+    if len(y) != m:
+        raise ShapeError("rhs length %d does not match %d rows" % (len(y), m))
+    if n > m:
+        raise Singular("more columns than rows, columns cannot be independent")
+    # Gauss-Jordan on the augmented matrix [M | y] over Fraction.
+    aug = [[Fraction(a) for a in M[i]] + [Fraction(y[i])] for i in range(m)]
+    for c in range(n):
+        p = next((i for i in range(c, m) if aug[i][c] != 0), None)
+        if p is None:
+            raise Singular("columns are linearly dependent")
+        aug[c], aug[p] = aug[p], aug[c]
+        piv = aug[c][c]
+        aug[c] = [a / piv for a in aug[c]]
+        for i in range(m):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    for i in range(n, m):
+        if aug[i][n] != 0:
+            raise Inconsistent("rhs is outside the column span")
+    return tuple(aug[i][n] for i in range(n))
+
+
+def solve_by_parts(solve, s):
+    """solve applied to a target s whose entries are ints or ParamExprs.
+
+    solve maps an integer vector to a coefficient tuple.  It runs on the
+    constant vector of s and on each parameter's integer vector, and entry
+    i of the result is the constant part plus each parameter times its
+    part: a ParamExpr where some parameter part is nonzero, else the
+    constant itself.
+    """
+    names = sorted({n for x in s if isinstance(x, ParamExpr)
+                    for n in x.coeffs})
+    const = solve(tuple(x.const if isinstance(x, ParamExpr) else x
+                        for x in s))
+    parts = {n: solve(tuple(x.coeffs.get(n, 0) if isinstance(x, ParamExpr)
+                            else 0 for x in s))
+             for n in names}
+    out = []
+    for i, c in enumerate(const):
+        coeffs = {n: p[i] for n, p in parts.items() if p[i]}
+        out.append(ParamExpr(c, coeffs) if coeffs else c)
+    return tuple(out)
+
+
+class ParametricWallUnsupported(ValueError):
+    """Edge parameters requested on a wall spanned by parametric rays."""
+
+
+@dataclass(frozen=True)
+class EdgeParams:
+    """Integer coefficients a_i with r1 + r2 = sum a_i * n_i across a wall."""
+    wall: object
+    coeffs: tuple
+
+
+def edge_parameters(fan, wall):
+    """Solve r1 + r2 = sum a_i n_i for one wall's edge parameters.
+
+    The n_i are the wall's spanning rays, r1/r2 the opposite rays of the two
+    incident cones; each linear part of r1 + r2 is solved by the program's
+    integer wall solve, fans._wall_coeffs.  On parametric fans the spanning
+    rays must be parameter-free (ParametricWallUnsupported otherwise); the
+    opposite rays may be parametric, giving ParamExpr coefficients.
+    """
+    spanning = [fan.rays[i] for i in wall.ray_indices]
+    if not all(is_numeric_vector(v) for v in spanning):
+        raise ParametricWallUnsupported(
+            "wall %r is spanned by parametric rays" % (wall.ray_indices,))
+    spanning = [tuple(expr_value(a) for a in v) for v in spanning]
+    s = vec_add(fan.rays[wall.opposite[0]], fan.rays[wall.opposite[1]])
+    return EdgeParams(wall, solve_by_parts(
+        lambda v: _wall_coeffs(spanning, v, wall.ray_indices), s))
+
+
+def solve_wall(fan, wall):
+    """The wall's coefficients from the Fraction Gauss-Jordan solve."""
+    M = columns_matrix([tuple(expr_value(a) for a in fan.rays[i])
+                        for i in wall.ray_indices])
+    target = vec_add(fan.rays[wall.opposite[0]], fan.rays[wall.opposite[1]])
+    return solve_by_parts(lambda v: solve_rational(M, v), target)
+
+
+def is_smooth_fan(fan):
+    """(True, None) iff every maximal cone is simplicial with determinant +-1.
+
+    Otherwise (False, index of an offending cone).  Needs a concrete fan;
+    parametric rays have no numeric determinant.
+    """
+    for ci, cone in enumerate(fan.cones):
+        if len(cone) != fan.d:
+            return False, ci
+        M = columns_matrix([fan.rays[i] for i in cone])
+        if determinant(M) not in (1, -1):
+            return False, ci
+    return True, None
+
+
+def is_complete_fan(fan):
+    """Ridge pairing + adjacency connectivity + the Euler count.
+
+    d=2 needs |rays| = |cones|; d=3 needs |rays| - |walls| + |cones| = 2.
+    Returns False when a ridge does not lie in exactly two cones; a cone
+    with other than d rays has no ridges to pair and raises ValueError,
+    as in walls_of.
+    """
+    if fan.d not in (2, 3):
+        raise ValueError("completeness is checked in dimension 2 or 3")
+    try:
+        paired = _paired_ridges(fan)
+    except NotComplete:
+        return False
+    # walk the wall-adjacency graph
+    seen = {0}
+    queue = [0]
+    adj = {}
+    for _, c1, _, c2, _ in paired:
+        adj.setdefault(c1, []).append(c2)
+        adj.setdefault(c2, []).append(c1)
+    while queue:
+        c = queue.pop()
+        for nb in adj.get(c, ()):
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    if len(seen) != len(fan.cones):
+        return False
+    if fan.d == 2:
+        return len(fan.rays) == len(fan.cones)
+    return len(fan.rays) - len(paired) + len(fan.cones) == 2
+
+
+def edge_length_form(fan, wall):
+    """Dense edge length across wall as a linear form in the levels b.
+
+    One coefficient per fan ray: +1 on each of the two opposite rays, minus
+    the wall coefficient on each spanning ray.
+    """
+    dense = [0] * len(fan.rays)
+    for i in wall.opposite:
+        dense[i] += 1
+    for i, a in zip(wall.ray_indices, edge_parameters(fan, wall).coeffs):
+        dense[i] -= a
+    return tuple(dense)
+
+
+@dataclass(frozen=True)
+class RhsPolytope:
+    """The level vectors b that the three bounds of smoothpoly.rhs keep.
+
+    The slow reference for enumerate_rhs: b is pinned to 0 on the rays of
+    the least cone, every edge length lies in [1, (N - sum(a))/d - 1] with
+    the rational cap kept as a Fraction, and the lengths minus one sum to
+    at most N - #cones.
+    """
+    max_points: int
+    pinned: tuple        # ray indices with b forced to 0
+    forms: tuple         # dense edge-length form per wall, in walls_of order
+    uppers: tuple        # Fraction cap per form
+    slack: int           # cap on sum over walls of (length - 1)
+
+    def contains(self, b):
+        if any(b[i] != 0 for i in self.pinned):
+            return False
+        total = 0
+        for form, cap in zip(self.forms, self.uppers):
+            ell = dot(form, b)
+            if ell < 1 or ell > cap:
+                return False
+            total += ell - 1
+        return total <= self.slack
+
+
+def build_rhs_polytope(fan, max_points):
+    walls = walls_of(fan)
+    return RhsPolytope(
+        max_points, min(fan.cones),
+        tuple(edge_length_form(fan, w) for w in walls),
+        tuple(Fraction(max_points - sum(edge_parameters(fan, w).coeffs),
+                       fan.d) - 1 for w in walls),
+        max_points - len(fan.cones))

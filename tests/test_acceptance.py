@@ -13,6 +13,7 @@ import random
 import pytest
 
 from conftest import apply_affine, random_translation, random_unimodular
+from oracles import edge_parameters, is_smooth_fan, vec_scale
 from smoothpoly import seeds
 from smoothpoly.exact_linalg import (
     determinant,
@@ -20,16 +21,9 @@ from smoothpoly.exact_linalg import (
     normalize_primitive,
     vec_add,
     vec_neg,
-    vec_scale,
     vec_sub,
 )
-from smoothpoly.fans import (
-    edge_parameters,
-    fan_canonical_key,
-    instantiate,
-    is_smooth_fan,
-    walls_of,
-)
+from smoothpoly.fans import fan_canonical_key, instantiate, walls_of
 from smoothpoly.iso_dedup import (
     canonical_form,
     dedup,
@@ -52,7 +46,7 @@ from smoothpoly.polytopes import (
     lattice_points,
     normal_fan,
 )
-from smoothpoly.rhs import edge_length_form
+from smoothpoly.rhs import _wall_forms
 from smoothpoly.search import walk_tree
 
 
@@ -219,10 +213,10 @@ def test_criterion_6b_edge_length_forms_match_geometry(realized):
         edge_by_pair = {frozenset(e.endpoints): e for e in edges}
         walls = walls_of(fan)
         assert len(walls) == len(edges)
-        for wall in walls:
-            form = edge_length_form(fan, wall)
-            e = edge_by_pair[frozenset(wall.incident)]
-            assert form.evaluate(H.b) == e.lattice_length
+        # the forms the level enumeration reads, one per wall_table row
+        for (_, incident, _, _), form, _ in _wall_forms(fan):
+            e = edge_by_pair[frozenset(incident)]
+            assert sum(c * H.b[i] for i, c in form.terms) == e.lattice_length
             checked += 1
     assert checked > 300
 

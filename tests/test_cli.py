@@ -1,9 +1,11 @@
 """Command line behavior: outputs, files, exit codes."""
 
+import ast
 import hashlib
+import importlib
 import json
-import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import smoothpoly
+from conftest import package_env
 from smoothpoly import cli, pipeline
 
 REPO = Path(__file__).resolve().parent.parent
@@ -160,15 +163,6 @@ def test_invariant_failure_exits_3(capsys, monkeypatch):
     assert "reproduce" in err and "synthetic failure" in err
 
 
-def _package_env():
-    """Environment whose PYTHONPATH puts this test's copy of smoothpoly first."""
-    env = dict(os.environ)
-    root = str(Path(smoothpoly.__file__).parent.parent)
-    rest = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = root + os.pathsep + rest if rest else root
-    return env
-
-
 def test_invariant_failure_exits_3_under_optimize():
     """python -O drops assert statements, not the explicit invariant checks."""
     script = (
@@ -179,7 +173,7 @@ def test_invariant_failure_exits_3_under_optimize():
         "sys.exit(cli.main(['classify', '--dim', '2', '--max-points', '6']))\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          env=_package_env(), capture_output=True, text=True,
+                          env=package_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "InvariantError" in proc.stderr and "not smooth" in proc.stderr
@@ -190,7 +184,7 @@ def test_optimized_report_digest():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "smoothpoly.cli", "classify", "--dim",
          "2", "--max-points", "12", "--format", "json"],
-        env=_package_env(), capture_output=True, timeout=300)
+        env=package_env(), capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == (
         "a9efaa6dccc6318130e6a288fdae6d3fa68666ae5e85a18c28c8c9f38d2f09d8")
@@ -201,7 +195,7 @@ def test_console_script_installed():
 
     Runs the target named in pyproject.toml the way an installer's
     console-script wrapper does, so no install is needed."""
-    env = _package_env()
+    env = package_env()
     out = subprocess.run(
         [sys.executable, "-m", "smoothpoly.cli", "count-tree",
          "--seed", "F_p", "--max-cones", "6"],
@@ -243,9 +237,62 @@ def test_traced_benchmark_finds_every_layer(tmp_path):
     out = subprocess.run(
         [sys.executable, str(TRACED), str(trace), "count-tree",
          "--seed", "F_a", "--max-cones", "6"],
-        capture_output=True, text=True, env=_package_env())
+        capture_output=True, text=True, env=package_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "19"
+
+
+def _traced_wraps():
+    """(module, name) pairs that perfbench/traced.py wraps, read from its
+    source: every wrap(module, "name", ...) call, with the module and name
+    of a call inside a for loop over a tuple taken from each item."""
+    def visit(node, env, out):
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            target = node.target
+            names = [t.id for t in (target.elts if isinstance(
+                target, ast.Tuple) else [target])]
+            for item in node.iter.elts:
+                values = item.elts if isinstance(item, ast.Tuple) else [item]
+                bound = {**env, **dict(zip(names, values))}
+                for stmt in node.body:
+                    visit(stmt, bound, out)
+            return
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "wrap"):
+            module, name = [env.get(a.id, a) if isinstance(a, ast.Name)
+                            else a for a in node.args[:2]]
+            out.add((module.id, name.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, env, out)
+
+    out = set()
+    visit(ast.parse(TRACED.read_text()), {}, out)
+    return out
+
+
+def test_exports_and_traced_imports_stay_true():
+    """Every name in a module's __all__ resolves, and every import kept
+    only for perfbench/traced.py names an attribute that traced.py wraps
+    on that module."""
+    wraps = _traced_wraps()
+    assert ("search", "blow_up") in wraps and len(wraps) > 20
+    exported = marked = 0
+    for info in pkgutil.iter_modules(smoothpoly.__path__):
+        module = importlib.import_module("smoothpoly." + info.name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (info.name, name)
+            exported += 1
+        lines = Path(module.__file__).read_text().splitlines()
+        for i, text in enumerate(lines):
+            if "kept for perfbench/traced.py" not in text:
+                continue
+            # the comment ends the import line or stands on the line above
+            code = text.split("#")[0].strip() or lines[i + 1].strip()
+            assert re.fullmatch(r"\w+( as \w+)?,?", code), (info.name, code)
+            bound = code.rstrip(",").split()[-1]
+            assert (info.name, bound) in wraps, (info.name, bound)
+            marked += 1
+    assert exported > 80 and marked == 6
 
 
 def test_import_leaves_numpy_unloaded(tmp_path):
@@ -254,7 +301,7 @@ def test_import_leaves_numpy_unloaded(tmp_path):
     pinned --trace-tree file."""
     probe = "import sys, smoothpoly.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe],
-                         capture_output=True, text=True, env=_package_env())
+                         capture_output=True, text=True, env=package_env())
     assert out.returncode == 0 and out.stdout.strip() == "False"
 
     trace = tmp_path / "trace.txt"
@@ -265,7 +312,7 @@ def test_import_leaves_numpy_unloaded(tmp_path):
         [sys.executable, "-c", blocked, "classify", "--dim", "3",
          "--max-points", "12", "--format", "json", "--trace-tree",
          str(trace)],
-        env=_package_env(), capture_output=True, timeout=300)
+        env=package_env(), capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     with open(REPO / "perfbench" / "reference.json") as fh:
         want = json.load(fh)["solids-n12"]["sha256"]
@@ -274,6 +321,48 @@ def test_import_leaves_numpy_unloaded(tmp_path):
     assert text.count(b"\n") == 31698
     assert hashlib.sha256(text).hexdigest() == (
         "f38a9666feac8396ab45abd115d77e60381c126ece86ab1540e97f728b54e9e4")
+
+
+def test_program_runs_without_fractions():
+    """The program solves in integers only: start-up leaves fractions
+    unloaded, and with fractions unimportable both N = 12 reports, the
+    stats and seeds listings and the 3^4 tree count are unchanged."""
+    probe = "import sys, smoothpoly.cli; print('fractions' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe],
+                         capture_output=True, text=True, env=package_env())
+    assert out.returncode == 0 and out.stdout.strip() == "False"
+
+    with open(REPO / "perfbench" / "reference.json") as fh:
+        reference = json.load(fh)
+    blocked = ("import sys; sys.modules['fractions'] = None\n"
+               "from smoothpoly import cli\n"
+               "sys.exit(cli.main(sys.argv[1:]))\n")
+    digests = {
+        ("classify", "--dim", "2", "--max-points", "12", "--format", "json"):
+            reference["polygons-n12"]["sha256"],
+        ("classify", "--dim", "3", "--max-points", "12", "--format", "json"):
+            reference["solids-n12"]["sha256"],
+        ("stats", "--max-points", "12"):
+            "f8c5aa25424d41998aff68a9cfb31a755aa1e6ae3de239b513d8202dfa756204",
+        ("seeds",):
+            "84fc62e6baadc572a012bb176088174a92b61bddc1ed646aa2e21cbfa97f322e",
+    }
+    for argv, want in digests.items():
+        proc = subprocess.run([sys.executable, "-c", blocked, *argv],
+                              env=package_env(), capture_output=True,
+                              timeout=300)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert hashlib.sha256(proc.stdout).hexdigest() == want, argv
+    proc = subprocess.run(
+        [sys.executable, "-c", blocked, "count-tree", "--seed", "3^4",
+         "--max-cones", "14"],
+        env=package_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == reference["tree-3d"]["count"]
+
+
+# the cube fan of realize_a_fan.py has twelve walls, one per edge of a box
+DEMO_WALL_LINES = {"realize_a_fan.py": 12}
 
 
 @pytest.mark.parametrize("demo,line", [
@@ -285,7 +374,16 @@ def test_import_leaves_numpy_unloaded(tmp_path):
 ])
 def test_demo_runs(demo, line):
     out = subprocess.run([sys.executable, str(DEMOS / demo)],
-                         capture_output=True, text=True, env=_package_env(),
+                         capture_output=True, text=True, env=package_env(),
                          timeout=300)
     assert out.returncode == 0, out.stderr
-    assert line in out.stdout.splitlines()
+    lines = out.stdout.splitlines()
+    assert line in lines
+    # every wall line reads the edge length from the wall table's form and
+    # from the realized polytope, and the two must agree
+    wall_lines = [s for s in lines if s.startswith("  wall ")]
+    assert len(wall_lines) == DEMO_WALL_LINES.get(demo, 0)
+    for s in wall_lines:
+        m = re.fullmatch(r"  wall \([\d, ]+\): form says (\d+), "
+                         r"geometry says (\d+)", s)
+        assert m and m.group(1) == m.group(2), s

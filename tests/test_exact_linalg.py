@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from conftest import random_unimodular
+from oracles import solve_rational, vec_scale
 from smoothpoly import InvariantError, exact_linalg
 from smoothpoly.exact_linalg import (
     Inconsistent,
@@ -19,8 +20,6 @@ from smoothpoly.exact_linalg import (
     mat_mul,
     mat_vec,
     normalize_primitive,
-    solve_rational,
-    vec_scale,
 )
 
 

@@ -2,13 +2,20 @@
 
 import json
 import random
+import subprocess
+import sys
 from collections import namedtuple
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from conftest import apply_affine, random_translation, random_unimodular
+from conftest import (
+    apply_affine,
+    package_env,
+    random_translation,
+    random_unimodular,
+)
 
 from smoothpoly import InvariantError, iso_dedup
 from smoothpoly.exact_linalg import (
@@ -34,6 +41,11 @@ TRIANGLE2 = VPolytope([(0, 0), (-2, 0), (0, -2)])
 RECT_2X1 = VPolytope([(0, 0), (2, 0), (0, 1), (2, 1)])
 CUBE = VPolytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
 SIMPLEX3 = VPolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+# every vertex cone has determinant 3
+THICK_TRIANGLE = VPolytope([(0, 0), (2, 1), (1, 2)])
+# every vertex has four edges
+OCTAHEDRON = VPolytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                        (0, 0, 1), (0, 0, -1)])
 
 
 def check_witness(P, Q, U, t):
@@ -177,10 +189,43 @@ def test_dedup_keeps_least_provenance():
     assert out[0].vertices == SQUARE.vertices
 
 
+@pytest.mark.parametrize("P,message", [
+    (THICK_TRIANGLE, "anchor vertex of P is not smooth"),
+    (OCTAHEDRON, "anchor vertex of P is not simple"),
+])
+def test_lattice_isomorphic_rejects_bad_anchor(P, message):
+    with pytest.raises(ValueError) as exc:
+        lattice_isomorphic(P, P)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+def test_lattice_isomorphic_rejects_bad_anchor_under_optimize():
+    """python -O drops assert statements, not the anchor checks: the same
+    ValueError with the same message, not an error from a later step."""
+    script = (
+        "from smoothpoly.iso_dedup import lattice_isomorphic\n"
+        "from smoothpoly.polytopes import VPolytope\n"
+        "assert False, 'asserts are on'\n"
+        "for vs in %r:\n"
+        "    P = VPolytope(vs)\n"
+        "    try:\n"
+        "        lattice_isomorphic(P, P)\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+        % ([THICK_TRIANGLE.vertices, OCTAHEDRON.vertices],))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=package_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ValueError anchor vertex of P is not smooth",
+        "ValueError anchor vertex of P is not simple"]
+
+
 def test_canonical_form_rejects_non_smooth_polygon():
     # every vertex cone of this triangle has determinant 3
     with pytest.raises(InvariantError):
-        canonical_form(VPolytope([(0, 0), (2, 1), (1, 2)]))
+        canonical_form(THICK_TRIANGLE)
 
 
 def _edge_frame_form(P):

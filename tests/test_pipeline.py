@@ -1,15 +1,17 @@
 """End-to-end classification at small budgets, plus the walk helpers."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
-import sys
 from collections import Counter
 
 import pytest
 
+import smoothpoly
+from oracles import solve_rational
 from smoothpoly import InvariantError, pipeline, polytopes, seeds
-from smoothpoly.exact_linalg import solve_rational
 from smoothpoly.fans import Fan, fan_canonical_key, instantiate
 from smoothpoly.iso_dedup import canonical_form
 from smoothpoly.pipeline import (
@@ -236,17 +238,15 @@ def test_polygon_run_builds_no_hull(monkeypatch):
 
 
 def test_realization_solves_in_integers(monkeypatch):
-    """Every realized vertex comes from an integer solve: with the rational
-    solve disabled in every smoothpoly module, both N = 12 reports are
-    unchanged, and each realized polytope's vertices are the Fraction
-    solutions of its cones."""
-    def no_solve(*args):
-        raise AssertionError("rational solve of %r" % (args,))
-
-    for name, module in list(sys.modules.items()):
-        if name == "smoothpoly" or name.startswith("smoothpoly."):
-            monkeypatch.setattr(module, "solve_rational", no_solve,
-                                raising=False)
+    """Every realized vertex comes from an integer solve: no smoothpoly
+    module has a rational solve, both N = 12 reports are unchanged, and
+    each realized polytope's vertices are the Fraction solutions of its
+    cones, from the tests-side solve."""
+    modules = [smoothpoly] + [
+        importlib.import_module("smoothpoly." + info.name)
+        for info in pkgutil.iter_modules(smoothpoly.__path__)]
+    assert len(modules) == 10
+    assert not any(hasattr(module, "solve_rational") for module in modules)
     calls = []
     realize = pipeline.realize_and_filter
 

@@ -5,15 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import is_smooth_fan, solve_rational, vec_scale
 from smoothpoly import InvariantError
-from smoothpoly.exact_linalg import (
-    determinant,
-    dot,
-    solve_rational,
-    vec_add,
-    vec_scale,
-)
-from smoothpoly.fans import fan_canonical_key, Fan, is_smooth_fan
+from smoothpoly.exact_linalg import determinant, dot, vec_add
+from smoothpoly.fans import fan_canonical_key, Fan
 from smoothpoly.polytopes import (
     HPolytope,
     NotFullDim,

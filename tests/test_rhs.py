@@ -1,6 +1,6 @@
-"""Level enumeration tests: edge-length forms, the window polytope, the
-interval search against a box-scan oracle, realization, and the wall-sum
-prefilter."""
+"""Level enumeration tests: edge-length forms, the window polytope (the
+tests-side oracles.RhsPolytope), the interval search against a box-scan
+oracle, realization, and the wall-sum prefilter."""
 
 import gc
 import itertools
@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from smoothpoly import InvariantError, pipeline, seeds
+from oracles import build_rhs_polytope, edge_length_form
+from smoothpoly import InvariantError, pipeline, rhs, seeds
 from smoothpoly.fans import (
     DegenerateRay,
     Fan,
@@ -16,8 +17,6 @@ from smoothpoly.fans import (
     walls_of,
 )
 from smoothpoly.rhs import (
-    build_rhs_polytope,
-    edge_length_form,
     enumerate_rhs,
     least_perimeter,
     passes_wall_sum,
@@ -38,26 +37,36 @@ def fa(a):
 
 
 def form_by_wall(fan):
-    return {w.ray_indices: edge_length_form(fan, w) for w in walls_of(fan)}
+    """The enumeration's edge-length forms by wall, as dense coefficient
+    tuples, checked against the oracle's forms."""
+    forms = {}
+    for (ridge, *_), form, _ in rhs._wall_forms(fan):
+        dense = [0] * len(fan.rays)
+        for i, c in form.terms:
+            dense[i] = c
+        forms[ridge] = tuple(dense)
+    assert forms == {w.ray_indices: edge_length_form(fan, w)
+                     for w in walls_of(fan)}
+    return forms
 
 
 def test_edge_length_form_square():
     forms = form_by_wall(fa(0))
     # top edge: length = b[(1,0)] + b[(-1,0)]
-    assert forms[(1,)].coeffs == (1, 0, 1, 0)
-    assert forms[(0,)].coeffs == (0, 1, 0, 1)
+    assert forms[(1,)] == (1, 0, 1, 0)
+    assert forms[(0,)] == (0, 1, 0, 1)
 
 
 def test_edge_length_form_hirzebruch():
     forms = form_by_wall(fa(2))
     # edge with normal (0,1): b[(1,0)] + b[(-1,-2)] + 2 b[(0,1)]
-    assert forms[(1,)].coeffs == (1, 2, 1, 0)
-    assert forms[(3,)].coeffs == (1, 0, 1, -2)
+    assert forms[(1,)] == (1, 2, 1, 0)
+    assert forms[(3,)] == (1, 0, 1, -2)
 
 
 def test_edge_length_form_fp():
     for form in form_by_wall(fp()).values():
-        assert form.coeffs == (1, 1, 1)
+        assert form == (1, 1, 1)
 
 
 def test_build_rhs_polytope_fp():

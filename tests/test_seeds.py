@@ -1,8 +1,9 @@
 """Checks the seed registry against the structural facts the search relies on.
 
-The registry data (rays, cones, per-wall coefficients) was transcribed by
-hand, so everything redundant gets recomputed here: degree profiles from the
-cone lists, wall coefficients from the rays, smoothness on a parameter grid.
+The registry data (rays and cones) and the per-wall coefficients below were
+transcribed by hand, so everything redundant gets recomputed here: degree
+profiles from the cone lists, wall coefficients from the rays, smoothness
+on a parameter grid.
 """
 
 import itertools
@@ -10,18 +11,95 @@ import re
 
 import pytest
 
+from oracles import (
+    ParametricWallUnsupported,
+    edge_parameters,
+    is_complete_fan,
+    is_smooth_fan,
+)
 from smoothpoly import seeds
 from smoothpoly.exact_linalg import determinant
 from smoothpoly.fans import (
     OutOfBounds,
     ParamExpr,
-    ParametricWallUnsupported,
-    edge_parameters,
     instantiate,
-    is_complete_fan,
-    is_smooth_fan,
+    wall_table,
     walls_of,
 )
+
+
+A = ParamExpr.var("a")
+B = ParamExpr.var("b")
+C = ParamExpr.var("c")
+
+# Wall coefficients printed in the seed figures, per seed name, aligned with
+# the sorted ray-index pair (or singleton in dimension 2).  These restate
+# the figure labels in ray-index form.  Entries that are not affine in the
+# parameters (two bilinear ones on 4^6) are callables on the assignment.
+WALL_ANNOTATIONS = {
+    "F_p": {(0,): (-1,), (1,): (-1,), (2,): (-1,)},
+    "F_a": {(0,): (0,), (1,): (-A,), (2,): (0,), (3,): (A,)},
+    "3^4": {key: (-1, -1)
+            for key in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]},
+    "(3^2 4^3)'": {
+        (0, 2): (0, 0),          # diagonal P1-P3
+        (0, 4): (0, 0),
+        (2, 4): (0, 0),
+        # the figure prints +1 at the inf end of the {P4, inf} wall; solving
+        # P3 + P1 = a*P4 + t*inf forces t = -1 (the mirror wall {P2, inf} is
+        # printed -1 as expected)
+        (3, 4): (A, -1),
+        (1, 4): (-A, -1),
+        (0, 3): (-1, A),
+        (2, 3): (-1, A),
+        (0, 1): (-1, -A),
+        (1, 2): (-A, -1),
+    },
+    "(3^2 4^3)''": {
+        (0, 4): (-B, C - B),
+        (0, 2): (-C, B - C),     # diagonal P1-P3
+        (2, 4): (B, C),
+        (3, 4): (0, -1),
+        (0, 3): (-1, 0),
+        (2, 3): (-1, 0),
+        (1, 4): (0, -1),
+        (0, 1): (-1, 0),
+        (1, 2): (0, -1),
+    },
+    "4^6": {
+        # two annotations are bilinear (c - ab and ab - c) and cannot be
+        # held as affine expressions; stored as callables on the assignment
+        (0, 5): (A, lambda v: v["c"] - v["a"] * v["b"]),
+        (0, 4): (A, lambda v: v["a"] * v["b"] - v["c"]),
+        (2, 4): (-A, -C),
+        (2, 5): (-A, C),
+        (3, 4): (0, -B),
+        (1, 4): (0, -B),
+        (3, 5): (0, B),
+        (1, 5): (0, B),
+        (0, 3): (0, 0),
+        (2, 3): (0, 0),
+        (0, 1): (0, 0),
+        (1, 2): (0, 0),
+    },
+    "3^2 4^3 6^2": {
+        (0, 6): (2, -1),
+        (2, 4): (-A, 0),
+        (2, 6): (-A, 0),
+        (3, 6): (A + 1, 0),
+        (3, 4): (A + 1, 0),
+        (1, 6): (2, -1),
+        (0, 3): (2, -1),
+        (4, 6): (1, 1),
+        (4, 5): (0, 0),
+        (5, 6): (0, 0),
+        (1, 2): (2, -1),
+        (0, 4): (2, -1),
+        (1, 4): (2, -1),
+        (3, 5): (2 * A + 1, -2),
+        (2, 5): (-2 * A - 1, -2),
+    },
+}
 
 
 def label_profile(name):
@@ -120,14 +198,15 @@ def test_wall_annotations_symbolic():
     for seed in seeds._ALL_SEEDS:
         fan = seed.build(12)
         walls = walls_of(fan)
-        assert {w.ray_indices for w in walls} == set(seed.wall_annotations), seed.name
+        annotations = WALL_ANNOTATIONS[seed.name]
+        assert {w.ray_indices for w in walls} == set(annotations), seed.name
         checked = 0
         for wall in walls:
             try:
                 ep = edge_parameters(fan, wall)
             except ParametricWallUnsupported:
                 continue
-            assert ep.coeffs == seed.wall_annotations[wall.ray_indices], \
+            assert ep.coeffs == annotations[wall.ray_indices], \
                 (seed.name, wall.ray_indices)
             checked += 1
         if not fan.bounds:
@@ -135,19 +214,18 @@ def test_wall_annotations_symbolic():
 
 
 def test_wall_annotations_numeric():
-    # full sweep: instantiate, recompute every wall coefficient, compare
-    # against the stored entry evaluated at the same assignment
+    # full sweep: instantiate, recompute every wall coefficient with the
+    # program's wall table, compare against the stored entry evaluated at
+    # the same assignment
     for seed in seeds._ALL_SEEDS:
         fan = seed.build(12)
         if not fan.bounds:
             continue
+        annotations = WALL_ANNOTATIONS[seed.name]
         for asg in SWEEPS[seed.name]:
-            inst = instantiate(fan, asg)
-            for wall in walls_of(inst):
-                got = edge_parameters(inst, wall).coeffs
-                want = tuple(eval_entry(e, asg)
-                             for e in seed.wall_annotations[wall.ray_indices])
-                assert got == want, (seed.name, asg, wall.ray_indices)
+            for ridge, _, _, got in wall_table(instantiate(fan, asg)):
+                want = tuple(eval_entry(e, asg) for e in annotations[ridge])
+                assert got == want, (seed.name, asg, ridge)
 
 
 def test_instantiations_smooth_and_complete():
