@@ -64,14 +64,14 @@ def _build_parser():
 
 def _cmd_classify(args):
     cfg = RunConfig(dimension=args.dim, max_points=args.max_points,
-                    fmt=args.format, out=args.out, trace_tree=args.trace_tree,
+                    trace_tree=args.trace_tree,
                     allow_unvalidated=args.allow_unvalidated)
     for warning in cfg.validate():
         print(warning, file=sys.stderr)
-    out = pipeline.open_output(cfg.out) if cfg.out else None
+    out = pipeline.open_output(args.out) if args.out else None
     try:
         result = pipeline.run_classify(cfg)
-        text = pipeline.render_json(result) if cfg.fmt == "json" \
+        text = pipeline.render_json(result) if args.format == "json" \
             else pipeline.render_text(result)
         (out or sys.stdout).write(text)
     finally:

@@ -172,13 +172,19 @@ class Fan:
 
     def __init__(self, rays, cones, d=None, bounds=None, excluded=None):
         rays = tuple(tuple(r) for r in rays)
-        assert rays, "fan needs at least one ray"
+        if not rays:
+            raise ValueError("fan needs at least one ray")
         if d is None:
             d = len(rays[0])
-        assert all(len(r) == d for r in rays)
+        if any(len(r) != d for r in rays):
+            raise ValueError("rays of a %d-dimensional fan have other "
+                             "lengths: %r" % (d, rays))
         cones = tuple(tuple(sorted(c)) for c in cones)
-        assert all(0 <= i < len(rays) for c in cones for i in c)
-        assert len(set(rays)) == len(rays), "duplicate rays"
+        if any(not 0 <= i < len(rays) for c in cones for i in c):
+            raise ValueError("cones %r name a ray index outside 0..%d"
+                             % (cones, len(rays) - 1))
+        if len(set(rays)) != len(rays):
+            raise ValueError("duplicate rays")
         self.rays = rays
         self.cones = cones
         self.d = d

@@ -8,15 +8,16 @@ deduplicates up to lattice isomorphism.
 Dimension 2 walks concrete fans (one tree per Hirzebruch width) and may cut
 whole subtrees: wall coefficients only ever grow under 2D blow-ups, so a
 fan with a coefficient past the cap never has feasible descendants.  The
-walk is one loop over plain tuples (cones, ray count, start, path, ray
-order, coefficient cycle) with no search node: in 2D the flag discipline
-reduces to a start position, a child of position i expanding only
-positions >= i.  It keys classes by their coefficient cycle, and a class
-whose least perimeter (rhs.least_perimeter, an integer bound read off the
-cycle) exceeds the budget is counted but never gets a fan or a level
-search: at N = 12 that skips 1962 of the 1992 classes.  The other 30 get
-their fan by replaying the class's path from its root fan into a
-search.SearchNode.
+walk is one loop over plain tuples (cones, start, path, ray order,
+coefficient cycle) with no search node: in 2D the flag discipline reduces
+to a start position, a child of position i expanding only positions >= i.
+It keys classes by their coefficient cycle, and a class whose least
+perimeter (rhs.least_perimeter, an integer bound read off the cycle)
+exceeds the budget is counted but never gets a fan or a level search: at
+N = 12 that skips 1962 of the 1992 classes.  The other 30 get their fan
+from the cycle alone, in the frame of rhs.frame_rays: a lattice image of
+the walked fan, which has the same level vectors and polytopes up to
+lattice isomorphism.
 Dimension 3 has no such monotonicity (wall blow-ups destroy the offending
 wall), so the walk is parametric, every node is filtered by the smooth
 polygon criterion from the 2D results, and surviving nodes are instantiated
@@ -29,11 +30,12 @@ from dataclasses import dataclass, field
 
 from . import InvariantError, seeds
 from .exact_linalg import dot
-from .fans import fan_canonical_key
+from .fans import Fan, fan_canonical_key, wall_table
 from .iso_dedup import canonical_form, dedup
 from .polytopes import HPolytope, VPolytope, facets_of, lattice_points
 from .rhs import (
     enumerate_rhs,
+    frame_rays,
     least_perimeter,
     passes_wall_sum,  # unused: kept for perfbench/traced.py to wrap
     realize_and_filter,
@@ -42,8 +44,6 @@ from .rhs import (
     wall_sum_box as wall_sum_mask,
 )
 from .search import (
-    SearchNode,
-    _cone_child,
     count_polygon_tree,
     degree_profile,
     # unused: kept for perfbench/traced.py to wrap
@@ -69,11 +69,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """What to classify and how to emit it."""
+    """What to classify, and where to trace the walk."""
     dimension: int
     max_points: int
-    fmt: str = "text"
-    out: str = None
     trace_tree: str = None
     allow_unvalidated: bool = False
 
@@ -85,9 +83,6 @@ class RunConfig:
         if self.max_points < self.dimension + 1:
             raise ConfigError("max_points must be at least %d in dimension "
                               "%d" % (self.dimension + 1, self.dimension))
-        if self.fmt not in ("json", "text"):
-            raise ConfigError("format must be json or text, got %r"
-                              % (self.fmt,))
         warnings = []
         if self.dimension == 3 and self.max_points > VALIDATED_3D_MAX_POINTS:
             msg = ("max_points %d exceeds the validated envelope %d for "
@@ -176,7 +171,7 @@ def _realize_jobs(dim, jobs, max_points, diag):
 
 
 def _note_class(classes, key, prefix, item):
-    """Keep item (a fan) for the least prefix."""
+    """Keep item (a fan, or a 2D walk node) for the least prefix."""
     cur = classes.get(key)
     if cur is None or prefix < cur[0]:
         classes[key] = (prefix, item)
@@ -192,33 +187,23 @@ def _polygon_roots(max_points):
 def _polygon_cycle(fan):
     """Cyclic ray order and wall coefficients of a concrete 2D fan.
 
-    Position i holds the coefficient a_i with r_{i-1} + r_{i+1} = a_i r_i.
-    These are exactly the per-wall sums of the edge length forms, and the
-    cyclic sequence up to rotation and reversal is a complete isomorphism
-    invariant: picking a starting cone and orientation pins the rays to
-    r_1 = e_1, r_2 = e_2, r_{k+1} = a_k r_k - r_{k-1}.
+    Position i holds the coefficient a_i with r_{i-1} + r_{i+1} = a_i r_i,
+    read with ray i's two neighbours from row i of fans.wall_table (in 2D
+    a wall is one ray).  The cyclic sequence up to rotation and reversal is
+    a complete isomorphism invariant (rhs.frame_rays).  A neighbour sum
+    that is no integer multiple of the ray raises InvariantError.
     """
-    n = len(fan.rays)
-    adj = {i: [] for i in range(n)}
-    for a, b in fan.cones:
-        adj[a].append(b)
-        adj[b].append(a)
-    order = [0, adj[0][0]]
-    while len(order) < n:
-        a, b = adj[order[-1]]
+    try:
+        table = wall_table(fan)
+    except ValueError as exc:
+        raise InvariantError("not a smooth complete 2D fan: %s"
+                             % (exc,)) from None
+    neighbours = [opposite for _, _, opposite, _ in table]
+    order = [0, neighbours[0][0]]
+    while len(order) < len(table):
+        a, b = neighbours[order[-1]]
         order.append(b if a == order[-2] else a)
-    cycle = []
-    for p in range(n):
-        prev = fan.rays[order[p - 1]]
-        cur = fan.rays[order[p]]
-        nxt = fan.rays[order[(p + 1) % n]]
-        k = 0 if cur[0] != 0 else 1
-        a, rem = divmod(prev[k] + nxt[k], cur[k])
-        if rem or any(prev[t] + nxt[t] != a * cur[t] for t in range(2)):
-            raise InvariantError("rays %r + %r are not a multiple of %r"
-                                 % (prev, nxt, cur))
-        cycle.append(a)
-    return tuple(order), tuple(cycle)
+    return tuple(order), tuple(table[i][3][0] for i in order)
 
 
 def _splice_cycle(order, cycle, cone, new_index):
@@ -279,15 +264,16 @@ def _min_interior(n):
 
 
 def _polygon_walk(max_points, trace, diag):
-    """The 2D class table: (prefix, cycle key, root fan) per fan class.
+    """The 2D class table: (prefix, cycle key, (cones, order, cycle)) rows.
 
     Walks the polygon trees, counts nodes_visited in diag, and keeps one
     row per dihedral key, the one with the least prefix; sorted by prefix.
-    A node is the tuple (cones, num_rays, start, path, order, cycle), and
-    its children blow up the positions start..k-1 only: in 2D that is all
-    the flag discipline of search.enumerate_blowups leaves, as in
-    count_polygon_tree's recurrence.  No fan below a root is built here;
-    _class_fan replays a row's path when its fan is needed.
+    A node is the tuple (cones, start, path, order, cycle), and its
+    children blow up the positions start..k-1 only: in 2D that is all the
+    flag discipline of search.enumerate_blowups leaves, as in
+    count_polygon_tree's recurrence.  A complete 2D fan has as many rays
+    as cones, so the new ray's index is the cone count.  No fan is built
+    here; _class_fan builds a row's fan when it is needed.
     """
     cap = max_points - 4      # thickened edge: 2(l+1) + a*l <= N at l = 1
     max_rays = max_points
@@ -299,9 +285,9 @@ def _polygon_walk(max_points, trace, diag):
             "%s(a=%d)" % (name, assignment["a"])
         prefix_assignment = tuple(sorted(assignment.items()))
         order, cycle = _polygon_cycle(fan)
-        stack = [(fan.cones, len(fan.rays), 0, (), order, cycle)]
+        stack = [(fan.cones, 0, (), order, cycle)]
         while stack:
-            cones, s, start, path, order, cycle = stack.pop()
+            cones, start, path, order, cycle = stack.pop()
             diag.nodes_visited += 1
             k = len(cones)
             if trace is not None:
@@ -309,33 +295,26 @@ def _polygon_walk(max_points, trace, diag):
             if max(cycle) > cap:
                 continue          # coefficients only grow: subtree is dead
             _note_class(classes, _dihedral_key(cycle),
-                        (name, path, prefix_assignment), fan)
+                        (name, path, prefix_assignment), (cones, order, cycle))
             if k + 1 > max_rays:
                 continue
-            # search._cone_child's 2D rule: (a, s) replaces position i and
-            # (b, s) is appended; pushed last to first, popped in order
+            # search._cone_child's 2D rule: (a, k) replaces position i and
+            # (b, k) is appended; pushed last to first, popped in order
             for i in range(k - 1, start - 1, -1):
                 a, b = cones[i]
-                stack.append((cones[:i] + ((a, s),) + cones[i + 1:]
-                              + ((b, s),), s + 1, i, path + (("cone", i),))
-                             + _splice_cycle(order, cycle, (a, b), s))
-    return sorted(((prefix, key, root)
-                   for key, (prefix, root) in classes.items()),
+                stack.append((cones[:i] + ((a, k),) + cones[i + 1:]
+                              + ((b, k),), i, path + (("cone", i),))
+                             + _splice_cycle(order, cycle, (a, b), k))
+    return sorted(((prefix, key, node)
+                   for key, (prefix, node) in classes.items()),
                   key=lambda row: row[0])
 
 
-def _class_fan(root, path):
-    """The fan at path below a 2D root fan.
-
-    The path is replayed through search's cone rule into a SearchNode, so
-    search._build_fan stays the one fan builder; a root is its own fan.
-    """
-    if not path:
-        return root
-    node = SearchNode(root, root.cones, len(root.rays), (), ())
-    for _, i in path:
-        node = _cone_child(node, i, None, None, True)
-    return node.fan
+def _class_fan(cones, order, cycle):
+    """A fan with these cones whose ray order[p] is the p-th ray of the
+    cycle's frame (rhs.frame_rays): a lattice image of the walked fan."""
+    return Fan([ray for _, ray in sorted(zip(order, frame_rays(cycle)))],
+               cones, 2)
 
 
 def _classify_2d(max_points, trace):
@@ -347,8 +326,7 @@ def _classify_2d(max_points, trace):
     diag = Diagnostics()
     table = _polygon_walk(max_points, trace, diag)
     diag.fans_tested = len(table)
-    jobs = [(prefix, _class_fan(root, prefix[1]))
-            for prefix, key, root in table
+    jobs = [(prefix, _class_fan(*node)) for prefix, key, node in table
             if least_perimeter(key) <= max_points]
     records = _realize_jobs(2, jobs, max_points, diag)
     return records, diag
@@ -429,9 +407,8 @@ def run_classify(cfg):
         if cfg.dimension == 2:
             records, diag = _classify_2d(cfg.max_points, trace)
         else:
-            polygons, _ = _classify_2d(cfg.max_points, None)
-            stats = polygon_stats_from_records(polygons, cfg.max_points)
-            records, diag = _classify_3d(cfg.max_points, stats, trace)
+            records, diag = _classify_3d(
+                cfg.max_points, _polygon_minima(cfg.max_points), trace)
     finally:
         if trace is not None:
             trace.close()
@@ -452,12 +429,16 @@ def run_count_tree(seed_name, max_cones, unpruned=False):
     return sum(1 for _ in walk_tree(fan, max_cones, pruned=not unpruned))
 
 
+def _polygon_minima(max_points):
+    """Smooth polygon minima for the given budget, from a fresh 2D pass."""
+    records, _ = _classify_2d(max_points, None)
+    return polygon_stats_from_records(records, max_points)
+
+
 def run_stats(max_points):
     """Smooth polygon minima for the given budget, from a fresh 2D run."""
-    cfg = RunConfig(2, max_points)
-    cfg.validate()
-    result = run_classify(cfg)
-    return polygon_stats_from_records(result.records, max_points)
+    RunConfig(2, max_points).validate()
+    return _polygon_minima(max_points)
 
 
 def list_seeds():

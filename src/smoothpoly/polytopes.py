@@ -45,14 +45,16 @@ class HPolytope:
     def __init__(self, A, b, d=None):
         A = tuple(tuple(row) for row in A)
         b = tuple(b)
-        assert A and len(A) == len(b)
+        if not A or len(A) != len(b):
+            raise ValueError("%d normals, %d levels" % (len(A), len(b)))
         if d is None:
             d = len(A[0])
         _check_dim(d)
         for row in A:
-            assert len(row) == d
-            prim, factor = normalize_primitive(row)
-            assert factor == 1, "facet normal %r is not primitive" % (row,)
+            if len(row) != d:
+                raise ValueError("facet normal %r is not in Z^%d" % (row, d))
+            if normalize_primitive(row)[1] != 1:
+                raise ValueError("facet normal %r is not primitive" % (row,))
         self.A = A
         self.b = b
         self.d = d
@@ -74,11 +76,14 @@ class VPolytope:
 
     def __init__(self, vertices, d=None):
         verts = sorted(set(tuple(v) for v in vertices))
-        assert verts
+        if not verts:
+            raise ValueError("polytope needs at least one vertex")
         if d is None:
             d = len(verts[0])
         _check_dim(d)
-        assert all(len(v) == d for v in verts)
+        if any(len(v) != d for v in verts):
+            raise ValueError("vertices of a %d-dimensional polytope have "
+                             "other lengths: %r" % (d, verts))
         if not all(isinstance(a, int) for v in verts for a in v):
             raise ValueError("lattice polytope has a non-integer vertex "
                              "coordinate: %r" % (verts,))
@@ -94,7 +99,8 @@ class VPolytope:
         inside an edge, which lies in exactly d - 1 facets.
         """
         pts = sorted(set(tuple(p) for p in points))
-        assert pts
+        if not pts:
+            raise ValueError("polytope needs at least one point")
         if d is None:
             d = len(pts[0])
         _check_dim(d)

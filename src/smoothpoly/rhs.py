@@ -27,8 +27,6 @@ fan; a class whose bound exceeds N has no level vector, so the 2D run
 enumerates levels only for classes within the bound.
 """
 
-from dataclasses import dataclass
-
 from . import InvariantError
 from .exact_linalg import determinant, dot
 from .fans import (
@@ -44,21 +42,15 @@ from .polytopes import (
 )
 
 
-@dataclass(frozen=True)
-class EdgeLengthForm:
-    """Lattice length of one edge as a linear form over all ray levels."""
-    wall: tuple          # spanning ray indices
-    terms: tuple         # (ray index, coeff) for each nonzero coeff
-
-
 def _form(ridge, opposite, coeffs):
+    """Lattice length of the edge across one wall as a linear form over the
+    ray levels: its (ray index, coeff) terms with nonzero coeff, sorted."""
     dense = {}
     for opp in opposite:
         dense[opp] = dense.get(opp, 0) + 1
     for idx, a in zip(ridge, coeffs):
         dense[idx] = dense.get(idx, 0) - a
-    terms = tuple(sorted((i, c) for i, c in dense.items() if c))
-    return EdgeLengthForm(ridge, terms)
+    return tuple(sorted((i, c) for i, c in dense.items() if c))
 
 
 def _wall_forms(fan):
@@ -113,10 +105,10 @@ def _assignment_plan(fan, walls, forms, caps, pinned):
                                           len(depth), len(fan.rays)))
     complete = [[] for _ in range(len(order) + 1)]
     for wi, form in enumerate(forms):
-        complete[max((depth[i] for i, _ in form.terms), default=0)].append(wi)
+        complete[max((depth[i] for i, _ in form), default=0)].append(wi)
 
     def split(wi, ray):
-        terms = forms[wi].terms
+        terms = forms[wi]
         return (tuple((i, c) for i, c in terms if i != ray),
                 dict(terms).get(ray, 0))
 
@@ -174,15 +166,30 @@ def _assign(steps, t, used, slack, b, out):
                 _assign(steps, t + 1, total, slack, b, out)
 
 
+def frame_rays(cycle):
+    """The rays of a smooth complete 2D fan with this coefficient cycle.
+
+    Position i holds a_i with r_{i-1} + r_{i+1} = a_i r_i.  Two neighbouring
+    rays of a smooth fan are a lattice basis, so the cycle fixes the fan up
+    to GL_2(Z), and in the frame r_0 = e1, r_1 = e2 the others follow as
+    r_{i+1} = a_i r_i - r_{i-1}.  Returns one ray per position.
+    """
+    rays = [(1, 0), (0, 1)]
+    for i in range(1, len(cycle) - 1):
+        (x0, y0), (x1, y1) = rays[i - 1], rays[i]
+        rays.append((cycle[i] * x1 - x0, cycle[i] * y1 - y0))
+    return rays
+
+
 def least_perimeter(cycle):
     """Lower bound on the edge-length sum of a smooth polygon with this cycle.
 
     cycle holds the wall coefficients a_i of a smooth complete 2D fan in
-    cyclic ray order, r_{i-1} + r_{i+1} = a_i r_i.  In the frame r_0 = e1,
-    r_1 = e2, r_{i+1} = a_i r_i - r_{i-1}, a polygon with this normal fan
-    has edge lengths l_i >= 1 with sum l_i r_i = 0.  Writing l = 1 + e,
-    closure reads sum e_i r_i = c with c = -sum r_i.  Returns k + ceil(g),
-    where g is the least real sum e_i over all e >= 0 with that closure.
+    cyclic ray order, r_{i-1} + r_{i+1} = a_i r_i.  With the rays of
+    frame_rays(cycle), a polygon with this normal fan has edge lengths
+    l_i >= 1 with sum l_i r_i = 0.  Writing l = 1 + e, closure reads
+    sum e_i r_i = c with c = -sum r_i.  Returns k + ceil(g), where g is
+    the least real sum e_i over all e >= 0 with that closure.
 
     A basic optimum has at most two nonzero e_i (Caratheodory in the
     plane), so g is the least (det(c, r_j) + det(r_i, c)) / det(r_i, r_j)
@@ -202,10 +209,7 @@ def least_perimeter(cycle):
     sum l <= N, and a cycle with least_perimeter > N has none.
     """
     k = len(cycle)
-    rays = [(1, 0), (0, 1)]
-    for i in range(1, k - 1):
-        (x0, y0), (x1, y1) = rays[i - 1], rays[i]
-        rays.append((cycle[i] * x1 - x0, cycle[i] * y1 - y0))
+    rays = frame_rays(cycle)
     cx = -sum(x for x, _ in rays)
     cy = -sum(y for _, y in rays)
     if cx == 0 and cy == 0:
@@ -356,7 +360,6 @@ def _fix_parameters(axes, plans, t, vals, rays, cap, out):
 
 
 __all__ = [
-    "EdgeLengthForm", "enumerate_rhs",
-    "least_perimeter", "realize_and_filter",
+    "enumerate_rhs", "frame_rays", "least_perimeter", "realize_and_filter",
     "wall_sums", "passes_wall_sum", "wall_sum_box",
 ]

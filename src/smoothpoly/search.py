@@ -10,7 +10,8 @@ holds its cones as ray-index tuples and builds its Fan when one is read.
 
 Dimension 2 is the classical picture (subdivide one cone at a time) and the
 ordering rule collapses to "never expand a cone position left of the last
-one expanded".  Dimension 3 adds wall blow-ups, which do not commute with
+one expanded"; pipeline walks it as plain tuples, checked against the node
+walk here.  Dimension 3 adds wall blow-ups, which do not commute with
 their neighbours the way cone blow-ups do, so walls carry four flag states:
 a wall that was passed over becomes expandable again (ALWAYS_CONSIDER) when
 a later wall blow-up touches the cones beside it, and the three old face
@@ -36,7 +37,7 @@ from .exact_linalg import normalize_primitive, vec_add
 from .fans import (
     DegenerateRay,
     Fan,
-    blow_up,  # the reference for the index rules; perfbench/traced.py wraps it
+    blow_up,  # unused: kept for perfbench/traced.py to wrap
     expr_value,
     instantiate,
     is_numeric_vector,

@@ -52,7 +52,8 @@ def apply_affine(U, t, points):
 
 @pytest.fixture(scope="session")
 def polygon_class_table():
-    """The class table of the N = 12 polygon walk: (prefix, key, root) rows.
+    """The class table of the N = 12 polygon walk: (prefix, key, node) rows,
+    node being the (cones, order, cycle) of the class's least-prefix node.
 
     Taken from the walk alone, so no fan is realized and no levels are
     enumerated; every one of the 1992 classes is here, also those that
@@ -68,8 +69,7 @@ def polygon_class_table():
 @pytest.fixture(scope="session")
 def polygon_class_reps(polygon_class_table):
     """The fan class representatives of the N = 12 polygon walk (1992 fans),
-    in table order, each replayed from its root fan as the run does."""
+    in table order, each built in its cycle's frame as the run does."""
     from smoothpoly import pipeline
 
-    return [pipeline._class_fan(root, prefix[1])
-            for prefix, _, root in polygon_class_table]
+    return [pipeline._class_fan(*node) for _, _, node in polygon_class_table]

@@ -216,7 +216,7 @@ def test_criterion_6b_edge_length_forms_match_geometry(realized):
         # the forms the level enumeration reads, one per wall_table row
         for (_, incident, _, _), form, _ in _wall_forms(fan):
             e = edge_by_pair[frozenset(incident)]
-            assert sum(c * H.b[i] for i, c in form.terms) == e.lattice_length
+            assert sum(c * H.b[i] for i, c in form) == e.lattice_length
             checked += 1
     assert checked > 300
 

@@ -292,7 +292,24 @@ def test_exports_and_traced_imports_stay_true():
             bound = code.rstrip(",").split()[-1]
             assert (info.name, bound) in wraps, (info.name, bound)
             marked += 1
-    assert exported > 80 and marked == 6
+    assert exported > 80 and marked == 7
+
+
+def test_modules_import_no_private_names():
+    """No module of the package imports an underscore-prefixed name from
+    another module of the package: what one module needs of another is
+    public."""
+    package_imports = 0
+    for info in pkgutil.iter_modules(smoothpoly.__path__):
+        path = Path(smoothpoly.__path__[0]) / (info.name + ".py")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or not (
+                    node.level or node.module.startswith("smoothpoly")):
+                continue
+            package_imports += 1
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            assert not private, (info.name, node.module, private)
+    assert package_imports > 15
 
 
 def test_import_leaves_numpy_unloaded(tmp_path):

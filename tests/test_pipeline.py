@@ -54,8 +54,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(3, 3).validate()
     with pytest.raises(ConfigError):
-        RunConfig(2, 8, fmt="yaml").validate()
-    with pytest.raises(ConfigError):
         RunConfig(3, 13).validate()
     warnings = RunConfig(3, 13, allow_unvalidated=True).validate()
     assert len(warnings) == 1 and "envelope" in warnings[0]

@@ -6,7 +6,7 @@ import io
 import pytest
 
 from smoothpoly import pipeline, seeds
-from smoothpoly.fans import instantiate
+from smoothpoly.fans import fan_canonical_key, instantiate, wall_table
 from smoothpoly.pipeline import (
     _class_fan,
     _dihedral_key,
@@ -76,10 +76,13 @@ def test_loop_equals_node_walk(max_points, nodes, classes):
     assert [row[:2] for row in got] == [row[:2] for row in want]
     assert len(got) == classes
     if max_points == 12:
-        # the replayed class fans are the nodes' fans, ray for ray
-        for (prefix, _, root), (_, _, node) in zip(got, want):
-            fan = _class_fan(root, prefix[1])
-            assert fan.rays == node.fan.rays and fan.cones == node.fan.cones
+        # a class fan is a lattice image of its node's fan, built in the
+        # cycle's frame: the same cones, walls and coefficients, and key
+        for (_, _, row), (_, _, node) in zip(got, want):
+            fan = _class_fan(*row)
+            assert fan.cones == node.fan.cones
+            assert wall_table(fan) == wall_table(node.fan)
+            assert fan_canonical_key(fan) == fan_canonical_key(node.fan)
 
 
 def _polygon_tree_roots():

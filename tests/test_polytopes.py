@@ -1,10 +1,13 @@
 import gc
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from conftest import package_env
 from oracles import is_smooth_fan, solve_rational, vec_scale
 from smoothpoly import InvariantError
 from smoothpoly.exact_linalg import determinant, dot, vec_add
@@ -50,6 +53,49 @@ def brute_vertices(H):
 def test_vpolytope_rejects_non_integer_vertex():
     with pytest.raises(ValueError, match="non-integer"):
         VPolytope([(0, 0), (Fraction(1, 2), 0), (0, 1)])
+
+
+# inputs the constructors reject, as source text for the python -O run
+BAD_INPUTS = [
+    "Fan([(1, 0), (1, 0), (0, 1)], [(0, 2), (1, 2)])",
+    "Fan([(1, 0), (0, 1)], [(0, 5)])",
+    "HPolytope([(2, 0), (0, 1), (-1, -1)], [0, 0, 1], 2)",
+    "VPolytope([(0, 0), (1, 0, 0)])",
+]
+BAD_INPUT_ERRORS = [
+    "ValueError duplicate rays",
+    "ValueError cones ((0, 5),) name a ray index outside 0..1",
+    "ValueError facet normal (2, 0) is not primitive",
+    "ValueError vertices of a 2-dimensional polytope have other lengths: "
+    "[(0, 0), (1, 0, 0)]",
+]
+
+
+@pytest.mark.parametrize("source,error", zip(BAD_INPUTS, BAD_INPUT_ERRORS))
+def test_constructors_reject_bad_input(source, error):
+    with pytest.raises(ValueError) as exc:
+        eval(source)
+    assert "%s %s" % (type(exc.value).__name__, exc.value) == error
+
+
+def test_constructors_reject_bad_input_under_optimize():
+    """python -O drops assert statements, not the constructors' checks."""
+    script = (
+        "from smoothpoly.fans import Fan\n"
+        "from smoothpoly.polytopes import HPolytope, VPolytope\n"
+        "assert False, 'asserts are on'\n"
+        "for source in %r:\n"
+        "    try:\n"
+        "        eval(source)\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+        "    else:\n"
+        "        print('accepted', source)\n" % (BAD_INPUTS,))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=package_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == BAD_INPUT_ERRORS
 
 
 def test_lattice_points_triangle():

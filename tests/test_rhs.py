@@ -42,7 +42,7 @@ def form_by_wall(fan):
     forms = {}
     for (ridge, *_), form, _ in rhs._wall_forms(fan):
         dense = [0] * len(fan.rays)
-        for i, c in form.terms:
+        for i, c in form:
             dense[i] = c
         forms[ridge] = tuple(dense)
     assert forms == {w.ray_indices: edge_length_form(fan, w)

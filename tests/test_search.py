@@ -520,14 +520,17 @@ def test_walk_and_criterion_build_no_fan(monkeypatch):
 def test_polygon_walk_builds_fans_for_class_representatives_only(
         monkeypatch):
     table = pipeline._polygon_walk(9, None, pipeline.Diagnostics())
-    passing = [prefix for prefix, key, _ in table
+    passing = [(prefix, node) for prefix, key, node in table
                if least_perimeter(key) <= 9]
     built = []
-    build = search._build_fan
+    class_fan = pipeline._class_fan
 
-    def counting(node):
-        built.append(node.path)
-        return build(node)
+    def no_fan(node):
+        raise AssertionError("fan built for node %r" % (node.path,))
+
+    def counting(*node):
+        built.append(node)
+        return class_fan(*node)
 
     jobs = []
 
@@ -535,16 +538,16 @@ def test_polygon_walk_builds_fans_for_class_representatives_only(
         jobs.extend(class_jobs)
         return []
 
-    monkeypatch.setattr(search, "_build_fan", counting)
+    monkeypatch.setattr(search, "_build_fan", no_fan)
+    monkeypatch.setattr(pipeline, "_class_fan", counting)
     monkeypatch.setattr(pipeline, "_realize_jobs", record)
     _, diag = pipeline._classify_2d(9, None)
-    # every class is tested, but only those within the perimeter bound are
-    # realized, and a root node holds its seed fan from the start
-    assert [prefix for prefix, _ in jobs] == passing
-    below_root = sorted(prefix[1] for prefix in passing if prefix[1])
-    assert sorted(built) == below_root
+    # every class is tested, but only those within the perimeter bound get
+    # a fan, built from their cycle, and are realized
+    assert [prefix for prefix, _ in jobs] == [prefix for prefix, _ in passing]
+    assert built == [node for _, node in passing]
     assert diag.nodes_visited == 1381 and diag.fans_tested == len(table) == 130
-    assert len(passing) == 13 and len(built) == 7
+    assert len(passing) == 13
 
 
 def _unpruned_3d(k, max_cones):
