@@ -55,7 +55,9 @@ def dot(u, v):
 
 
 def cross(u, v):
-    assert len(u) == 3 and len(v) == 3
+    if len(u) != 3 or len(v) != 3:
+        raise ShapeError("cross needs two 3-vectors, got lengths %d and %d"
+                         % (len(u), len(v)))
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0])

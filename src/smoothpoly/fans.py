@@ -14,12 +14,16 @@ bases; determinants are unchanged since det(z1,...,z_{d-1}, z1+...+zd) =
 det(z1,...,zd)).
 
 Wall coefficients are solved in integers only, one wall_table per concrete
-fan; a family is instantiated before any wall is solved.
+fan; a family is instantiated before any wall is solved.  What the cones
+alone fix (which cones meet across each ridge, and the order and labels of
+every flag walk of the canonical key) is worked out once per cone set and
+shared by all the fans of a family, so a concrete fan only solves its own
+wall coefficients.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
-from operator import add
+from itertools import chain, permutations
+from operator import add, itemgetter
 
 from .exact_linalg import (
     Inconsistent,
@@ -166,9 +170,12 @@ class Fan:
     parameter name -> (lower, upper) and excluded maps parameter name ->
     frozenset of forbidden values inside those bounds.  Both are empty for a
     concrete fan.
+
+    _walls is the fan's _Walls, made on first use and shared with every fan
+    instantiate makes from it.
     """
 
-    __slots__ = ("rays", "cones", "d", "bounds", "excluded")
+    __slots__ = ("rays", "cones", "d", "bounds", "excluded", "_walls")
 
     def __init__(self, rays, cones, d=None, bounds=None, excluded=None):
         rays = tuple(tuple(r) for r in rays)
@@ -192,6 +199,7 @@ class Fan:
                        for n, (lo, hi) in (bounds or {}).items()}
         self.excluded = {n: frozenset(vs)
                          for n, vs in (excluded or {}).items() if vs}
+        self._walls = None
 
     def __eq__(self, other):
         return (isinstance(other, Fan) and self.rays == other.rays
@@ -224,7 +232,44 @@ def walls_of(fan):
     other than two, and ValueError on a cone with other than d rays.
     """
     return [Wall(ridge, (c1, c2), (p, q))
-            for ridge, c1, p, c2, q in _paired_ridges(fan)]
+            for ridge, c1, p, c2, q in _wall_structure(fan).paired]
+
+
+class _Walls:
+    """What a cone set fixes about its walls, whatever the rays.
+
+    paired is _paired_ridges' list.  across maps (cone, ray x) to (the
+    cone across the facet opposite x, its far ray y, the wall's index in
+    paired).  walks maps a flag (start cone, then its rays in label order)
+    to that flag's compiled walk (_compile_walk).  Only the cones and the
+    ray count are read, so the fans of one family share one.
+    """
+
+    __slots__ = ("paired", "across", "walks")
+
+    def __init__(self):
+        self.paired = None
+
+
+def _wall_structure(fan):
+    """fan's _Walls with its ridges paired, made and paired on first use.
+
+    Pairing raises what _paired_ridges raises, and then nothing is kept,
+    so every later call raises the same.
+    """
+    walls = fan._walls
+    if walls is None:
+        walls = fan._walls = _Walls()
+    if walls.paired is None:
+        paired = _paired_ridges(fan)
+        across = {}
+        for w, (ridge, c1, p, c2, q) in enumerate(paired):
+            across[c1, p] = (c2, q, w)
+            across[c2, q] = (c1, p, w)
+        walls.across = across
+        walls.walks = {}
+        walls.paired = paired
+    return walls
 
 
 def _paired_ridges(fan):
@@ -273,13 +318,16 @@ def wall_table(fan):
     before any wall is solved) and ValueError for a cone with other than d
     rays; and Inconsistent, NonIntegral or Singular from the solve.
     """
-    rays = fan.rays
-    table = []
-    for ridge, c1, p, c2, q in _paired_ridges(fan):
-        s = tuple(map(add, rays[p], rays[q]))
-        coeffs = _wall_coeffs([rays[i] for i in ridge], s, ridge)
-        table.append((ridge, (c1, c2), (p, q), coeffs))
-    return table
+    paired = _wall_structure(fan).paired
+    return [(ridge, (c1, c2), (p, q), coeffs) for (ridge, c1, p, c2, q), coeffs
+            in zip(paired, _solve_walls(fan.rays, paired))]
+
+
+def _solve_walls(rays, paired):
+    """_wall_coeffs of every paired ridge, in order."""
+    return [_wall_coeffs([rays[i] for i in ridge],
+                         tuple(map(add, rays[p], rays[q])), ridge)
+            for ridge, _, p, _, q in paired]
 
 
 def _wall_coeffs(spanning, s, ridge):
@@ -400,8 +448,12 @@ def instantiate(pf, assignment):
 
     Checks bounds and exclusions (OutOfBounds), evaluates every ray, then
     normalizes primitively and verifies no ray vanished or collided with
-    another (DegenerateRay).  A concrete pf has the one point {}.
+    another (DegenerateRay).  The fan has pf's cones, already checked when
+    pf was built, and shares pf's _Walls.  A concrete pf has the one point
+    {}, and its fan is pf itself.
     """
+    if not pf.bounds:
+        return pf
     for name, (lo, hi) in pf.bounds.items():
         v = assignment[name]
         if not lo <= v <= hi:
@@ -416,9 +468,15 @@ def instantiate(pf, assignment):
             raise DegenerateRay("ray %r evaluates to zero" % (r,))
         prim, _ = normalize_primitive(vals)
         rays.append(prim)
+    rays = tuple(rays)
     if len(set(rays)) != len(rays):
         raise DegenerateRay("two rays coincide after substitution")
-    return Fan(rays, pf.cones, pf.d)
+    if pf._walls is None:
+        pf._walls = _Walls()
+    fan = Fan.__new__(Fan)
+    fan.rays, fan.cones, fan.d = rays, pf.cones, pf.d
+    fan.bounds, fan.excluded, fan._walls = {}, {}, pf._walls
+    return fan
 
 
 def fan_canonical_key(fan):
@@ -448,8 +506,11 @@ def fan_canonical_key(fan):
     cut before any walk: the least first item is d and the least sorted
     coefficient tuple of any wall, and the flags left start on either side
     of such a wall, with its spanning rays in an order that reads that
-    tuple.  A walked flag is dropped as soon as its prefix exceeds the
-    least sequence found so far.
+    tuple.
+
+    A walk's order and labels depend on the cones and the flag alone, so
+    each flag's walk is compiled once per cone set (_compile_walk) and a
+    fan only solves its walls and reads each walked flag's items off them.
 
     Needs a concrete complete fan.  The errors come from wall_table: a
     ridge not shared by two cones raises NotComplete, a wall with
@@ -462,61 +523,74 @@ def fan_canonical_key(fan):
     non-unimodular map and gets that fan's key, so callers pass smooth
     fans.
     """
-    cones = fan.cones
-    table = wall_table(fan)
-    across = {}
-    for ridge, (c1, c2), (p, q), coeffs in table:
-        coeffs = dict(zip(ridge, coeffs))
-        across[c1, p] = (c2, q, coeffs)
-        across[c2, q] = (c1, p, coeffs)
+    walls = _wall_structure(fan)
+    paired = walls.paired
+    table = _solve_walls(fan.rays, paired)
     # the least ordering of a wall's coefficients is their sorted tuple
-    firsts = [tuple(sorted(coeffs)) for *_, coeffs in table]
+    firsts = [tuple(sorted(coeffs)) for coeffs in table]
     least = min(firsts)
-    flags = []
-    for (ridge, incident, opposite, coeffs), first in zip(table, firsts):
+    # a walk's items are read off the labels 0, 1, ... and then the
+    # coefficients of every wall, in order
+    values = list(range(len(fan.rays)))
+    values.extend(chain.from_iterable(table))
+    best = None
+    for w, first in enumerate(firsts):
         if first != least:
             continue
-        by_ray = dict(zip(ridge, coeffs))
-        orders = [perm for perm in permutations(ridge)
-                  if tuple(by_ray[n] for n in perm) == least]
-        flags.extend((c, (x,) + perm)
-                     for c, x in zip(incident, opposite) for perm in orders)
-    best = _flag_walk(cones, across, *flags[0], None)
-    if len(best) != len(cones) - 1:
-        raise NotComplete("the walls join %d of the %d cones"
-                          % (len(best) + 1, len(cones)))
-    for start, flag in flags[1:]:
-        seq = _flag_walk(cones, across, start, flag, best)
-        if seq is not None:
-            best = seq
-    return len(cones), tuple(best)
+        ridge, c1, p, c2, q = paired[w]
+        by_ray = dict(zip(ridge, table[w]))
+        for perm in permutations(ridge):
+            if tuple(by_ray[n] for n in perm) != least:
+                continue
+            for flag in ((c1, p) + perm, (c2, q) + perm):
+                walk = walls.walks.get(flag)
+                if walk is None:
+                    walk = walls.walks[flag] = _compile_walk(fan, walls,
+                                                             flag)
+                seq = walk(values)
+                if best is None or seq < best:
+                    best = seq
+    d = fan.d
+    return len(fan.cones), tuple(best[i:i + d] for i in range(0, len(best), d))
 
 
-def _flag_walk(cones, across, start, flag, best):
-    """The items one flag emits, or None once they exceed best's prefix."""
-    label = {r: k for k, r in enumerate(flag)}
+def _compile_walk(fan, walls, flag):
+    """One flag's walk as an itemgetter of values, flattened.
+
+    flag is (start cone, its rays in label order).  Each newly reached
+    cone adds d positions to the getter: the label of its far ray, then
+    each coefficient of the wall crossed, in label order of its spanning
+    rays.  In values the labels come first, one per ray of the fan, and
+    wall w's coefficients start at len(fan.rays) + w * (d - 1), so the
+    getter returns the walk's items end to end; items all have length d,
+    so flat sequences compare as the item sequences do.  Raises
+    NotComplete when the walk misses a cone.
+    """
+    cones = fan.cones
+    start, order = flag[0], flag[1:]
+    d = len(order)
+    label = {r: k for k, r in enumerate(order)}
     seen = {start}
     queue = [start]
-    seq = []
-    tied = best is not None
+    picks = []
     for c in queue:
-        rays = sorted(cones[c], key=label.__getitem__)
-        for x in rays:
-            nxt, y, coeffs = across[c, x]
+        ordered = sorted(cones[c], key=label.__getitem__)
+        for x in ordered:
+            nxt, y, w = walls.across[c, x]
             if nxt in seen:
                 continue
             seen.add(nxt)
             queue.append(nxt)
             if y not in label:
                 label[y] = len(label)
-            item = (label[y],) + tuple(coeffs[n] for n in rays if n != x)
-            if tied:
-                other = best[len(seq)]
-                if item > other:
-                    return None
-                tied = item == other
-            seq.append(item)
-    return seq
+            ridge = walls.paired[w][0]
+            base = len(fan.rays) + w * (d - 1)
+            picks.append(label[y])
+            picks.extend(base + ridge.index(n) for n in ordered if n != x)
+    if len(seen) != len(cones):
+        raise NotComplete("the walls join %d of the %d cones"
+                          % (len(seen), len(cones)))
+    return itemgetter(*picks)
 
 
 __all__ = [

@@ -346,14 +346,20 @@ def _masked_instances(fan, max_points):
 def _classify_3d(max_points, stats, trace):
     diag = Diagnostics()
     classes = {}
+    # the criterion reads only the degree profile, and the walk meets few
+    passes = {}
     for name in seeds.seed_names(3):
         seed = seeds.get_seed(name)
         for node in walk_tree(seed.build(max_points), max_points):
             diag.nodes_visited += 1
             if trace is not None:
                 trace.write("%s\t%s\n" % (name, trace_line(node)))
-            crit = polygon_criterion(degree_profile(node), stats)
-            if not crit.passes:
+            profile = degree_profile(node)
+            key = tuple(sorted(profile.items()))
+            ok = passes.get(key)
+            if ok is None:
+                ok = passes[key] = polygon_criterion(profile, stats).passes
+            if not ok:
                 continue          # not a candidate, but children may be
             for assignment, fan in _masked_instances(node.fan, max_points):
                 prefix = (name, node.path, tuple(sorted(assignment.items())))

@@ -191,14 +191,19 @@ def least_perimeter(cycle):
     sum e_i r_i = c with c = -sum r_i.  Returns k + ceil(g), where g is
     the least real sum e_i over all e >= 0 with that closure.
 
-    A basic optimum has at most two nonzero e_i (Caratheodory in the
-    plane), so g is the least (det(c, r_j) + det(r_i, c)) / det(r_i, r_j)
-    over ray pairs with det(r_i, r_j) > 0 and both numerators >= 0 (the
-    Cramer solution of c = e_i r_i + e_j r_j); g = 0 when c = 0.  The rays
-    of a complete fan span every direction, so some pair qualifies, and
-    ceil of the least quotient is the least ceil.  The value is invariant
-    under rotation and reversal of the cycle (both give a lattice image of
-    the same polygons), so the dihedral key may be passed.
+    That g is the gauge of c with respect to the hull of the rays, which
+    holds the origin inside (the fan is complete): on the edge [u, v] whose
+    cone holds c, c = e_u u + e_v v by Cramer's rule with g = e_u + e_v =
+    (det(c, v) + det(u, c)) / det(u, v).  That linear form is 1 on the
+    edge's line and at most 1 on the hull, so on every other edge it gives
+    at most g at c, and g is the greatest over the edges (0 when c = 0).
+    The ceil of the greatest quotient is the greatest ceil.  Every
+    det(r_i, r_{i+1}) is 1, so the rays arrive counterclockwise, and one
+    stack pass (Graham's scan, started at the lexicographically greatest
+    ray, a hull vertex) keeps the hull vertices in that order.  The value
+    is invariant under rotation and reversal of the cycle (both give a
+    lattice image of the same polygons), so the dihedral key may be
+    passed.
 
     Soundness: the level vectors of enumerate_rhs give edge lengths with
     l >= 1, sum(l - 1) <= N - k, and sum l_i r_i = 0 (this holds for every
@@ -212,22 +217,18 @@ def least_perimeter(cycle):
     rays = frame_rays(cycle)
     cx = -sum(x for x, _ in rays)
     cy = -sum(y for _, y in rays)
-    if cx == 0 and cy == 0:
-        return k
-    best = None
-    for xi, yi in rays:
-        for xj, yj in rays:
-            den = xi * yj - yi * xj
-            if den <= 0:
-                continue
-            ei = cx * yj - cy * xj
-            ej = xi * cy - yi * cx
-            if ei < 0 or ej < 0:
-                continue
-            g = -(-(ei + ej) // den)
-            if best is None or g < best:
-                best = g
-    return k + best
+    top = rays.index(max(rays))
+    hull = []
+    for x, y in rays[top:] + rays[:top + 1]:
+        while len(hull) > 1:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0:
+                break
+            hull.pop()
+        hull.append((x, y))
+    return k + max(-(-(cx * yv - cy * xv + xu * cy - yu * cx)
+                     // (xu * yv - yu * xv))
+                   for (xu, yu), (xv, yv) in zip(hull, hull[1:]))
 
 
 def realize_and_filter(fan, b, max_points):

@@ -152,11 +152,13 @@ def propagate_bounds(bounds, kind):
     A full-dimensional blow-up widens every box by one in both directions
     (the child family can be isomorphic to a sibling at a shifted parameter
     value, and one step shifts the relevant window by at most one); a wall
-    blow-up leaves the boxes alone.
+    blow-up leaves the boxes alone.  Any other kind raises ValueError.
     """
     if kind == "cone":
         return {n: (lo - 1, hi + 1) for n, (lo, hi) in bounds.items()}
-    assert kind == "wall"
+    if kind != "wall":
+        raise ValueError("blow-up kind %r is neither 'cone' nor 'wall'"
+                         % (kind,))
     return dict(bounds)
 
 

@@ -4,8 +4,9 @@ The program solves every wall, level and vertex in integers: wall tables,
 floored caps and Cramer's rule.  The routines here are the slower general
 forms those replaced, kept as independent checks: a Gauss-Jordan solve
 over Fraction, the per-wall edge parameters of a possibly parametric fan,
-smoothness and completeness tests on a whole fan, and the window of level
-vectors with its rational caps.
+smoothness and completeness tests on a whole fan, the window of level
+vectors with its rational caps, and the perimeter bound over all ray
+pairs.
 
 A parametric target is solved by linearity (solve_by_parts): once for its
 constant vector and once for each parameter's integer vector, so no solve
@@ -33,6 +34,7 @@ from smoothpoly.fans import (
     is_numeric_vector,
     walls_of,
 )
+from smoothpoly.rhs import frame_rays
 
 
 def vec_scale(c, v):
@@ -233,3 +235,36 @@ def build_rhs_polytope(fan, max_points):
         tuple(Fraction(max_points - sum(edge_parameters(fan, w).coeffs),
                        fan.d) - 1 for w in walls),
         max_points - len(fan.cones))
+
+
+def pairwise_least_perimeter(cycle):
+    """rhs.least_perimeter by trying every pair of frame rays, O(k^2).
+
+    A basic optimum of min sum e_i, e >= 0, sum e_i r_i = c = -sum r_i
+    has at most two nonzero e_i (Caratheodory in the plane), so g is the
+    least (det(c, r_j) + det(r_i, c)) / det(r_i, r_j) over ray pairs with
+    det(r_i, r_j) > 0 and both numerators >= 0 (the Cramer solution of
+    c = e_i r_i + e_j r_j); g = 0 when c = 0.  The rays of a complete fan
+    span every direction, so some pair qualifies, and ceil of the least
+    quotient is the least ceil.  Returns k + ceil(g).
+    """
+    k = len(cycle)
+    rays = frame_rays(cycle)
+    cx = -sum(x for x, _ in rays)
+    cy = -sum(y for _, y in rays)
+    if cx == 0 and cy == 0:
+        return k
+    best = None
+    for xi, yi in rays:
+        for xj, yj in rays:
+            den = xi * yj - yi * xj
+            if den <= 0:
+                continue
+            ei = cx * yj - cy * xj
+            ej = xi * cy - yi * cx
+            if ei < 0 or ej < 0:
+                continue
+            g = -(-(ei + ej) // den)
+            if best is None or g < best:
+                best = g
+    return k + best

@@ -14,6 +14,7 @@ from smoothpoly.exact_linalg import (
     ShapeError,
     Singular,
     ZeroVectorError,
+    cross,
     determinant,
     identity_matrix,
     inverse_unimodular,
@@ -76,6 +77,15 @@ def test_determinant_examples():
 def test_determinant_non_square():
     with pytest.raises(ShapeError):
         determinant(((1, 0, 0), (0, 1, 0)))
+
+
+def test_cross_needs_two_3_vectors():
+    assert cross((1, 0, 0), (0, 1, 0)) == (0, 0, 1)
+    # a raise, not an assert, so python -O rejects them too
+    for u, v in (((1, 0, 0, 5), (0, 1, 0, 7)), ((1, 0), (0, 1)),
+                 ((1, 0, 0), (0, 1))):
+        with pytest.raises(ShapeError):
+            cross(u, v)
 
 
 def test_determinant_matches_leibniz():

@@ -389,6 +389,32 @@ def test_instantiate_degenerate_rays():
         instantiate(vanish, {"a": 0})
 
 
+def test_instantiate_returns_a_concrete_fan_itself():
+    for fan in (fp_fan(), tetra_fan(), blow_up(tetra_fan(), (0, 1))):
+        assert instantiate(fan, {}) is fan
+
+
+def test_family_members_share_the_wall_structure():
+    """Members of one family share its cone set's wall structure; a fan
+    blown up from a member has other cones and builds its own."""
+    seed = seeds.get_seed("4^6").build(12)
+    members = [instantiate(seed, a) for a in
+               ({"a": 1, "b": 0, "c": 2}, {"a": 0, "b": 0, "c": 0},
+                {"a": -2, "b": 3, "c": 1})]
+    for fan in members:
+        fresh = Fan(fan.rays, fan.cones)
+        assert fan._walls is seed._walls and fresh._walls is None
+        assert wall_table(fan) == wall_table(fresh)
+        assert fan_canonical_key(fan) == fan_canonical_key(fresh)
+        blown = blow_up(fan, fan.cones[0])
+        assert blown._walls is None
+        assert wall_table(blown) == wall_table(Fan(blown.rays, blown.cones))
+        assert blown._walls is not seed._walls
+        assert fan_canonical_key(blown) == fan_canonical_key(
+            Fan(blown.rays, blown.cones))
+    assert fan_canonical_key(members[0]) != fan_canonical_key(members[1])
+
+
 def test_instantiate_octahedral():
     b = ParamExpr.var("b")
     c = ParamExpr.var("c")
@@ -560,6 +586,9 @@ def test_fan_key_needs_smooth_complete_fan():
                                    (0, 0, -1)),
                tetra_fan().cones + ((4, 5, 6), (4, 5, 7), (4, 6, 7),
                                     (5, 6, 7)))
+    with pytest.raises(NotComplete):
+        fan_canonical_key(twin)
+    # the twin's wall structure keeps no walk, so it fails again
     with pytest.raises(NotComplete):
         fan_canonical_key(twin)
 

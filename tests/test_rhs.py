@@ -8,12 +8,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import build_rhs_polytope, edge_length_form
+from oracles import (
+    build_rhs_polytope,
+    edge_length_form,
+    pairwise_least_perimeter,
+)
 from smoothpoly import InvariantError, pipeline, rhs, seeds
 from smoothpoly.fans import (
     DegenerateRay,
     Fan,
+    fan_canonical_key,
     instantiate,
+    wall_table,
     walls_of,
 )
 from smoothpoly.rhs import (
@@ -208,7 +214,11 @@ def test_wall_sum_box_matches_scalar_3d(name, box):
 def test_wall_sum_box_matches_scalar_on_every_box_of_a_run(monkeypatch):
     """Every parameter box of the 3D N = 12 run keeps exactly the points
     whose instantiated fan passes the scalar test, in product order.  The
-    472 concrete nodes that pass the criterion are one-point boxes ()."""
+    472 concrete nodes that pass the criterion are one-point boxes ().
+
+    Each kept fan shares its family's wall structure, which the run has
+    already used; its wall table and key equal those of a fresh fan on the
+    same rays and cones, which builds its own."""
     calls = []
     box = pipeline.wall_sum_box
 
@@ -231,6 +241,9 @@ def test_wall_sum_box_matches_scalar_on_every_box_of_a_run(monkeypatch):
                 continue
             if passes_wall_sum(fan, 12):
                 scalar.append(c)
+                fresh = Fan(fan.rays, fan.cones, 3)
+                assert wall_table(fan) == wall_table(fresh)
+                assert fan_canonical_key(fan) == fan_canonical_key(fresh)
         assert [c for c in kept if c not in degenerate] == scalar
     assert (len(calls), points, sum(len(k) for *_, k in calls)) == (
         590, 57637, 4419)
@@ -294,6 +307,16 @@ def test_least_perimeter_hand_cases():
     for a in cycle[1:-1]:
         rays.append(tuple(a * x - y for x, y in zip(rays[-1], rays[-2])))
     assert least_perimeter(cycle) == _exact_least_perimeter(rays, 12) == 12
+
+
+@pytest.mark.parametrize("max_points, classes", [(12, 1992), (13, 7360)])
+def test_least_perimeter_matches_pairwise_oracle(max_points, classes):
+    """The hull pass gives the all-pairs minimum on every class of the
+    polygon walk."""
+    table = pipeline._polygon_walk(max_points, None, pipeline.Diagnostics())
+    assert len(table) == classes
+    for _, key, _ in table:
+        assert least_perimeter(key) == pairwise_least_perimeter(key), key
 
 
 def test_least_perimeter_is_dihedral_invariant(polygon_class_table):

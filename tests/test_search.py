@@ -238,6 +238,9 @@ def test_flagless_node_cannot_be_expanded():
 def test_propagate_bounds():
     assert propagate_bounds({"a": (0, 12)}, "cone") == {"a": (-1, 13)}
     assert propagate_bounds({"a": (0, 12)}, "wall") == {"a": (0, 12)}
+    # a raise, not an assert, so python -O rejects it too
+    with pytest.raises(ValueError):
+        propagate_bounds({"a": (0, 12)}, "bogus")
 
 
 def test_walk_widens_parametric_bounds():
