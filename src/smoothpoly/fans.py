@@ -13,18 +13,22 @@ it preserves smoothness and completeness (the new ray completes the same
 bases; determinants are unchanged since det(z1,...,z_{d-1}, z1+...+zd) =
 det(z1,...,zd)).
 
-Wall coefficients are solved in integers only, one wall_table per concrete
-fan; a family is instantiated before any wall is solved.  What the cones
-alone fix (which cones meet across each ridge, and the order and labels of
-every flag walk of the canonical key) is worked out once per cone set and
-shared by all the fans of a family, so a concrete fan only solves its own
-wall coefficients.
+Wall coefficients are solved in integers only, at most once per concrete
+fan, which keeps its table.  What the cones alone fix (which cones meet
+across each ridge, and the order and labels of every flag walk of the
+canonical key) is worked out once per cone set and shared by all the fans
+of a family.  A 3D family's box is walked once (wall_sum_box): each wall
+is tested against the wall-sum cap and solved as soon as its four rays are
+fixed, so a wall that reads no parameter is solved once per family, and
+every kept point yields its concrete fan with its wall table in hand.
 """
 
 from dataclasses import dataclass
 from itertools import chain, permutations
+from math import gcd
 from operator import add, itemgetter
 
+from . import InvariantError
 from .exact_linalg import (
     Inconsistent,
     Singular,
@@ -172,10 +176,13 @@ class Fan:
     concrete fan.
 
     _walls is the fan's _Walls, made on first use and shared with every fan
-    instantiate makes from it.
+    instantiate or wall_sum_box makes from it.  _table holds the
+    coefficients of every wall in _paired_ridges order, handed over by
+    wall_sum_box or solved on first use.
     """
 
-    __slots__ = ("rays", "cones", "d", "bounds", "excluded", "_walls")
+    __slots__ = ("rays", "cones", "d", "bounds", "excluded", "_walls",
+                 "_table")
 
     def __init__(self, rays, cones, d=None, bounds=None, excluded=None):
         rays = tuple(tuple(r) for r in rays)
@@ -200,6 +207,7 @@ class Fan:
         self.excluded = {n: frozenset(vs)
                          for n, vs in (excluded or {}).items() if vs}
         self._walls = None
+        self._table = None
 
     def __eq__(self, other):
         return (isinstance(other, Fan) and self.rays == other.rays
@@ -311,16 +319,27 @@ def wall_table(fan):
     The ridges are paired as in walls_of (incident in increasing order,
     opposite[i] the ray completing incident[i]); then each wall is solved
     by _wall_coeffs: coeffs are the integers a_i with r1 + r2 = sum a_i n_i,
-    n_i the wall's spanning rays and r1, r2 its opposite rays.  Needs a
-    concrete simplicial fan in dimension 2 or 3, so a family is
-    instantiated first.  Raises what walls_of raises: NotComplete for a
+    n_i the wall's spanning rays and r1, r2 its opposite rays.  The
+    coefficients are solved once per fan and kept, or come from
+    wall_sum_box, which solved them already.  Needs a concrete simplicial
+    fan in dimension 2 or 3.  Raises what walls_of raises: NotComplete for a
     ridge in a number of cones other than two (checked on every ridge
     before any wall is solved) and ValueError for a cone with other than d
     rays; and Inconsistent, NonIntegral or Singular from the solve.
     """
-    paired = _wall_structure(fan).paired
+    walls, table = _coefficients(fan)
     return [(ridge, (c1, c2), (p, q), coeffs) for (ridge, c1, p, c2, q), coeffs
-            in zip(paired, _solve_walls(fan.rays, paired))]
+            in zip(walls.paired, table)]
+
+
+def _coefficients(fan):
+    """fan's _Walls and its table: the coefficients of every paired ridge,
+    solved on first use and kept on the fan.  A solve that raises keeps
+    nothing, so every later call raises the same."""
+    walls = _wall_structure(fan)
+    if fan._table is None:
+        fan._table = _solve_walls(fan.rays, walls.paired)
+    return walls, fan._table
 
 
 def _solve_walls(rays, paired):
@@ -473,10 +492,125 @@ def instantiate(pf, assignment):
         raise DegenerateRay("two rays coincide after substitution")
     if pf._walls is None:
         pf._walls = _Walls()
+    return _instance(pf, rays, None)
+
+
+def _instance(pf, rays, table):
+    """The concrete fan with these rays and pf's cones and _Walls, holding
+    table (None: solved on first use).  Nothing is checked."""
     fan = Fan.__new__(Fan)
     fan.rays, fan.cones, fan.d = rays, pf.cones, pf.d
-    fan.bounds, fan.excluded, fan._walls = {}, {}, pf._walls
+    fan.bounds, fan.excluded = {}, {}
+    fan._walls, fan._table = pf._walls, table
     return fan
+
+
+def wall_sum_box(pf, names, axes, max_points):
+    """(values, fan) for each point of the box product(*axes) whose fan
+    passes rhs.passes_wall_sum, in itertools.product order.
+
+    pf is a 3D fan, names its parameters in the order of axes (none for a
+    concrete fan, whose box is the one point () and whose fan is pf).
+    Parameters are fixed in names order; a ray is evaluated once all it
+    reads are fixed, and a wall is tested once its four rays are, so a
+    failed wall drops the rest of the box below it.  The test runs on the
+    evaluated rays: with s the sum of a wall's two opposite rays and w =
+    n1 x n2, _wall_coeffs' numerators are <s x n2, w> and <n1 x s, w>, and
+    the coefficient sum needs no division, (a1 + a2) <w, w> = <s x n2 + n1
+    x s, w>.  A wall that passes is solved from the same numerators, so
+    each wall is solved once per point of the parameters it reads, and
+    each fan holds its wall table.  A wall that does not solve in integers
+    leaves the fan without a table, and wall_table raises its error.
+
+    Points with a zero or duplicate ray are skipped, as instantiate's
+    DegenerateRay skips them.  The cones of every 3D family are unimodular
+    at every point of its box, so every ray comes out primitive and is not
+    normalized; a ray that is not raises InvariantError.
+    """
+    walls = _wall_structure(pf)
+    pos = {n: t for t, n in enumerate(names)}
+    ray_step, plans = [], [([], []) for _ in range(len(names) + 1)]
+    for ri, ray in enumerate(pf.rays):
+        entries = [(x.const, tuple((pos[n], c) for n, c in x.coeffs.items()))
+                   if isinstance(x, ParamExpr) else (x, ()) for x in ray]
+        ray_step.append(max((t + 1 for _, ts in entries for t, _ in ts),
+                          default=0))
+        plans[ray_step[-1]][0].append((ri, tuple(entries)))
+    for w, (ridge, _, p, _, q) in enumerate(walls.paired):
+        four = ridge + (p, q)
+        plans[max(ray_step[i] for i in four)][1].append((w,) + four)
+    rays = [None] * len(pf.rays)
+    table = [None] * len(walls.paired)
+    vals = [0] * len(names)
+    cap = max_points - 2 * pf.d
+    if not _place(plans[0], vals, rays, table, cap):
+        return []
+    if not names:
+        if pf._table is None and None not in table:
+            pf._table = table
+        return [((), pf)]
+    out = []
+    _fix_parameters(pf, axes, plans, 0, vals, rays, table, cap, out)
+    return out
+
+
+def _place(plan, vals, rays, table, cap):
+    """Evaluate the plan's rays on vals, then test and solve its walls.
+
+    False at the first wall past the cap.  A wall that passes gets its
+    coefficients in table, or None when they are not integers.
+    """
+    new_rays, walls = plan
+    for ri, entries in new_rays:
+        ray = []
+        for const, terms in entries:
+            for t, c in terms:
+                const += c * vals[t]
+            ray.append(const)
+        rays[ri] = ray
+    for w, n1, n2, p, q in walls:
+        (x1, y1, z1), (x2, y2, z2) = rays[n1], rays[n2]
+        (p0, p1, p2), (q0, q1, q2) = rays[p], rays[q]
+        sx, sy, sz = p0 + q0, p1 + q1, p2 + q2
+        d0, d1, d2 = x2 - x1, y2 - y1, z2 - z1
+        w0, w1, w2 = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+        den = w0 * w0 + w1 * w1 + w2 * w2
+        # (a1 + a2) <w, w> = <s x (n2 - n1), w>
+        total = ((sy * d2 - sz * d1) * w0 + (sz * d0 - sx * d2) * w1
+                 + (sx * d1 - sy * d0) * w2)
+        if total > cap * den:
+            return False
+        # _wall_coeffs' solve: s in the span, and both quotients exact
+        if not den or sx * w0 + sy * w1 + sz * w2:
+            table[w] = None
+            continue
+        num = ((sy * z2 - sz * y2) * w0 + (sz * x2 - sx * z2) * w1
+               + (sx * y2 - sy * x2) * w2)       # a1 <w, w> = <s x n2, w>
+        a1, r1 = divmod(num, den)
+        a2, r2 = divmod(total - num, den)
+        table[w] = None if r1 or r2 else (a1, a2)
+    return True
+
+
+def _fix_parameters(pf, axes, plans, t, vals, rays, table, cap, out):
+    """Kept points for parameters t, t+1, ... given vals[:t]."""
+    if t == len(axes):
+        fan_rays = tuple(map(tuple, rays))
+        distinct = set(fan_rays)
+        if len(distinct) != len(fan_rays) or (0, 0, 0) in distinct:
+            return                # a degenerate point
+        for ray in fan_rays:
+            if gcd(*ray) != 1:
+                raise InvariantError("ray %r of %r at %r is not primitive"
+                                     % (ray, pf, vals))
+        out.append((tuple(vals), _instance(
+            pf, fan_rays, None if None in table else list(table))))
+        return
+    for v in axes[t]:
+        vals[t] = v
+        if _place(plans[t + 1], vals, rays, table, cap):
+            _fix_parameters(pf, axes, plans, t + 1, vals, rays, table, cap,
+                            out)
 
 
 def fan_canonical_key(fan):
@@ -510,7 +644,7 @@ def fan_canonical_key(fan):
 
     A walk's order and labels depend on the cones and the flag alone, so
     each flag's walk is compiled once per cone set (_compile_walk) and a
-    fan only solves its walls and reads each walked flag's items off them.
+    fan only reads each walked flag's items off its wall table.
 
     Needs a concrete complete fan.  The errors come from wall_table: a
     ridge not shared by two cones raises NotComplete, a wall with
@@ -523,9 +657,8 @@ def fan_canonical_key(fan):
     non-unimodular map and gets that fan's key, so callers pass smooth
     fans.
     """
-    walls = _wall_structure(fan)
+    walls, table = _coefficients(fan)
     paired = walls.paired
-    table = _solve_walls(fan.rays, paired)
     # the least ordering of a wall's coefficients is their sorted tuple
     firsts = [tuple(sorted(coeffs)) for coeffs in table]
     least = min(firsts)
@@ -599,6 +732,6 @@ __all__ = [
     "ParamExpr", "expr_value", "is_numeric_vector",
     "Fan", "Wall",
     "walls_of", "wall_table",
-    "blow_up", "instantiate",
+    "blow_up", "instantiate", "wall_sum_box",
     "fan_canonical_key",
 ]

@@ -19,18 +19,30 @@ from the cycle alone, in the frame of rhs.frame_rays: a lattice image of
 the walked fan, which has the same level vectors and polytopes up to
 lattice isomorphism.
 Dimension 3 has no such monotonicity (wall blow-ups destroy the offending
-wall), so the walk is parametric, every node is filtered by the smooth
-polygon criterion from the 2D results, and surviving nodes are instantiated
-over the points of their parameter boxes that pass the wall-sum test (the
-box of a node without parameters is the one point ()).
+wall), so the walk is parametric, and every node is filtered by the smooth
+polygon criterion from the 2D results.  The criterion reads only the ray
+degrees, which are carried down the walk from parent to child rather than
+recounted, and is evaluated once per distinct degree multiset.  A surviving
+node's parameter box is walked once by fans.wall_sum_box, which yields the
+concrete fan of each point that passes the wall-sum test with its wall
+table already solved (the box of a node without parameters is the one
+point ()).
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import InvariantError, seeds
 from .exact_linalg import dot
-from .fans import Fan, fan_canonical_key, wall_table
+from .fans import (
+    Fan,
+    fan_canonical_key,
+    wall_sum_box,
+    # unused: kept for perfbench/traced.py to wrap
+    wall_sum_box as wall_sum_mask,
+    wall_table,
+)
 from .iso_dedup import canonical_form, dedup
 from .polytopes import HPolytope, VPolytope, facets_of, lattice_points
 from .rhs import (
@@ -39,9 +51,6 @@ from .rhs import (
     least_perimeter,
     passes_wall_sum,  # unused: kept for perfbench/traced.py to wrap
     realize_and_filter,
-    wall_sum_box,
-    # unused: kept for perfbench/traced.py to wrap
-    wall_sum_box as wall_sum_mask,
 )
 from .search import (
     count_polygon_tree,
@@ -50,7 +59,6 @@ from .search import (
     enumerate_blowups,
     format_trace_line,
     instantiate_all,
-    instantiate_each,
     # unused: kept for perfbench/traced.py to wrap
     make_root,
     parameter_axes,
@@ -332,37 +340,69 @@ def _classify_2d(max_points, trace):
     return records, diag
 
 
-def _masked_instances(fan, max_points):
-    """In-box assignments passing the wall-sum cap, with their fans.
+def _walk_degrees(nodes):
+    """(node, ray degrees) for each node of a pre-order 3D walk_tree walk.
 
-    A concrete fan is the one-point box (), kept or dropped as a whole.
+    degrees[i] is the number of maximal cones ray i lies in.  Only a root's
+    are counted: a node's parent is the last node met one level up, and its
+    last blow-up (blown_up[-1]) changes the parent's degrees locally:
+      - cone {a, b, c}: a, b and c gain a cone, and the new ray s has 3;
+      - wall {n1, n2} between {p, n1, n2} and {q, n1, n2}: p and q gain a
+        cone, read off the child's last two cones {p, n2, s} and
+        {q, n2, s}, and s has 4.
+    Each node gets its own list.
     """
-    names, axes = parameter_axes(fan)
-    return instantiate_each(fan, (dict(zip(names, values)) for values
-                                  in wall_sum_box(fan, names, axes,
-                                                  max_points)))
+    line = []           # degrees of the current node and its ancestors
+    for node in nodes:
+        depth = len(node.path)
+        if depth:
+            degrees = line[depth - 1].copy()
+            target = node.blown_up[-1]
+            if len(target) == 3:
+                for i in target:
+                    degrees[i] += 1
+                degrees.append(3)
+            else:
+                s = len(degrees)
+                for cone in node.cones[-2:]:
+                    degrees[sum(cone) - target[1] - s] += 1
+                degrees.append(4)
+        else:
+            degrees = [0] * node.num_rays
+            for cone in node.cones:
+                for i in cone:
+                    degrees[i] += 1
+        line[depth:] = [degrees]
+        yield node, degrees
 
 
 def _classify_3d(max_points, stats, trace):
     diag = Diagnostics()
     classes = {}
-    # the criterion reads only the degree profile, and the walk meets few
+    # the criterion reads only the degree multiset, and the walk meets few
     passes = {}
     for name in seeds.seed_names(3):
         seed = seeds.get_seed(name)
-        for node in walk_tree(seed.build(max_points), max_points):
+        for node, degrees in _walk_degrees(
+                walk_tree(seed.build(max_points), max_points)):
             diag.nodes_visited += 1
             if trace is not None:
                 trace.write("%s\t%s\n" % (name, trace_line(node)))
-            profile = degree_profile(node)
-            key = tuple(sorted(profile.items()))
+            key = tuple(sorted(degrees))
             ok = passes.get(key)
             if ok is None:
+                profile = degree_profile(node)
+                if profile != Counter(key):
+                    raise InvariantError("carried degrees %r of %r do not "
+                                         "recount to %r"
+                                         % (key, node.path, profile))
                 ok = passes[key] = polygon_criterion(profile, stats).passes
             if not ok:
                 continue          # not a candidate, but children may be
-            for assignment, fan in _masked_instances(node.fan, max_points):
-                prefix = (name, node.path, tuple(sorted(assignment.items())))
+            names, axes = parameter_axes(node.fan)
+            for values, fan in wall_sum_box(node.fan, names, axes,
+                                            max_points):
+                prefix = (name, node.path, tuple(zip(names, values)))
                 _note_class(classes, fan_canonical_key(fan), prefix, fan)
     jobs = sorted(classes.values(), key=lambda job: job[0])
     diag.fans_tested = len(jobs)

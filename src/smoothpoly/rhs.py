@@ -15,8 +15,9 @@ max_points lattice points:
 Translation freedom is removed by pinning b = 0 on the rays of the
 lexicographically least cone, which parks that cone's vertex at the origin.
 
-The wall coefficients come from one fans.wall_table per fan, which the
-level enumeration and the wall-sum filter read.
+The wall coefficients come from fans.wall_table, which reads the table a
+fan keeps: a 3D fan from fans.wall_sum_box holds the one its box pass
+solved, so no wall is solved again here.
 
 Edge lengths are integers, so enumeration floors each cap once, to
 (N - sum(a) - d) // d, and works in integers only.
@@ -29,11 +30,7 @@ enumerates levels only for classes within the bound.
 
 from . import InvariantError
 from .exact_linalg import determinant, dot
-from .fans import (
-    ParamExpr,
-    wall_table,
-    walls_of,
-)
+from .fans import wall_table
 from .polytopes import (
     HPolytope,
     VPolytope,
@@ -56,7 +53,7 @@ def _form(ridge, opposite, coeffs):
 def _wall_forms(fan):
     """(wall table row, edge-length form, wall coefficient sum) per wall.
 
-    One wall_table per fan: every wall is solved once, in walls_of order.
+    Rows come in walls_of order, from the table the fan keeps.
     """
     out = []
     for row in wall_table(fan):
@@ -281,8 +278,9 @@ def realize_and_filter(fan, b, max_points):
 # wall-coefficient prefilter
 #
 # Edge length bounds need 1 <= l <= (N - sum(a))/d - 1, so a fan admits any
-# polytope within N points only if sum(a) <= N - 2d on every wall.  Cheap to
-# test, and over a parameter box each wall is tested once its rays are fixed.
+# polytope within N points only if sum(a) <= N - 2d on every wall.  These
+# are the scalar tests; over a 3D parameter box the same cap is tested by
+# fans.wall_sum_box, each wall once its rays are fixed.
 
 def wall_sums(fan):
     return [sum(coeffs) for _, _, _, coeffs in wall_table(fan)]
@@ -293,74 +291,7 @@ def passes_wall_sum(fan, max_points):
     return all(s <= cap for s in wall_sums(fan))
 
 
-def wall_sum_box(fan, names, axes, max_points):
-    """Value tuples of the box product(*axes) that pass passes_wall_sum.
-
-    fan is a 3D fan, names its parameters in the order of axes (none for a
-    concrete fan, whose box is the one point ()).  The test runs on the
-    evaluated rays, before any normalization: with s the sum of a wall's
-    two opposite rays, s = a1 n1 + a2 n2 holds inside span(n1, n2), so with
-    w = n1 x n2 the coefficient sum needs no division, (a1 + a2) <w, w> =
-    <s x n2 + n1 x s, w>.  Parameters are
-    fixed in names order; a ray is evaluated once all it reads are fixed,
-    and a wall is tested once its four rays are, so a failed wall drops
-    the rest of the box below it.  Tuples come in itertools.product order.
-    """
-    pos = {n: t for t, n in enumerate(names)}
-    ray_step, plans = [], [([], []) for _ in range(len(names) + 1)]
-    for ri, ray in enumerate(fan.rays):
-        entries = [(x.const, tuple((pos[n], c) for n, c in x.coeffs.items()))
-                   if isinstance(x, ParamExpr) else (x, ()) for x in ray]
-        ray_step.append(max((t + 1 for _, ts in entries for t, _ in ts),
-                          default=0))
-        plans[ray_step[-1]][0].append((ri, tuple(entries)))
-    for wall in walls_of(fan):
-        four = wall.ray_indices + wall.opposite
-        plans[max(ray_step[i] for i in four)][1].append(four)
-    rays = [None] * len(fan.rays)
-    vals = [0] * len(names)
-    cap = max_points - 2 * fan.d
-    if not _place(plans[0], vals, rays, cap):
-        return []
-    out = []
-    _fix_parameters(axes, plans, 0, vals, rays, cap, out)
-    return out
-
-
-def _place(plan, vals, rays, cap):
-    """Evaluate the plan's rays on vals, then test its walls."""
-    new_rays, walls = plan
-    for ri, entries in new_rays:
-        ray = []
-        for const, terms in entries:
-            for t, c in terms:
-                const += c * vals[t]
-            ray.append(const)
-        rays[ri] = ray
-    for n1, n2, p, q in walls:
-        (a, b, c), (x, y, z) = rays[n1], rays[n2]
-        (p0, p1, p2), (q0, q1, q2) = rays[p], rays[q]
-        s0, s1, s2 = p0 + q0, p1 + q1, p2 + q2
-        d0, d1, d2 = x - a, y - b, z - c    # s x n2 + n1 x s = s x (n2 - n1)
-        w0, w1, w2 = b * z - c * y, c * x - a * z, a * y - b * x
-        e0, e1, e2 = s1 * d2 - s2 * d1, s2 * d0 - s0 * d2, s0 * d1 - s1 * d0
-        if e0 * w0 + e1 * w1 + e2 * w2 > cap * (w0 * w0 + w1 * w1 + w2 * w2):
-            return False
-    return True
-
-
-def _fix_parameters(axes, plans, t, vals, rays, cap, out):
-    """Box points for parameters t, t+1, ... given vals[:t]."""
-    if t == len(axes):
-        out.append(tuple(vals))
-        return
-    for v in axes[t]:
-        vals[t] = v
-        if _place(plans[t + 1], vals, rays, cap):
-            _fix_parameters(axes, plans, t + 1, vals, rays, cap, out)
-
-
 __all__ = [
     "enumerate_rhs", "frame_rays", "least_perimeter", "realize_and_filter",
-    "wall_sums", "passes_wall_sum", "wall_sum_box",
+    "wall_sums", "passes_wall_sum",
 ]

@@ -1,10 +1,12 @@
 import math
 import random
-from itertools import permutations
+import subprocess
+import sys
+from itertools import permutations, product
 
 import pytest
 
-from conftest import random_unimodular
+from conftest import package_env, random_unimodular
 from oracles import (
     ParametricWallUnsupported,
     edge_parameters,
@@ -33,6 +35,7 @@ from smoothpoly.fans import (
     fan_canonical_key,
     expr_value,
     instantiate,
+    wall_sum_box,
     wall_table,
     walls_of,
 )
@@ -413,6 +416,81 @@ def test_family_members_share_the_wall_structure():
         assert fan_canonical_key(blown) == fan_canonical_key(
             Fan(blown.rays, blown.cones))
     assert fan_canonical_key(members[0]) != fan_canonical_key(members[1])
+
+
+def test_wall_sum_box_fans_hold_their_wall_tables():
+    """Kept points yield fans sharing the family's wall structure and
+    holding its solved table; a point with a duplicate ray is skipped, and a
+    kept point with a wall that has no integer solution holds no table, so
+    wall_table raises on it what it raises on the instantiated fan."""
+    # the octant fan with (a, 1, 0) in place of e1
+    pf = Fan([(A, 1, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0),
+              (0, 0, -1)],
+             [(i, j, k) for i in (0, 3) for j in (1, 4) for k in (2, 5)],
+             bounds={"a": (0, 2)})
+    kept = wall_sum_box(pf, ["a"], [[0, 1, 2]], 12)
+    # a = 0 puts the ray on (0, 1, 0)
+    assert [(values, fan.rays[0]) for values, fan in kept] == [
+        ((1,), (1, 1, 0)), ((2,), (2, 1, 0))]
+    (_, smooth), (_, bent) = kept
+    assert smooth._walls is pf._walls and smooth._table is not None
+    assert wall_table(smooth) == wall_table(Fan(smooth.rays, smooth.cones))
+    assert bent._table is None
+    with pytest.raises(Inconsistent) as got:
+        wall_table(bent)
+    with pytest.raises(Inconsistent) as want:
+        wall_table(instantiate(pf, {"a": 2}))
+    assert str(got.value) == str(want.value)
+
+
+def test_3d_seed_cones_are_unimodular_on_their_whole_box():
+    """Every 3D seed's cone determinants are +-1 at every point of its
+    N = 12 box, hence everywhere.  A determinant has degree at most 3 in
+    each parameter, and every axis has at least 7 values: a polynomial of
+    degree at most 3 that takes only the values +-1 on 7 points takes one
+    of them 4 times, so it is constant.  Blow-ups keep the determinants,
+    so every ray wall_sum_box evaluates lies in a unimodular cone and is
+    primitive."""
+    for name in seeds.seed_names(3):
+        pf = seeds.get_seed(name).build(12)
+        names, axes = parameter_axes(pf)
+        assert all(len(axis) >= 7 for axis in axes), name
+        for values in product(*axes):
+            point = dict(zip(names, values))
+            rays = [tuple(x.evaluate(point) if isinstance(x, ParamExpr) else x
+                          for x in ray) for ray in pf.rays]
+            for cone in pf.cones:
+                assert determinant([rays[i] for i in cone]) in (1, -1), (
+                    name, values, cone)
+
+
+NON_PRIMITIVE = """
+from smoothpoly import InvariantError
+from smoothpoly.fans import Fan, ParamExpr, wall_sum_box
+x = (ParamExpr.var("a"), 0, 0)
+pf = Fan([x, (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
+         [(i, j, k) for i in (0, 3) for j in (1, 4) for k in (2, 5)],
+         bounds={"a": (1, 2)})
+print([values for values, _ in wall_sum_box(pf, ["a"], [[1]], 12)])
+try:
+    wall_sum_box(pf, ["a"], [[1, 2]], 12)
+except InvariantError as exc:
+    print("InvariantError:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_wall_sum_box_raises_on_a_non_primitive_ray(flags):
+    """A ray that evaluates to a non-primitive vector breaks the premise
+    that lets wall_sum_box skip normalization, and it says so, also under
+    python -O; the ray (a, 0, 0) is (2, 0, 0) at a = 2."""
+    out = subprocess.run([sys.executable, *flags, "-c", NON_PRIMITIVE],
+                         capture_output=True, text=True, env=package_env(),
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[(1,)]"
+    assert lines[1].startswith("InvariantError: ray (2, 0, 0) ")
 
 
 def test_instantiate_octahedral():

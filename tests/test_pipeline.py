@@ -21,6 +21,7 @@ from smoothpoly.pipeline import (
     _min_interior,
     _polygon_cycle,
     _splice_cycle,
+    _walk_degrees,
     list_seeds,
     render_json,
     render_seeds,
@@ -31,7 +32,13 @@ from smoothpoly.pipeline import (
     run_stats,
 )
 from smoothpoly.polytopes import VPolytope, facets_of, is_smooth, lattice_points
-from smoothpoly.search import PolygonStats, enumerate_blowups, make_root
+from smoothpoly.search import (
+    PolygonStats,
+    degree_profile,
+    enumerate_blowups,
+    make_root,
+    walk_tree,
+)
 from smoothpoly.seeds import UnknownSeed
 
 
@@ -347,6 +354,35 @@ def test_count_tree_values():
     assert run_count_tree("4^6", 8) == 1
     with pytest.raises(UnknownSeed):
         run_count_tree("F_q", 6)
+
+
+def _degree_walks():
+    """The 3D walks of the N = 12 and N = 13 runs, then the seed 3^4 to 14
+    cones, where wall and cone blow-ups both go deep."""
+    for n in (12, 13):
+        yield n, [walk_tree(seeds.get_seed(name).build(n), n)
+                  for name in seeds.seed_names(3)]
+    yield "3^4", [walk_tree(seeds.get_seed("3^4").build(14), 14)]
+
+
+def test_walk_carries_ray_degrees():
+    """The ray degrees carried down a 3D walk equal a recount on every
+    node, ray by ray; on the runs' walks they also give the profile that
+    degree_profile counts."""
+    nodes = {}
+    for name, walks in _degree_walks():
+        nodes[name] = 0
+        for walk in walks:
+            for node, degrees in _walk_degrees(walk):
+                recount = [0] * node.num_rays
+                for cone in node.cones:
+                    for i in cone:
+                        recount[i] += 1
+                assert degrees == recount, (name, node.path)
+                if name != "3^4":
+                    assert Counter(degrees) == degree_profile(node)
+                nodes[name] += 1
+    assert nodes == {12: 31698, 13: 31698, "3^4": 393669}
 
 
 def test_stats_small_budget():

@@ -13,12 +13,13 @@ from oracles import (
     edge_length_form,
     pairwise_least_perimeter,
 )
-from smoothpoly import InvariantError, pipeline, rhs, seeds
+from smoothpoly import InvariantError, fans, pipeline, rhs, seeds
 from smoothpoly.fans import (
     DegenerateRay,
     Fan,
     fan_canonical_key,
     instantiate,
+    wall_sum_box,
     wall_table,
     walls_of,
 )
@@ -27,7 +28,6 @@ from smoothpoly.rhs import (
     least_perimeter,
     passes_wall_sum,
     realize_and_filter,
-    wall_sum_box,
     wall_sums,
 )
 
@@ -205,7 +205,7 @@ def test_wall_sum_box_matches_scalar_3d(name, box):
     pf = seeds.get_seed(name).build(12)
     names = [n for n, _ in box]
     axes = [vals for _, vals in box]
-    kept = wall_sum_box(pf, names, axes, 12)
+    kept = [c for c, _ in wall_sum_box(pf, names, axes, 12)]
     scalar = [c for c in itertools.product(*axes)
               if passes_wall_sum(instantiate(pf, dict(zip(names, c))), 12)]
     assert kept == scalar
@@ -213,38 +213,50 @@ def test_wall_sum_box_matches_scalar_3d(name, box):
 
 def test_wall_sum_box_matches_scalar_on_every_box_of_a_run(monkeypatch):
     """Every parameter box of the 3D N = 12 run keeps exactly the points
-    whose instantiated fan passes the scalar test, in product order.  The
-    472 concrete nodes that pass the criterion are one-point boxes ().
+    whose instantiated fan passes the scalar test, in product order, with
+    the rays instantiate gives.  The 472 concrete nodes that pass the
+    criterion are one-point boxes ().
 
-    Each kept fan shares its family's wall structure, which the run has
-    already used; its wall table and key equal those of a fresh fan on the
-    same rays and cones, which builds its own."""
+    Each kept fan comes with the wall table its box pass solved: the 3D
+    part of the run solves no wall after the box passes, and each table
+    and key equals those of a fresh fan on the same rays and cones, which
+    solves its own."""
     calls = []
     box = pipeline.wall_sum_box
+    solves = [0, None]     # _solve_walls calls; the count at the first box
+    solve = fans._solve_walls
 
     def recorded(fan, names, axes, max_points):
+        if solves[1] is None:
+            solves[1] = solves[0]
         out = box(fan, names, axes, max_points)
         calls.append((fan, names, axes, out))
         return out
 
+    def counted(rays, paired):
+        solves[0] += 1
+        return solve(rays, paired)
+
     monkeypatch.setattr(pipeline, "wall_sum_box", recorded)
+    monkeypatch.setattr(fans, "_solve_walls", counted)
     pipeline.run_classify(pipeline.RunConfig(3, 12))
+    assert solves[0] == solves[1] > 0
     points = 0
     for pf, names, axes, kept in calls:
-        scalar, degenerate = [], set()
+        scalar = []
         for c in itertools.product(*axes):
             points += 1
             try:
                 fan = instantiate(pf, dict(zip(names, c)))
             except DegenerateRay:
-                degenerate.add(c)
                 continue
             if passes_wall_sum(fan, 12):
-                scalar.append(c)
-                fresh = Fan(fan.rays, fan.cones, 3)
-                assert wall_table(fan) == wall_table(fresh)
-                assert fan_canonical_key(fan) == fan_canonical_key(fresh)
-        assert [c for c in kept if c not in degenerate] == scalar
+                scalar.append((c, fan.rays))
+        assert [(c, fan.rays) for c, fan in kept] == scalar
+        for c, fan in kept:
+            fresh = Fan(fan.rays, fan.cones, 3)
+            assert wall_table(fan) == wall_table(fresh)
+            assert fan_canonical_key(fan) == fan_canonical_key(fresh)
     assert (len(calls), points, sum(len(k) for *_, k in calls)) == (
         590, 57637, 4419)
 
