@@ -7,6 +7,7 @@ stderr.
 """
 
 import argparse
+import os
 import sys
 import traceback
 
@@ -63,6 +64,10 @@ def _build_parser():
 
 
 def _cmd_classify(args):
+    if (args.out and args.trace_tree and os.path.realpath(args.out)
+            == os.path.realpath(args.trace_tree)):
+        raise ConfigError("--out and --trace-tree both name %s"
+                          % (args.out,))
     cfg = RunConfig(dimension=args.dim, max_points=args.max_points,
                     trace_tree=args.trace_tree,
                     allow_unvalidated=args.allow_unvalidated)

@@ -18,14 +18,18 @@ fan, which keeps its table.  What the cones alone fix (which cones meet
 across each ridge, and the order and labels of every flag walk of the
 canonical key) is worked out once per cone set and shared by all the fans
 of a family.  A 3D family's box is walked once (wall_sum_box): each wall
-is tested against the wall-sum cap and solved as soon as its four rays are
+is solved and tested against the wall-sum cap as soon as its four rays are
 fixed, so a wall that reads no parameter is solved once per family, and
 every kept point yields its concrete fan with its wall table in hand.
+
+The box pass solves each wall by Cramer's rule in the lattice basis of
+the unimodular cone on one side (_place), so the parametric wall table is
+exact: a coefficient is an integer polynomial of degree at most 3 in the
+parameters.  wall_table's general solve, _wall_coeffs, is its reference.
 """
 
 from dataclasses import dataclass
 from itertools import chain, permutations
-from math import gcd
 from operator import add, itemgetter
 
 from . import InvariantError
@@ -321,7 +325,7 @@ def wall_table(fan):
     by _wall_coeffs: coeffs are the integers a_i with r1 + r2 = sum a_i n_i,
     n_i the wall's spanning rays and r1, r2 its opposite rays.  The
     coefficients are solved once per fan and kept, or come from
-    wall_sum_box, which solved them already.  Needs a concrete simplicial
+    wall_sum_box, which solved every wall of the fans it yields.  Needs a concrete simplicial
     fan in dimension 2 or 3.  Raises what walls_of raises: NotComplete for a
     ridge in a number of cones other than two (checked on every ridge
     before any wall is solved) and ValueError for a cone with other than d
@@ -497,7 +501,8 @@ def instantiate(pf, assignment):
 
 def _instance(pf, rays, table):
     """The concrete fan with these rays and pf's cones and _Walls, holding
-    table (None: solved on first use).  Nothing is checked."""
+    table (None: solved on first use).  Nothing is checked, and pf's
+    _Walls must exist."""
     fan = Fan.__new__(Fan)
     fan.rays, fan.cones, fan.d = rays, pf.cones, pf.d
     fan.bounds, fan.excluded = {}, {}
@@ -510,22 +515,18 @@ def wall_sum_box(pf, names, axes, max_points):
     passes rhs.passes_wall_sum, in itertools.product order.
 
     pf is a 3D fan, names its parameters in the order of axes (none for a
-    concrete fan, whose box is the one point () and whose fan is pf).
-    Parameters are fixed in names order; a ray is evaluated once all it
-    reads are fixed, and a wall is tested once its four rays are, so a
-    failed wall drops the rest of the box below it.  The test runs on the
-    evaluated rays: with s the sum of a wall's two opposite rays and w =
-    n1 x n2, _wall_coeffs' numerators are <s x n2, w> and <n1 x s, w>, and
-    the coefficient sum needs no division, (a1 + a2) <w, w> = <s x n2 + n1
-    x s, w>.  A wall that passes is solved from the same numerators, so
-    each wall is solved once per point of the parameters it reads, and
-    each fan holds its wall table.  A wall that does not solve in integers
-    leaves the fan without a table, and wall_table raises its error.
+    concrete fan, whose box is the one point ()).  Parameters are fixed in
+    names order; a ray is evaluated once all it reads are fixed, and a
+    wall is solved and tested once its four rays are (_place), so a wall
+    past the cap drops the rest of the box below it.
 
-    Points with a zero or duplicate ray are skipped, as instantiate's
-    DegenerateRay skips them.  The cones of every 3D family are unimodular
-    at every point of its box, so every ray comes out primitive and is not
-    normalized; a ray that is not raises InvariantError.
+    Every point has one of two outcomes: a wall past the cap drops it, or
+    it is kept, as a fan with pf's cones and _Walls, the rays as evaluated
+    and its complete wall table.  The solve needs the cones of a 3D family
+    to be unimodular on its whole box, with each wall between its two
+    opposite rays; a point where this fails raises InvariantError, and so
+    does a kept point with two equal rays.  A ray of a unimodular cone is
+    primitive, so no ray is normalized.
     """
     walls = _wall_structure(pf)
     pos = {n: t for t, n in enumerate(names)}
@@ -543,22 +544,22 @@ def wall_sum_box(pf, names, axes, max_points):
     table = [None] * len(walls.paired)
     vals = [0] * len(names)
     cap = max_points - 2 * pf.d
-    if not _place(plans[0], vals, rays, table, cap):
-        return []
-    if not names:
-        if pf._table is None and None not in table:
-            pf._table = table
-        return [((), pf)]
     out = []
-    _fix_parameters(pf, axes, plans, 0, vals, rays, table, cap, out)
+    if _place(plans[0], vals, rays, table, cap):
+        _fix_parameters(pf, axes, plans, 0, vals, rays, table, cap, out)
     return out
 
 
 def _place(plan, vals, rays, table, cap):
-    """Evaluate the plan's rays on vals, then test and solve its walls.
+    """Evaluate the plan's rays on vals, then solve and test its walls.
 
-    False at the first wall past the cap.  A wall that passes gets its
-    coefficients in table, or None when they are not integers.
+    False at the first wall whose coefficient sum is past the cap.  A wall
+    spanned by n1, n2 with opposite rays p, q is solved in the basis n1,
+    n2, p.  If e = det(n1, n2, p) = +-1, Cramer's rule gives q the
+    coordinates e det(q, n2, p), e det(n1, q, p) and e det(n1, n2, q).  If
+    also e det(n1, n2, q) = -1, so that q lies across the wall in a
+    unimodular cone, then p + q = a1 n1 + a2 n2 with a1 = e det(q, n2, p)
+    and a2 = e det(n1, q, p).  Otherwise it raises InvariantError.
     """
     new_rays, walls = plan
     for ri, entries in new_rays:
@@ -571,24 +572,24 @@ def _place(plan, vals, rays, table, cap):
     for w, n1, n2, p, q in walls:
         (x1, y1, z1), (x2, y2, z2) = rays[n1], rays[n2]
         (p0, p1, p2), (q0, q1, q2) = rays[p], rays[q]
-        sx, sy, sz = p0 + q0, p1 + q1, p2 + q2
-        d0, d1, d2 = x2 - x1, y2 - y1, z2 - z1
         w0, w1, w2 = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
-        den = w0 * w0 + w1 * w1 + w2 * w2
-        # (a1 + a2) <w, w> = <s x (n2 - n1), w>
-        total = ((sy * d2 - sz * d1) * w0 + (sz * d0 - sx * d2) * w1
-                 + (sx * d1 - sy * d0) * w2)
-        if total > cap * den:
+        e = p0 * w0 + p1 * w1 + p2 * w2              # det(n1, n2, p)
+        f = q0 * w0 + q1 * w1 + q2 * w2              # det(n1, n2, q)
+        if e * e != 1 or e * f != -1:
+            raise InvariantError(
+                "wall %r is not smooth at n1, n2, p, q = %r: det(n1, n2, p) "
+                "= %d, det(n1, n2, q) = %d" % (
+                    (n1, n2), tuple(tuple(rays[i]) for i in (n1, n2, p, q)),
+                    e, f))
+        # a1 + a2 = e det(q, n2 - n1, p)
+        d0, d1, d2 = x2 - x1, y2 - y1, z2 - z1
+        total = e * (q0 * (d1 * p2 - d2 * p1) + q1 * (d2 * p0 - d0 * p2)
+                     + q2 * (d0 * p1 - d1 * p0))
+        if total > cap:
             return False
-        # _wall_coeffs' solve: s in the span, and both quotients exact
-        if not den or sx * w0 + sy * w1 + sz * w2:
-            table[w] = None
-            continue
-        num = ((sy * z2 - sz * y2) * w0 + (sz * x2 - sx * z2) * w1
-               + (sx * y2 - sy * x2) * w2)       # a1 <w, w> = <s x n2, w>
-        a1, r1 = divmod(num, den)
-        a2, r2 = divmod(total - num, den)
-        table[w] = None if r1 or r2 else (a1, a2)
+        a1 = e * (q0 * (y2 * p2 - z2 * p1) + q1 * (z2 * p0 - x2 * p2)
+                  + q2 * (x2 * p1 - y2 * p0))        # e det(q, n2, p)
+        table[w] = (a1, total - a1)
     return True
 
 
@@ -596,15 +597,10 @@ def _fix_parameters(pf, axes, plans, t, vals, rays, table, cap, out):
     """Kept points for parameters t, t+1, ... given vals[:t]."""
     if t == len(axes):
         fan_rays = tuple(map(tuple, rays))
-        distinct = set(fan_rays)
-        if len(distinct) != len(fan_rays) or (0, 0, 0) in distinct:
-            return                # a degenerate point
-        for ray in fan_rays:
-            if gcd(*ray) != 1:
-                raise InvariantError("ray %r of %r at %r is not primitive"
-                                     % (ray, pf, vals))
-        out.append((tuple(vals), _instance(
-            pf, fan_rays, None if None in table else list(table))))
+        if len(set(fan_rays)) != len(fan_rays):
+            raise InvariantError("%r at %r has two equal rays: %r"
+                                 % (pf, vals, fan_rays))
+        out.append((tuple(vals), _instance(pf, fan_rays, list(table))))
         return
     for v in axes[t]:
         vals[t] = v

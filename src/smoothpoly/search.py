@@ -378,8 +378,14 @@ def instantiate_all(fan):
     are skipped.
     """
     names, axes = parameter_axes(fan)
-    return instantiate_each(fan, (dict(zip(names, combo))
-                                  for combo in itertools.product(*axes)))
+    out = []
+    for combo in itertools.product(*axes):
+        assignment = dict(zip(names, combo))
+        try:
+            out.append((assignment, instantiate(fan, assignment)))
+        except DegenerateRay:
+            continue
+    return out
 
 
 def parameter_axes(fan):
@@ -395,21 +401,6 @@ def parameter_axes(fan):
         bad = fan.excluded.get(n, frozenset())
         axes.append([v for v in range(lo, hi + 1) if v not in bad])
     return names, axes
-
-
-def instantiate_each(fan, assignments):
-    """(assignment, concrete fan) for each assignment, in the given order.
-
-    Assignments where a ray degenerates (vanishes or collides with another)
-    do not give a fan of this combinatorial type and are skipped.
-    """
-    out = []
-    for assignment in assignments:
-        try:
-            out.append((assignment, instantiate(fan, assignment)))
-        except DegenerateRay:
-            continue
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +478,6 @@ __all__ = [
     "ConeFlag", "SearchNode", "make_root", "propagate_bounds",
     "enumerate_blowups", "walk_tree", "trace_line", "format_trace_line",
     "count_polygon_tree", "instantiate_all", "parameter_axes",
-    "instantiate_each",
     "degree_profile", "PolygonStats", "polygon_stats",
     "CriterionResult", "polygon_criterion",
 ]

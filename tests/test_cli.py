@@ -90,6 +90,24 @@ def test_classify_unwritable_path_exits_2_before_classifying(
         path,)
 
 
+def test_classify_rejects_one_file_for_report_and_trace(
+        capsys, monkeypatch, tmp_path):
+    def no_run(*args):
+        raise AssertionError("classification ran")
+
+    monkeypatch.setattr(pipeline, "_classify_2d", no_run)
+    path = tmp_path / "report"
+    path.write_text("kept\n")
+    alias = tmp_path / "sub" / ".." / "report"
+    (tmp_path / "sub").mkdir()
+    code, out, err = run_cli(["classify", "--dim", "2", "--max-points", "12",
+                              "--out", str(path), "--trace-tree", str(alias)],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --out and --trace-tree both name %s\n" % (path,)
+    assert path.read_text() == "kept\n"
+
+
 def test_classify_rejects_bad_config(capsys):
     code, _, err = run_cli(["classify", "--dim", "4", "--max-points", "9"],
                            capsys)
@@ -310,6 +328,19 @@ def test_modules_import_no_private_names():
             private = [a.name for a in node.names if a.name.startswith("_")]
             assert not private, (info.name, node.module, private)
     assert package_imports > 15
+
+
+def test_modules_hold_no_assert_statement():
+    """Every invariant of the program is an explicit raise, so it is checked
+    under python -O too: no module of the package has an assert
+    statement."""
+    paths = sorted(Path(smoothpoly.__path__[0]).glob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        asserts = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Assert)]
+        assert not asserts, (path.name, asserts)
+    assert len(paths) == 10
 
 
 def test_import_leaves_numpy_unloaded(tmp_path):

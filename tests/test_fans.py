@@ -14,7 +14,7 @@ from oracles import (
     is_smooth_fan,
     solve_wall,
 )
-from smoothpoly import exact_linalg, fans, seeds
+from smoothpoly import InvariantError, exact_linalg, fans, seeds
 from smoothpoly.exact_linalg import (
     Inconsistent,
     columns_matrix,
@@ -418,43 +418,22 @@ def test_family_members_share_the_wall_structure():
     assert fan_canonical_key(members[0]) != fan_canonical_key(members[1])
 
 
-def test_wall_sum_box_fans_hold_their_wall_tables():
-    """Kept points yield fans sharing the family's wall structure and
-    holding its solved table; a point with a duplicate ray is skipped, and a
-    kept point with a wall that has no integer solution holds no table, so
-    wall_table raises on it what it raises on the instantiated fan."""
-    # the octant fan with (a, 1, 0) in place of e1
-    pf = Fan([(A, 1, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0),
-              (0, 0, -1)],
-             [(i, j, k) for i in (0, 3) for j in (1, 4) for k in (2, 5)],
-             bounds={"a": (0, 2)})
-    kept = wall_sum_box(pf, ["a"], [[0, 1, 2]], 12)
-    # a = 0 puts the ray on (0, 1, 0)
-    assert [(values, fan.rays[0]) for values, fan in kept] == [
-        ((1,), (1, 1, 0)), ((2,), (2, 1, 0))]
-    (_, smooth), (_, bent) = kept
-    assert smooth._walls is pf._walls and smooth._table is not None
-    assert wall_table(smooth) == wall_table(Fan(smooth.rays, smooth.cones))
-    assert bent._table is None
-    with pytest.raises(Inconsistent) as got:
-        wall_table(bent)
-    with pytest.raises(Inconsistent) as want:
-        wall_table(instantiate(pf, {"a": 2}))
-    assert str(got.value) == str(want.value)
-
-
 def test_3d_seed_cones_are_unimodular_on_their_whole_box():
     """Every 3D seed's cone determinants are +-1 at every point of its
     N = 12 box, hence everywhere.  A determinant has degree at most 3 in
     each parameter, and every axis has at least 7 values: a polynomial of
     degree at most 3 that takes only the values +-1 on 7 points takes one
-    of them 4 times, so it is constant.  Blow-ups keep the determinants,
-    so every ray wall_sum_box evaluates lies in a unimodular cone and is
-    primitive."""
+    of them 4 times, so it is constant.  And at every wall, spanned by n1,
+    n2 with opposite rays p and q, det(n1, n2, q) = -det(n1, n2, p): the
+    two are constant, so this too holds everywhere.  Blow-ups keep both,
+    as the new ray is the sum of the rays it splits.  These are the
+    premises of wall_sum_box's Cramer solve: every wall solves in integers
+    and every ray, lying in a unimodular cone, is primitive."""
     for name in seeds.seed_names(3):
         pf = seeds.get_seed(name).build(12)
         names, axes = parameter_axes(pf)
         assert all(len(axis) >= 7 for axis in axes), name
+        walls = walls_of(pf)
         for values in product(*axes):
             point = dict(zip(names, values))
             rays = [tuple(x.evaluate(point) if isinstance(x, ParamExpr) else x
@@ -462,16 +441,65 @@ def test_3d_seed_cones_are_unimodular_on_their_whole_box():
             for cone in pf.cones:
                 assert determinant([rays[i] for i in cone]) in (1, -1), (
                     name, values, cone)
+            for wall in walls:
+                n1, n2 = (rays[i] for i in wall.ray_indices)
+                p, q = (rays[i] for i in wall.opposite)
+                assert determinant([n1, n2, q]) == -determinant(
+                    [n1, n2, p]), (name, values, wall)
+
+
+def test_wall_sum_box_fans_hold_their_wall_tables():
+    """A kept point is a fan sharing its family's _Walls and holding the
+    wall table a fresh fan solves; a concrete fan is the one-point family
+    () and yields such a fan too.  A point where a wall has both opposite
+    rays on one side breaks the premise of wall_sum_box's Cramer solve and
+    raises InvariantError: on the octant fan, (a, 1, 0) at a = 0 repeats e2
+    inside a cone, and the ray (2a - 1, 0, 0) in place of -e1 is e1 at
+    a = 1, on e1's side of the wall spanned by e2 and e3.  A kept point
+    with two equal rays raises too."""
+    octant = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0),
+              (0, 0, -1)]
+    cones = [(i, j, k) for i in (0, 3) for j in (1, 4) for k in (2, 5)]
+    concrete = Fan(octant, cones)
+    ((values, fan),) = wall_sum_box(concrete, [], [], 12)
+    assert values == () and fan == concrete and fan is not concrete
+    assert fan._walls is concrete._walls
+    assert fan._table == [c for *_, c in wall_table(Fan(octant, cones))]
+    for index, ray, smooth, bad, dets in [
+            (0, (A, 1, 0), 1, 0, (0, 0)),
+            (3, (2 * A - 1, 0, 0), 0, 1, (1, 1))]:
+        rays = list(octant)
+        rays[index] = ray
+        pf = Fan(rays, cones, bounds={"a": (-3, 3)})
+        ((values, fan),) = wall_sum_box(pf, ["a"], [[smooth]], 12)
+        assert values == (smooth,)
+        assert fan.rays[index] == tuple(
+            x.evaluate({"a": smooth}) if isinstance(x, ParamExpr) else x
+            for x in ray)
+        assert fan._walls is pf._walls
+        assert fan._table == [c for *_, c in wall_table(Fan(fan.rays, cones))]
+        with pytest.raises(InvariantError) as exc:
+            wall_sum_box(pf, ["a"], [[smooth, bad]], 12)
+        assert str(exc.value).startswith("wall ")
+        assert str(exc.value).endswith(
+            "det(n1, n2, p) = %d, det(n1, n2, q) = %d" % dets)
+    # a kept point whose walls all solve but whose rays repeat one another
+    with pytest.raises(InvariantError, match="two equal rays"):
+        fans._fix_parameters(concrete, [], [], 0, [], [[1, 0, 0]] * 2, [], 6,
+                             [])
 
 
 NON_PRIMITIVE = """
 from smoothpoly import InvariantError
-from smoothpoly.fans import Fan, ParamExpr, wall_sum_box
-x = (ParamExpr.var("a"), 0, 0)
-pf = Fan([x, (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
-         [(i, j, k) for i in (0, 3) for j in (1, 4) for k in (2, 5)],
-         bounds={"a": (1, 2)})
-print([values for values, _ in wall_sum_box(pf, ["a"], [[1]], 12)])
+from smoothpoly.fans import Fan, ParamExpr, wall_sum_box, wall_table
+octant = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0),
+          (0, 0, -1)]
+cones = [(i, j, k) for i in (0, 3) for j in (1, 4) for k in (2, 5)]
+rays = [(ParamExpr.var("a"), 0, 0)] + octant[1:]
+pf = Fan(rays, cones, bounds={"a": (-3, 3)})
+((values, fan),) = wall_sum_box(pf, ["a"], [[1]], 12)
+print(values, fan.rays[0], fan._walls is pf._walls,
+      fan._table == [c for *_, c in wall_table(Fan(fan.rays, cones))])
 try:
     wall_sum_box(pf, ["a"], [[1, 2]], 12)
 except InvariantError as exc:
@@ -481,16 +509,20 @@ except InvariantError as exc:
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_wall_sum_box_raises_on_a_non_primitive_ray(flags):
-    """A ray that evaluates to a non-primitive vector breaks the premise
-    that lets wall_sum_box skip normalization, and it says so, also under
-    python -O; the ray (a, 0, 0) is (2, 0, 0) at a = 2."""
+    """A ray that evaluates to a non-primitive vector puts it in a cone
+    that is not unimodular, which breaks the premise of wall_sum_box's
+    Cramer solve; it raises InvariantError, also under python -O.  On the
+    octant fan, (a, 0, 0) in place of e1 is kept at a = 1 and at a = 2
+    gives a cone of determinant 2."""
     out = subprocess.run([sys.executable, *flags, "-c", NON_PRIMITIVE],
                          capture_output=True, text=True, env=package_env(),
                          timeout=60)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[0] == "[(1,)]"
-    assert lines[1].startswith("InvariantError: ray (2, 0, 0) ")
+    assert len(lines) == 2
+    assert lines[0] == "(1,) (1, 0, 0) True True"
+    assert lines[1].startswith("InvariantError: wall ")
+    assert lines[1].endswith("det(n1, n2, p) = 2, det(n1, n2, q) = -2")
 
 
 def test_instantiate_octahedral():
