@@ -17,9 +17,11 @@ a wall that was passed over becomes expandable again (ALWAYS_CONSIDER) when
 a later wall blow-up touches the cones beside it, and the three old face
 walls of a blown-up cone never need expanding again (ALWAYS_IGNORE).
 
-Most nodes sit at the cone cap and are never expanded, so only a node the
-walk will expand carries flags; a leaf holds its cones and path alone.  An
-expandable 3D node also carries each wall's two cone positions, updated
+Most nodes sit at the cone cap and are never expanded (369152 of the
+393669 nodes of the 3^4 tree to 14 cones), so enumerate_blowups builds
+every child in one loop that reads only its parent's flags, and a leaf
+holds its cones, path and blow-ups alone.  Only a child the walk will
+expand then gets flags, and in 3D each wall's two cone positions, updated
 locally from its parent's (k is the parent's cone count, s the new ray):
   - cone (a, b, c) at i: walls a-c and b-c move from i to k and k + 1;
     new walls a-s, b-s, c-s lie in (i, k), (i, k + 1), (k, k + 1);
@@ -162,104 +164,151 @@ def propagate_bounds(bounds, kind):
     return dict(bounds)
 
 
-def _cone_child(node, i, cones_running, walls_running, leaf):
-    """Blow up the cone at position i (fans.blow_up's first index rule).
+def enumerate_blowups(node, max_cones, pruned=True):
+    """Iterator over the children of one node, left to right.
 
-    With new ray s, the child cone missing the target's last ray replaces
-    position i and the others follow at the end, last-but-one first.  s
-    exceeds every old index, so appending it keeps each child sorted.  A
-    leaf child gets no flags.
+    Cone blow-ups come first, by position, then wall blow-ups in wall
+    order.  pruned=False expands every cone and (in dimension 3) every
+    wall, which revisits fans many times; it exists as the correctness
+    oracle for the flag discipline.  All children are built in one loop
+    that reads the node's own flags, into a list the iterator runs over.
+    Children that max_cones will stop are leaves and get nothing more, so
+    a leaf raises ValueError under a higher cap; otherwise _flag_child
+    then gives each child its flags and wall cones.
     """
     cones = node.cones
-    target = cones[i]
-    s = node.num_rays
-    d = len(target)
-    children = [target[:j] + target[j + 1:] + (s,)
-                for j in range(d - 1, -1, -1)]
-    child_cones = (cones[:i] + (children[0],) + cones[i + 1:]
-                   + tuple(children[1:]))
-    path = node.path + (("cone", i),)
-    blown_up = node.blown_up + (target,)
-    if leaf:
-        return SearchNode(node.seed_fan, child_cones, s + 1, path, blown_up)
-    flags = list(cones_running)
-    flags[i] = _CONSIDER
-    flags.extend([_CONSIDER] * (d - 1))
-    if d == 3:
-        wflags = dict(walls_running)
-        # the blown-up cone's own faces never need expanding again
-        a, b, c = target
-        for pair in ((a, b), (a, c), (b, c)):
-            wflags[pair] = _ALWAYS_IGNORE
-        for x in target:            # appended sorted: dict order is wall order
-            wflags[(x, s)] = _CONSIDER
-        # {a,b,s} stays at i, {a,c,s} and {b,c,s} go to k and k + 1
-        k = len(cones)
-        wcones = dict(node.wall_cones)
-        wcones[(a, c)] = _moved(wcones[(a, c)], i, k)
-        wcones[(b, c)] = _moved(wcones[(b, c)], i, k + 1)
-        wcones[(a, s)] = (i, k)
-        wcones[(b, s)] = (i, k + 1)
-        wcones[(c, s)] = (k, k + 1)
-    else:
-        wflags, wcones = {}, {}
-    return SearchNode(node.seed_fan, child_cones, s + 1, path, blown_up,
-                      tuple(flags), wflags, wcones)
-
-
-def _wall_child(node, key, cones_running, walls_running, leaf):
-    """Blow up the wall key = (n1, n2) (fans.blow_up's second index rule).
-
-    The incident cones i1 < i2 have opposite rays p and q; with new ray s,
-    {p,n1,s} replaces i1, {q,n1,s} replaces i2, and {p,n2,s}, {q,n2,s}
-    follow at the end.  A leaf child gets no flags.
-    """
-    cones = node.cones
-    s = node.num_rays
-    n1, n2 = key
-    i1, i2 = node.wall_cones[key]
-    p = sum(cones[i1]) - n1 - n2
-    q = sum(cones[i2]) - n1 - n2
-    # n1 < n2 < s, so only p and q need placing
-    pn1 = (p, n1) if p < n1 else (n1, p)
-    qn1 = (q, n1) if q < n1 else (n1, q)
-    pn2 = (p, n2) if p < n2 else (n2, p)
-    qn2 = (q, n2) if q < n2 else (n2, q)
-    child_cones = list(cones)
-    child_cones[i1] = pn1 + (s,)
-    child_cones[i2] = qn1 + (s,)
-    child_cones.append(pn2 + (s,))
-    child_cones.append(qn2 + (s,))
-    path = node.path + (("wall", key),)
-    blown_up = node.blown_up + (key,)
-    if leaf:
-        return SearchNode(node.seed_fan, tuple(child_cones), s + 1, path,
-                          blown_up)
-    flags = list(cones_running)
-    flags[i1] = _CONSIDER
-    flags[i2] = _CONSIDER
-    flags.extend([_CONSIDER, _CONSIDER])
-    wflags = dict(walls_running)
-    del wflags[key]
-    # the side walls of the two destroyed cones may now lead to new fans
-    # even if an earlier step passed them over
-    for side in (pn1, pn2, qn1, qn2):
-        if wflags[side] is _IGNORE:
-            wflags[side] = _ALWAYS_CONSIDER
-    for x in sorted((p, q, n1, n2)):
-        wflags[(x, s)] = _CONSIDER
-    # {p,n2,s} and {q,n2,s} at k and k + 1 take the walls p-n2 and q-n2
+    seed_fan = node.seed_fan
+    d = seed_fan.d
+    step = 1 if d == 2 else 2       # cones added by one blow-up
     k = len(cones)
-    wcones = dict(node.wall_cones)
-    del wcones[key]
-    wcones[pn2] = _moved(wcones[pn2], i1, k)
-    wcones[qn2] = _moved(wcones[qn2], i2, k + 1)
-    wcones[(n1, s)] = (i1, i2)
-    wcones[(n2, s)] = (k, k + 1)
-    wcones[(p, s)] = (i1, k)
-    wcones[(q, s)] = (i2, k + 1)
-    return SearchNode(node.seed_fan, tuple(child_cones), s + 1, path,
-                      blown_up, tuple(flags), wflags, wcones)
+    if k + step > max_cones:
+        return iter(())
+    cone_flags = node.cone_flags
+    if cone_flags is None:
+        raise ValueError("node %r was built as a leaf under a lower cone "
+                         "cap and carries no flags to expand it; walk from "
+                         "its seed instead" % (node.path,))
+    s = node.num_rays
+    s1 = s + 1
+    path = node.path
+    blown_up = node.blown_up
+    children = []
+    append = children.append
+    # a position is tested before the running flags of later siblings
+    # could flip it, so the node's own flags decide
+    for i in range(k):
+        if pruned and cone_flags[i] not in _EXPAND:
+            continue
+        target = cones[i]
+        # fans.blow_up's first index rule: the child cone missing the
+        # target's last ray replaces position i, the others follow at the
+        # end, last-but-one first; s exceeds every old index
+        if d == 3:
+            a, b, c = target
+            child_cones = (cones[:i] + ((a, b, s),) + cones[i + 1:]
+                           + ((a, c, s), (b, c, s)))
+        else:
+            a, b = target
+            child_cones = cones[:i] + ((a, s),) + cones[i + 1:] + ((b, s),)
+        append(SearchNode(seed_fan, child_cones, s1, path + (("cone", i),),
+                          blown_up + (target,)))
+    wall_cones = node.wall_cones
+    for key, flag in node.wall_flags.items():
+        if pruned and flag not in _EXPAND:
+            continue
+        # fans.blow_up's second index rule: the incident cones i1 < i2
+        # have opposite rays p and q; {p,n1,s} replaces i1, {q,n1,s}
+        # replaces i2, and {p,n2,s}, {q,n2,s} follow at the end;
+        # n1 < n2 < s, so only p and q need placing
+        n1, n2 = key
+        i1, i2 = wall_cones[key]
+        a, b, c = cones[i1]
+        p = a + b + c - n1 - n2
+        a, b, c = cones[i2]
+        q = a + b + c - n1 - n2
+        child_cones = [*cones, (p, n2, s) if p < n2 else (n2, p, s),
+                       (q, n2, s) if q < n2 else (n2, q, s)]
+        child_cones[i1] = (p, n1, s) if p < n1 else (n1, p, s)
+        child_cones[i2] = (q, n1, s) if q < n1 else (n1, q, s)
+        append(SearchNode(seed_fan, tuple(child_cones), s1,
+                          path + (("wall", key),), blown_up + (key,)))
+    if k + 2 * step <= max_cones:
+        cones_running = list(cone_flags)
+        walls_running = dict(node.wall_flags)
+        for child in children:
+            _flag_child(node, child, cones_running, walls_running)
+            kind, t = child.path[-1]
+            if kind == "cone":
+                cones_running[t] = _IGNORE
+            elif walls_running[t] is not _ALWAYS_CONSIDER:
+                walls_running[t] = _IGNORE
+    return iter(children)
+
+
+def _flag_child(node, child, cones_running, walls_running):
+    """Give a child the walk will expand its flags and wall cones.
+
+    cones_running and walls_running are node's flags after its earlier
+    children were passed over.  The step's rays are read off the child's
+    cones, at the positions enumerate_blowups put them.
+    """
+    kind, t = child.path[-1]
+    k = len(node.cones)
+    s = node.num_rays
+    flags = list(cones_running)
+    if kind == "cone":
+        target = child.blown_up[-1]
+        flags[t] = _CONSIDER
+        flags.extend([_CONSIDER] * (len(target) - 1))
+        if len(target) == 3:
+            wflags = dict(walls_running)
+            # the blown-up cone's own faces never need expanding again
+            a, b, c = target
+            for pair in ((a, b), (a, c), (b, c)):
+                wflags[pair] = _ALWAYS_IGNORE
+            for x in target:        # appended sorted: dict order is wall order
+                wflags[(x, s)] = _CONSIDER
+            # {a,b,s} stays at t, {a,c,s} and {b,c,s} go to k and k + 1
+            wcones = dict(node.wall_cones)
+            wcones[(a, c)] = _moved(wcones[(a, c)], t, k)
+            wcones[(b, c)] = _moved(wcones[(b, c)], t, k + 1)
+            wcones[(a, s)] = (t, k)
+            wcones[(b, s)] = (t, k + 1)
+            wcones[(c, s)] = (k, k + 1)
+        else:
+            wflags, wcones = {}, {}
+    else:
+        n1, n2 = t
+        i1, i2 = node.wall_cones[t]
+        cones = child.cones
+        pn1, qn1 = cones[i1][:2], cones[i2][:2]
+        pn2, qn2 = cones[k][:2], cones[k + 1][:2]
+        p = sum(pn2) - n2
+        q = sum(qn2) - n2
+        flags[i1] = _CONSIDER
+        flags[i2] = _CONSIDER
+        flags.extend([_CONSIDER, _CONSIDER])
+        wflags = dict(walls_running)
+        del wflags[t]
+        # the side walls of the two destroyed cones may now lead to new
+        # fans even if an earlier step passed them over
+        for side in (pn1, pn2, qn1, qn2):
+            if wflags[side] is _IGNORE:
+                wflags[side] = _ALWAYS_CONSIDER
+        for x in sorted((p, q, n1, n2)):
+            wflags[(x, s)] = _CONSIDER
+        # {p,n2,s} and {q,n2,s} at k and k + 1 take the walls p-n2 and q-n2
+        wcones = dict(node.wall_cones)
+        del wcones[t]
+        wcones[pn2] = _moved(wcones[pn2], i1, k)
+        wcones[qn2] = _moved(wcones[qn2], i2, k + 1)
+        wcones[(n1, s)] = (i1, i2)
+        wcones[(n2, s)] = (k, k + 1)
+        wcones[(p, s)] = (i1, k)
+        wcones[(q, s)] = (i2, k + 1)
+    child.cone_flags = tuple(flags)
+    child.wall_flags = wflags
+    child.wall_cones = wcones
 
 
 def _moved(incident, old, new):
@@ -269,47 +318,14 @@ def _moved(incident, old, new):
     return (y if x == old else x, new)
 
 
-def enumerate_blowups(node, max_cones, pruned=True):
-    """Children of one node, left to right.
-
-    pruned=False expands every cone and (in dimension 3) every wall, which
-    revisits fans many times; it exists as the correctness oracle for the
-    flag discipline.  Children that max_cones will stop are built as leaves,
-    without flags, so a leaf raises ValueError under a higher cap.
-    """
-    d = node.seed_fan.d
-    step = 1 if d == 2 else 2       # cones added by one blow-up
-    k = len(node.cones)
-    if k + step > max_cones:
-        return
-    if node.cone_flags is None:
-        raise ValueError("node %r was built as a leaf under a lower cone "
-                         "cap and carries no flags to expand it; walk from "
-                         "its seed instead" % (node.path,))
-    leaf = k + 2 * step > max_cones
-    cones_running = list(node.cone_flags)
-    walls_running = dict(node.wall_flags)
-    for i in range(k):
-        if not pruned or cones_running[i] in _EXPAND:
-            yield _cone_child(node, i, cones_running, walls_running, leaf)
-            cones_running[i] = _IGNORE
-    if d == 3:
-        for key in node.wall_flags:
-            if not pruned or walls_running[key] in _EXPAND:
-                yield _wall_child(node, key, cones_running, walls_running,
-                                  leaf)
-                if walls_running[key] is not _ALWAYS_CONSIDER:
-                    walls_running[key] = _IGNORE
-    return
-
-
 def walk_tree(root, max_cones, pruned=True):
     """Pre-order walk of the blow-up tree.
 
     root may be a Fan or a prepared SearchNode.  Children that the cone cap
-    makes leaves are yielded right after their parent: nothing lies below
-    them, so pre-order is kept without a stack entry or an
-    enumerate_blowups call per leaf.
+    makes leaves are yielded straight from enumerate_blowups right after
+    their parent: nothing lies below them, so pre-order is kept without a
+    stack entry or an enumerate_blowups call per leaf.  The children of any
+    other node go on the stack, last child first.
     """
     node = root if isinstance(root, SearchNode) else make_root(root)
     step = 1 if node.seed_fan.d == 2 else 2     # cones added by one blow-up
@@ -317,11 +333,11 @@ def walk_tree(root, max_cones, pruned=True):
     while stack:
         node = stack.pop()
         yield node
-        children = list(enumerate_blowups(node, max_cones, pruned))
+        children = enumerate_blowups(node, max_cones, pruned)
         if len(node.cones) + 2 * step > max_cones:
             yield from children
         else:
-            stack.extend(reversed(children))
+            stack.extend(reversed(list(children)))
 
 
 def trace_line(node):

@@ -4,6 +4,7 @@ discipline against an exhaustive oracle, and the polygon criterion."""
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,69 @@ def test_walk_tree_expands_only_expandable_nodes(monkeypatch):
         assert calls == [path for path in walked
                          if len(fan.cones) + step * (len(path) + 1)
                          <= max_cones]
+
+
+# (seed, cone cap, pruned) -> (nodes whose children are all leaves, how
+# many of them hold a wall set back to ALWAYS_CONSIDER, their children)
+_LEAF_PARENTS = {("3^4", 12, True): (1551, 1268, 22838),
+                 ("(3^2 4^3)'", 12, True): (213, 159, 3171),
+                 ("(3^2 4^3)''", 12, True): (213, 159, 3171),
+                 ("4^6", 12, True): (20, 8, 334),
+                 ("3^2 4^3 6^2", 12, True): (1, 0, 25),
+                 ("3^4", 10, False): (150, 108, 3000)}
+
+
+@pytest.mark.parametrize("name,max_cones,pruned", sorted(_LEAF_PARENTS))
+def test_leaf_children_equal_flagged_children(name, max_cones, pruned):
+    """The children a node builds as leaves, from its own flags and with no
+    flags of their own, equal field by field the children it builds with
+    flags under a cap two cones higher, and each has the cones
+    fans.blow_up gives.  The nodes are those whose children the walk makes
+    leaves, at deeper flag states than test_walk_equals_blow_up_replay."""
+    parents = reset = children = 0
+    for node in walk_tree(seeds.seed_fan(name, 12), max_cones,
+                          pruned=pruned):
+        if not len(node.cones) + 2 <= max_cones < len(node.cones) + 4:
+            continue
+        parents += 1
+        reset += AC in node.wall_flags.values()
+        leaves = list(enumerate_blowups(node, max_cones, pruned))
+        flagged = list(enumerate_blowups(node, max_cones + 2, pruned))
+        assert len(leaves) == len(flagged)
+        children += len(leaves)
+        for leaf, child in zip(leaves, flagged):
+            assert ((leaf.cones, leaf.num_rays, leaf.path, leaf.blown_up)
+                    == (child.cones, child.num_rays, child.path,
+                        child.blown_up))
+            assert leaf.seed_fan is child.seed_fan is node.seed_fan
+            assert (leaf.cone_flags, leaf.wall_flags,
+                    leaf.wall_cones) == (None, None, None)
+            assert None not in (child.cone_flags, child.wall_flags,
+                                child.wall_cones)
+            assert leaf.cones == blow_up(node.fan, leaf.blown_up[-1]).cones
+    assert (parents, reset, children) == _LEAF_PARENTS[
+        name, max_cones, pruned]
+
+
+def test_walk_flags_only_the_children_it_expands(monkeypatch):
+    # the 22838 leaves of the 3^4 walk to 12 cones never reach the flag
+    # builder; the 1678 children with 6, 8 and 10 cones each do, once
+    flagged = []
+    flag_child = search._flag_child
+
+    def counting(node, child, *running):
+        flagged.append(child.path)
+        return flag_child(node, child, *running)
+
+    monkeypatch.setattr(search, "_flag_child", counting)
+    walked = list(walk_tree(t34(), 12))
+    assert len(walked) == 24517 and len(flagged) == 1678
+    assert Counter(len(path) for path in flagged) == {1: 10, 2: 117, 3: 1551}
+    # a node's children are flagged together, when it is expanded
+    assert sorted(flagged) == sorted(node.path for node in walked
+                                     if node.path and len(node.cones) <= 10)
+    assert all(node.cone_flags is None for node in walked
+               if len(node.cones) == 12)
 
 
 def test_polygon_stats_componentwise_minima():
