@@ -4,10 +4,10 @@ Vectors are plain tuples of Python ints, matrices are tuples of row tuples.
 Every matrix acts on column vectors (U applied to v is mat_vec(U, v)).
 Dimensions stay tiny here (8 at the very most), so clarity wins over speed:
 cofactor expansion and fraction-free Bareiss elimination cover everything
-without ever rounding, and there is no rational solve: a vertex of a smooth
-cone comes from Cramer's rule over determinant (rhs), polytope normals are
-integer cross products and perpendiculars (polytopes, d in {2, 3}), and
-spanning is a determinant test.
+without ever rounding, and there is no linear solve: wall coefficients and
+vertices come from Cramer's rule in unimodular cones (fans, rhs), polytope
+normals are integer cross products and perpendiculars (polytopes, d in
+{2, 3}), and spanning is a determinant test.
 """
 
 from math import gcd
@@ -25,14 +25,6 @@ class ShapeError(ValueError):
 
 class NotUnimodular(ValueError):
     """Raised when a matrix expected to have determinant +-1 does not."""
-
-
-class Singular(ValueError):
-    """Raised when the columns of a linear system are dependent."""
-
-
-class Inconsistent(ValueError):
-    """Raised when a linear system has no solution."""
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +163,6 @@ def inverse_unimodular(M):
 
 __all__ = [
     "ZeroVectorError", "ShapeError", "NotUnimodular",
-    "Singular", "Inconsistent",
     "vec_add", "vec_sub", "vec_neg", "dot", "cross",
     "identity_matrix", "transpose", "mat_vec", "mat_mul", "columns_matrix",
     "normalize_primitive", "determinant", "inverse_unimodular",

@@ -22,20 +22,19 @@ is solved and tested against the wall-sum cap as soon as its four rays are
 fixed, so a wall that reads no parameter is solved once per family, and
 every kept point yields its concrete fan with its wall table in hand.
 
-The box pass solves each wall by Cramer's rule in the lattice basis of
-the unimodular cone on one side (_place), so the parametric wall table is
-exact: a coefficient is an integer polynomial of degree at most 3 in the
-parameters.  wall_table's general solve, _wall_coeffs, is its reference.
+Every wall is solved by one rule, Cramer's rule in the lattice basis of
+the unimodular cone on one side (_place, shared by the box pass and
+wall_table; in 2D its one-ray form), so a wall that is not smooth raises
+InvariantError and a parametric wall coefficient is an integer
+polynomial of degree at most 3 in the parameters.
 """
 
 from dataclasses import dataclass
 from itertools import chain, permutations
-from operator import add, itemgetter
+from operator import itemgetter
 
 from . import InvariantError
 from .exact_linalg import (
-    Inconsistent,
-    Singular,
     inverse_unimodular,  # unused: kept for perfbench/traced.py to wrap
     normalize_primitive,
     vec_add,
@@ -48,10 +47,6 @@ class NotComplete(ValueError):
 
 class InvalidCone(ValueError):
     """Blow-up target is neither a maximal cone nor a wall of the fan."""
-
-
-class NonIntegral(ValueError):
-    """Edge-parameter solve came out fractional: non-smooth wall data."""
 
 
 class OutOfBounds(ValueError):
@@ -321,15 +316,16 @@ def wall_table(fan):
     """(ridge, incident, opposite, coeffs) for every wall, in walls_of order.
 
     The ridges are paired as in walls_of (incident in increasing order,
-    opposite[i] the ray completing incident[i]); then each wall is solved
-    by _wall_coeffs: coeffs are the integers a_i with r1 + r2 = sum a_i n_i,
-    n_i the wall's spanning rays and r1, r2 its opposite rays.  The
-    coefficients are solved once per fan and kept, or come from
-    wall_sum_box, which solved every wall of the fans it yields.  Needs a concrete simplicial
-    fan in dimension 2 or 3.  Raises what walls_of raises: NotComplete for a
-    ridge in a number of cones other than two (checked on every ridge
-    before any wall is solved) and ValueError for a cone with other than d
-    rays; and Inconsistent, NonIntegral or Singular from the solve.
+    opposite[i] the ray completing incident[i]); coeffs are the integers
+    a_i with r1 + r2 = sum a_i n_i, n_i the wall's spanning rays and r1,
+    r2 its opposite rays.  The coefficients come from wall_sum_box, which
+    solved every wall of the fans it yields, or are solved once on first
+    use by the box pass's rule (_solve_walls) and kept.  Needs a concrete
+    simplicial fan in dimension 2 or 3 (ValueError otherwise).  Raises
+    what walls_of raises: NotComplete for a ridge in a number of cones
+    other than two (checked on every ridge before any wall is solved) and
+    ValueError for a cone with other than d rays; and InvariantError for a
+    wall whose two cones are not unimodular on its two sides.
     """
     walls, table = _coefficients(fan)
     return [(ridge, (c1, c2), (p, q), coeffs) for (ridge, c1, p, c2, q), coeffs
@@ -338,73 +334,45 @@ def wall_table(fan):
 
 def _coefficients(fan):
     """fan's _Walls and its table: the coefficients of every paired ridge,
-    solved on first use and kept on the fan.  A solve that raises keeps
-    nothing, so every later call raises the same."""
+    from wall_sum_box or solved on first use (_solve_walls) and kept on
+    the fan.  A solve that raises keeps nothing, so every later call
+    raises the same."""
     walls = _wall_structure(fan)
     if fan._table is None:
-        fan._table = _solve_walls(fan.rays, walls.paired)
+        fan._table = _solve_walls(fan, walls.paired)
     return walls, fan._table
 
 
-def _solve_walls(rays, paired):
-    """_wall_coeffs of every paired ridge, in order."""
-    return [_wall_coeffs([rays[i] for i in ridge],
-                         tuple(map(add, rays[p], rays[q])), ridge)
-            for ridge, _, p, _, q in paired]
+def _solve_walls(fan, paired):
+    """The coefficients of every paired ridge of fan, in order.
 
-
-def _wall_coeffs(spanning, s, ridge):
-    """The integer coefficients a_i with s = sum a_i n_i on one wall.
-
-    spanning holds the wall's integer rays n_i, and s is an integer
-    vector.  With no division until the end:
-
-      d=2 (wall = one ray n):  a = s_k / n_k at the first nonzero n_k,
-      d=3 (w = n1 x n2):       a1 <w,w> = <s x n2, w>,  a2 <w,w> = <n1 x s, w>.
-
-    These quotients are the coordinates of s in the basis n_i whenever s
-    lies in the wall's span, i.e. <s, w> = 0 in 3D and det(s, n) = 0 in
-    2D.  So s off the span raises Inconsistent, a fractional quotient
-    raises NonIntegral (a non-smooth wall) and dependent spanning rays
-    raise Singular.  ridge only names the wall in the messages.
+    Each wall is solved in the basis (n..., p) of the cone on p's side:
+    with e = det(n..., p) = +-1 and det(n..., q) = -e, Cramer's rule
+    writes p + q in the spanning rays n.  In 3D that is _place on every
+    wall, with no cap; in 2D the wall is one ray n and p + q = a n with
+    a = e det(q, p).  Any other wall raises InvariantError.
     """
-    if len(s) == 2:
-        (n,) = spanning
-        k = 0 if n[0] else 1
-        den = n[k]
-        if not den:
-            raise Singular("wall %r is spanned by the zero ray" % (ridge,))
-        off_span = s[0] * n[1] - s[1] * n[0]
-        nums = (s[k],)
-    elif len(s) == 3:
-        (x1, y1, z1), (x2, y2, z2) = spanning
-        sx, sy, sz = s
-        w0, w1, w2 = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
-        den = w0 * w0 + w1 * w1 + w2 * w2
-        if not den:
-            raise Singular("wall %r is spanned by dependent rays" % (ridge,))
-        off_span = sx * w0 + sy * w1 + sz * w2
-        nums = ((sy * z2 - sz * y2) * w0 + (sz * x2 - sx * z2) * w1
-                + (sx * y2 - sy * x2) * w2,
-                (y1 * sz - z1 * sy) * w0 + (z1 * sx - x1 * sz) * w1
-                + (x1 * sy - y1 * sx) * w2)
+    rays = fan.rays
+    table = [None] * len(paired)
+    if fan.d == 3:
+        _place(((), [(w,) + ridge + (p, q)
+                     for w, (ridge, _, p, _, q) in enumerate(paired)]),
+               (), rays, table, None)
+    elif fan.d == 2:
+        for w, ((n,), _, p, _, q) in enumerate(paired):
+            (x, y), (p0, p1), (q0, q1) = rays[n], rays[p], rays[q]
+            e = x * p1 - y * p0                      # det(n, p)
+            f = x * q1 - y * q0                      # det(n, q)
+            if e * e != 1 or e * f != -1:
+                raise InvariantError(
+                    "wall %r is not smooth at n, p, q = %r: det(n, p) = %d, "
+                    "det(n, q) = %d" % ((n,), (rays[n], rays[p], rays[q]),
+                                        e, f))
+            table[w] = (e * (q0 * p1 - q1 * p0),)    # e det(q, p)
     else:
-        raise ValueError("edge parameters need dimension 2 or 3, got %d"
-                         % (len(s),))
-    if off_span != 0:
-        raise Inconsistent("wall %r: opposite rays sum outside its span"
-                           % (ridge,))
-    coeffs = tuple([_exact_quotient(x, den) for x in nums])
-    if None in coeffs:
-        raise NonIntegral("edge-parameters %r / %d on wall %r"
-                          % (nums, den, ridge))
-    return coeffs
-
-
-def _exact_quotient(x, den):
-    """x / den for an int x when exact, else None."""
-    q, r = divmod(x, den)
-    return None if r else q
+        raise ValueError("wall tables need dimension 2 or 3, got %d"
+                         % (fan.d,))
+    return table
 
 
 def blow_up(fan, target):
@@ -553,9 +521,10 @@ def wall_sum_box(pf, names, axes, max_points):
 def _place(plan, vals, rays, table, cap):
     """Evaluate the plan's rays on vals, then solve and test its walls.
 
-    False at the first wall whose coefficient sum is past the cap.  A wall
-    spanned by n1, n2 with opposite rays p, q is solved in the basis n1,
-    n2, p.  If e = det(n1, n2, p) = +-1, Cramer's rule gives q the
+    False at the first wall whose coefficient sum is past the cap; a cap
+    of None tests nothing, which is how _solve_walls solves a whole fan.
+    A wall spanned by n1, n2 with opposite rays p, q is solved in the
+    basis n1, n2, p.  If e = det(n1, n2, p) = +-1, Cramer's rule gives q the
     coordinates e det(q, n2, p), e det(n1, q, p) and e det(n1, n2, q).  If
     also e det(n1, n2, q) = -1, so that q lies across the wall in a
     unimodular cone, then p + q = a1 n1 + a2 n2 with a1 = e det(q, n2, p)
@@ -585,7 +554,7 @@ def _place(plan, vals, rays, table, cap):
         d0, d1, d2 = x2 - x1, y2 - y1, z2 - z1
         total = e * (q0 * (d1 * p2 - d2 * p1) + q1 * (d2 * p0 - d0 * p2)
                      + q2 * (d0 * p1 - d1 * p0))
-        if total > cap:
+        if cap is not None and total > cap:
             return False
         a1 = e * (q0 * (y2 * p2 - z2 * p1) + q1 * (z2 * p0 - x2 * p2)
                   + q2 * (x2 * p1 - y2 * p0))        # e det(q, n2, p)
@@ -642,16 +611,13 @@ def fan_canonical_key(fan):
     each flag's walk is compiled once per cone set (_compile_walk) and a
     fan only reads each walked flag's items off its wall table.
 
-    Needs a concrete complete fan.  The errors come from wall_table: a
-    ridge not shared by two cones raises NotComplete, a wall with
-    fractional coefficients raises NonIntegral and a wall whose two cones
-    have determinants of different absolute value raises Inconsistent.
-    Cones that do not form one connected sphere raise NotComplete, checked
-    on the first walked flag (every flag reaches every cone of a connected
-    fan, and none does otherwise).  A fan whose cones all have determinant
-    +-D, D > 1, with integral walls is the image of a smooth fan under a
-    non-unimodular map and gets that fan's key, so callers pass smooth
-    fans.
+    Needs a concrete smooth complete fan.  The errors come from
+    wall_table: a ridge not shared by two cones raises NotComplete, and a
+    wall whose two cones are not unimodular raises InvariantError, also
+    where every cone has determinant +-D, D > 1, and the walls are
+    integral.  Cones that do not form one connected sphere raise
+    NotComplete, checked on the first walked flag (every flag reaches
+    every cone of a connected fan, and none does otherwise).
     """
     walls, table = _coefficients(fan)
     paired = walls.paired
@@ -723,8 +689,7 @@ def _compile_walk(fan, walls, flag):
 
 
 __all__ = [
-    "NotComplete", "InvalidCone", "NonIntegral",
-    "OutOfBounds", "DegenerateRay",
+    "NotComplete", "InvalidCone", "OutOfBounds", "DegenerateRay",
     "ParamExpr", "expr_value", "is_numeric_vector",
     "Fan", "Wall",
     "walls_of", "wall_table",

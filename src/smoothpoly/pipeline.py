@@ -306,8 +306,9 @@ def _polygon_walk(max_points, trace, diag):
                         (name, path, prefix_assignment), (cones, order, cycle))
             if k + 1 > max_rays:
                 continue
-            # search._cone_child's 2D rule: (a, k) replaces position i and
-            # (b, k) is appended; pushed last to first, popped in order
+            # search.enumerate_blowups' 2D cone rule: (a, k) replaces
+            # position i and (b, k) is appended; pushed last to first,
+            # popped in order
             for i in range(k - 1, start - 1, -1):
                 a, b = cones[i]
                 stack.append((cones[:i] + ((a, k),) + cones[i + 1:]

@@ -37,7 +37,6 @@ from functools import lru_cache
 
 from .exact_linalg import normalize_primitive, vec_add
 from .fans import (
-    DegenerateRay,
     Fan,
     blow_up,  # unused: kept for perfbench/traced.py to wrap
     expr_value,
@@ -389,18 +388,15 @@ def instantiate_all(fan):
     """(assignment, concrete fan) for every point of the parameter box.
 
     A concrete fan has the one-point box () and yields ({}, a fan equal to
-    it) once.  Combinations where a ray degenerates (vanishes or collides
-    with another) do not correspond to a fan of this combinatorial type and
-    are skipped.
+    it) once.  A point where a ray vanishes or collides with another is no
+    fan of this combinatorial type and raises DegenerateRay (instantiate);
+    the 2D roots F_p and F_a, a != 1, have none.
     """
     names, axes = parameter_axes(fan)
     out = []
     for combo in itertools.product(*axes):
         assignment = dict(zip(names, combo))
-        try:
-            out.append((assignment, instantiate(fan, assignment)))
-        except DegenerateRay:
-            continue
+        out.append((assignment, instantiate(fan, assignment)))
     return out
 
 

@@ -1,12 +1,15 @@
 """Reference solvers that only the tests read (`from oracles import ...`).
 
 The program solves every wall, level and vertex in integers: wall tables,
-floored caps and Cramer's rule.  The routines here are the slower general
-forms those replaced, kept as independent checks: a Gauss-Jordan solve
-over Fraction, the per-wall edge parameters of a possibly parametric fan,
-smoothness and completeness tests on a whole fan, the window of level
-vectors with its rational caps, and the perimeter bound over all ray
-pairs.
+floored caps and Cramer's rule in unimodular bases.  The routines here are
+the slower general forms those replaced, kept as independent checks: a
+Gauss-Jordan solve over Fraction, the per-wall edge parameters of a
+possibly parametric fan (solved over Fraction too, so they share no wall
+solve with the program), smoothness and completeness tests on a whole
+fan, the window of level vectors with its rational caps, and the
+perimeter bound over all ray pairs.  The errors that only these general
+solves can meet (Singular, Inconsistent, NonIntegral) live here as well:
+the program raises InvariantError on every wall that is not smooth.
 
 A parametric target is solved by linearity (solve_by_parts): once for its
 constant vector and once for each parameter's integer vector, so no solve
@@ -17,9 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from smoothpoly.exact_linalg import (
-    Inconsistent,
     ShapeError,
-    Singular,
     columns_matrix,
     determinant,
     dot,
@@ -29,12 +30,23 @@ from smoothpoly.fans import (
     NotComplete,
     ParamExpr,
     _paired_ridges,
-    _wall_coeffs,
     expr_value,
     is_numeric_vector,
     walls_of,
 )
 from smoothpoly.rhs import frame_rays
+
+
+class Singular(ValueError):
+    """Raised when the columns of a linear system are dependent."""
+
+
+class Inconsistent(ValueError):
+    """Raised when a linear system has no solution."""
+
+
+class NonIntegral(ValueError):
+    """Edge-parameter solve came out fractional: non-smooth wall data."""
 
 
 def vec_scale(c, v):
@@ -114,19 +126,28 @@ def edge_parameters(fan, wall):
     """Solve r1 + r2 = sum a_i n_i for one wall's edge parameters.
 
     The n_i are the wall's spanning rays, r1/r2 the opposite rays of the two
-    incident cones; each linear part of r1 + r2 is solved by the program's
-    integer wall solve, fans._wall_coeffs.  On parametric fans the spanning
-    rays must be parameter-free (ParametricWallUnsupported otherwise); the
-    opposite rays may be parametric, giving ParamExpr coefficients.
+    incident cones; each linear part of r1 + r2 is solved by solve_rational
+    and must come out integral (NonIntegral otherwise), so a wall off the
+    span raises Inconsistent and dependent spanning rays raise Singular.
+    On parametric fans the spanning rays must be parameter-free
+    (ParametricWallUnsupported otherwise); the opposite rays may be
+    parametric, giving ParamExpr coefficients.
     """
     spanning = [fan.rays[i] for i in wall.ray_indices]
     if not all(is_numeric_vector(v) for v in spanning):
         raise ParametricWallUnsupported(
             "wall %r is spanned by parametric rays" % (wall.ray_indices,))
-    spanning = [tuple(expr_value(a) for a in v) for v in spanning]
+    M = columns_matrix([tuple(expr_value(a) for a in v) for v in spanning])
+
+    def solve(v):
+        x = solve_rational(M, v)
+        if any(a.denominator != 1 for a in x):
+            raise NonIntegral("edge parameters %r on wall %r"
+                              % (x, wall.ray_indices))
+        return tuple(int(a) for a in x)
+
     s = vec_add(fan.rays[wall.opposite[0]], fan.rays[wall.opposite[1]])
-    return EdgeParams(wall, solve_by_parts(
-        lambda v: _wall_coeffs(spanning, v, wall.ray_indices), s))
+    return EdgeParams(wall, solve_by_parts(solve, s))
 
 
 def solve_wall(fan, wall):

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, files, exit codes."""
 
 import ast
+import builtins
 import hashlib
 import importlib
 import json
@@ -341,6 +342,33 @@ def test_modules_hold_no_assert_statement():
                    if isinstance(node, ast.Assert)]
         assert not asserts, (path.name, asserts)
     assert len(paths) == 10
+
+
+def test_every_exception_class_is_raised():
+    """No error type of the package is dead: every exception class that a
+    module defines is raised by some module of the package."""
+    defined, raised = {}, set()
+    for path in sorted(Path(smoothpoly.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                defined[node.name] = ([b.id for b in node.bases
+                                       if isinstance(b, ast.Name)],
+                                      path.name)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+
+    def is_exception(name):
+        if name in defined:
+            return any(is_exception(b) for b in defined[name][0])
+        base = getattr(builtins, name, None)
+        return isinstance(base, type) and issubclass(base, BaseException)
+
+    errors = sorted(n for n in defined if is_exception(n))
+    assert len(errors) > 10
+    dead = [(n, defined[n][1]) for n in errors if n not in raised]
+    assert not dead, dead
 
 
 def test_import_leaves_numpy_unloaded(tmp_path):

@@ -6,13 +6,11 @@ from math import gcd
 import pytest
 
 from conftest import random_unimodular
-from oracles import solve_rational, vec_scale
+from oracles import Inconsistent, Singular, solve_rational, vec_scale
 from smoothpoly import InvariantError, exact_linalg
 from smoothpoly.exact_linalg import (
-    Inconsistent,
     NotUnimodular,
     ShapeError,
-    Singular,
     ZeroVectorError,
     cross,
     determinant,

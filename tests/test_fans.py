@@ -8,6 +8,8 @@ import pytest
 
 from conftest import package_env, random_unimodular
 from oracles import (
+    Inconsistent,
+    NonIntegral,
     ParametricWallUnsupported,
     edge_parameters,
     is_complete_fan,
@@ -16,7 +18,6 @@ from oracles import (
 )
 from smoothpoly import InvariantError, exact_linalg, fans, seeds
 from smoothpoly.exact_linalg import (
-    Inconsistent,
     columns_matrix,
     determinant,
     inverse_unimodular,
@@ -26,7 +27,6 @@ from smoothpoly.fans import (
     DegenerateRay,
     Fan,
     InvalidCone,
-    NonIntegral,
     NotComplete,
     OutOfBounds,
     ParamExpr,
@@ -241,17 +241,25 @@ def test_wall_table_errors():
     with pytest.raises(NotComplete, match="4 maximal cones"):
         wall_table(Fan([(1, 0), (0, 1), (0, -1), (1, 1), (1, -1)],
                        [(0, 1), (0, 2), (0, 3), (0, 4)]))
-    # normal fan of a lattice tetrahedron: wall {0, 1} solves to (-1/2, -1/2)
+    # normal fan of a lattice tetrahedron: wall {0, 1} joins two cones of
+    # determinant -2 and 2 (its coefficients would be (-1/2, -1/2))
     simplex = Fan([(-1, 0, -1), (-1, 0, 1), (0, -1, 1), (1, 1, -1)],
                   [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    with pytest.raises(NonIntegral):
+    with pytest.raises(InvariantError, match=r"wall \(0, 1\) is not smooth"):
         wall_table(simplex)
     # tetrahedral combinatorics, but (0,0,1) + (-1,-1,-2) leaves the plane
-    # of wall {0, 1}, spanned by (0,1,0) and (1,0,0)
+    # of wall {0, 1}, spanned by (0,1,0) and (1,0,0): det(n1, n2, p) = 2
     skew = Fan([(0, 1, 0), (1, 0, 0), (-1, -1, -2), (0, 0, 1)],
                tetra_fan().cones)
-    with pytest.raises(Inconsistent):
+    with pytest.raises(InvariantError, match=r"det\(n1, n2, p\) = 2"):
         wall_table(skew)
+    # a complete 2D fan whose cone {0, 1} has determinant 2, so its wall at
+    # ray 0 is not smooth: (1,2) + (-1,-1) is no multiple of (1,0)
+    with pytest.raises(InvariantError, match=r"wall \(0,\) is not smooth"):
+        wall_table(Fan([(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)]))
+    # wall tables exist in dimension 2 and 3 only
+    with pytest.raises(ValueError, match="dimension 2 or 3"):
+        wall_table(Fan([(1,), (-1,)], [(0,), (1,)]))
     # a square-based pyramid cone in an octahedral-looking fan
     octa = Fan([(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (0, 0, 1)],
                [(0, 1, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)])
@@ -686,7 +694,7 @@ def test_fan_key_needs_smooth_complete_fan():
     simplex = Fan([(-1, 0, -1), (-1, 0, 1), (0, -1, 1), (1, 1, -1)],
                   [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     assert not is_smooth_fan(simplex)[0]
-    with pytest.raises(NonIntegral):
+    with pytest.raises(InvariantError):
         fan_canonical_key(simplex)
     with pytest.raises(NotComplete):
         fan_canonical_key(Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)]))

@@ -5,6 +5,7 @@ oracle, realization, and the wall-sum prefilter."""
 import gc
 import itertools
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -12,12 +13,12 @@ from oracles import (
     build_rhs_polytope,
     edge_length_form,
     pairwise_least_perimeter,
+    solve_rational,
 )
 from smoothpoly import InvariantError, fans, pipeline, rhs, seeds
 from smoothpoly.fans import (
     DegenerateRay,
     Fan,
-    fan_canonical_key,
     instantiate,
     wall_sum_box,
     wall_table,
@@ -218,9 +219,10 @@ def test_wall_sum_box_matches_scalar_on_every_box_of_a_run(monkeypatch):
     criterion are one-point boxes ().
 
     Each kept fan comes with the wall table its box pass solved: the 3D
-    part of the run solves no wall after the box passes, and each table
-    and key equals those of a fresh fan on the same rays and cones, which
-    solves its own."""
+    part of the run solves no wall after the box passes.  Every distinct
+    wall of those tables (its spanning rays and the sum of its opposite
+    rays) has the coefficients of the tests' Fraction solve,
+    oracles.solve_rational, which shares no code with the box pass."""
     calls = []
     box = pipeline.wall_sum_box
     solves = [0, None]     # _solve_walls calls; the count at the first box
@@ -233,15 +235,16 @@ def test_wall_sum_box_matches_scalar_on_every_box_of_a_run(monkeypatch):
         calls.append((fan, names, axes, out))
         return out
 
-    def counted(rays, paired):
+    def counted(fan, paired):
         solves[0] += 1
-        return solve(rays, paired)
+        return solve(fan, paired)
 
     monkeypatch.setattr(pipeline, "wall_sum_box", recorded)
     monkeypatch.setattr(fans, "_solve_walls", counted)
     pipeline.run_classify(pipeline.RunConfig(3, 12))
     assert solves[0] == solves[1] > 0
     points = 0
+    walls = {}             # (spanning rays, p + q) -> coefficients
     for pf, names, axes, kept in calls:
         scalar = []
         for c in itertools.product(*axes):
@@ -254,11 +257,15 @@ def test_wall_sum_box_matches_scalar_on_every_box_of_a_run(monkeypatch):
                 scalar.append((c, fan.rays))
         assert [(c, fan.rays) for c, fan in kept] == scalar
         for c, fan in kept:
-            fresh = Fan(fan.rays, fan.cones, 3)
-            assert wall_table(fan) == wall_table(fresh)
-            assert fan_canonical_key(fan) == fan_canonical_key(fresh)
+            for ridge, _, (p, q), coeffs in wall_table(fan):
+                wall = (tuple(fan.rays[i] for i in ridge),
+                        tuple(map(add, fan.rays[p], fan.rays[q])))
+                assert walls.setdefault(wall, coeffs) == coeffs, wall
     assert (len(calls), points, sum(len(k) for *_, k in calls)) == (
         590, 57637, 4419)
+    for (spanning, s), coeffs in walls.items():
+        assert solve_rational(tuple(zip(*spanning)), s) == coeffs, spanning
+    assert len(walls) == 8977
 
 
 def test_enumerated_levels_lie_in_the_window():

@@ -11,6 +11,7 @@ import pytest
 
 from smoothpoly import pipeline, search, seeds
 from smoothpoly.fans import (
+    DegenerateRay,
     Fan,
     ParamExpr,
     blow_up,
@@ -266,14 +267,15 @@ def test_instantiate_all():
     assert [asg["a"] for asg, _ in pairs] == list(range(-6, 6))
 
 
-def test_instantiate_all_skips_degenerate_combinations():
+def test_instantiate_all_raises_on_degenerate_combinations():
     A = ParamExpr.var("a")
     pf = Fan([(1, 0), (0, 1), (-1, -A), (-1, -1)],
              [(0, 1), (1, 2), (2, 3), (3, 0)],
              bounds={"a": (0, 2)})
-    # a = 1 makes rays 2 and 3 coincide
-    pairs = instantiate_all(pf)
-    assert [asg["a"] for asg, _ in pairs] == [0, 2]
+    # a = 1 makes rays 2 and 3 coincide: no fan of this type, and no root
+    # the pipeline instantiates has such a point
+    with pytest.raises(DegenerateRay, match="coincide"):
+        instantiate_all(pf)
 
 
 def test_trace_line():
