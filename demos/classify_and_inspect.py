@@ -29,15 +29,15 @@ print("  vertices:", biggest.vertices)
 print("  built from seed %s via %s, rhs %s"
       % (biggest.provenance.seed, biggest.provenance.path or "(no blow-ups)",
          biggest.provenance.rhs))
-P = VPolytope(biggest.vertices, DIM)
+P = VPolytope(biggest.vertices)
 print("  interior points:", interior_lattice_points(P))
 
 # records are canonical, so recognising a polytope someone else wrote down
 # is one isomorphism test per record
 mystery = [(6, 3), (3, 2), (7, 4), (4, 2), (6, 4), (4, 3)]
-Q = VPolytope.from_points(mystery, 2)
+Q = VPolytope.from_points(mystery)
 for r in result.records:
-    ok, witness = lattice_isomorphic(Q, VPolytope(r.vertices, 2))
+    ok, witness = lattice_isomorphic(Q, VPolytope(r.vertices))
     if ok:
         U, t = witness
         print("\nmystery hexagon is record with vertices", r.vertices)

@@ -2,12 +2,12 @@
 
 Vectors are plain tuples of Python ints, matrices are tuples of row tuples.
 Every matrix acts on column vectors (U applied to v is mat_vec(U, v)).
-Dimensions stay tiny here (8 at the very most), so clarity wins over speed:
-cofactor expansion and fraction-free Bareiss elimination cover everything
-without ever rounding, and there is no linear solve: wall coefficients and
-vertices come from Cramer's rule in unimodular cones (fans, rhs), polytope
-normals are integer cross products and perpendiculars (polytopes, d in
-{2, 3}), and spanning is a determinant test.
+Dimensions stay tiny here (3 at the very most), so clarity wins over speed:
+closed-form cofactor expansions cover everything without ever rounding,
+and there is no linear solve: wall coefficients and vertices come from
+Cramer's rule in unimodular cones (fans, rhs), polytope normals are
+integer cross products and perpendiculars (polytopes, d in {2, 3}), and
+spanning is a determinant test.
 """
 
 from math import gcd
@@ -96,13 +96,11 @@ def normalize_primitive(v):
 
 
 def determinant(M):
-    """Exact determinant: cofactor expansion up to 3x3, Bareiss above."""
+    """Exact determinant of a 1x1, 2x2 or 3x3 matrix (ShapeError otherwise)."""
     n = len(M)
     if any(len(row) != n for row in M):
         raise ShapeError("determinant needs a square matrix, got %d rows %r"
                          % (n, tuple(len(row) for row in M)))
-    if n == 0:
-        return 1
     if n == 1:
         return M[0][0]
     if n == 2:
@@ -110,39 +108,24 @@ def determinant(M):
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = M
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    # Bareiss fraction-free elimination; all divisions below are exact.
-    a = [list(row) for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    raise ShapeError("determinant needs a 1x1, 2x2 or 3x3 matrix, got %dx%d"
+                     % (n, n))
 
 
 def inverse_unimodular(M):
     """Inverse of a matrix with determinant +-1; entries stay integers.
 
-    Raises NotUnimodular otherwise.  Computed by the adjugate: for our sizes
-    (at most 8x8, usually 2 or 3) the n^2 cofactor determinants are cheap.
+    M is 2x2 or 3x3 (ShapeError otherwise); raises NotUnimodular for
+    another determinant.  Computed by the adjugate, whose n^2 cofactors
+    are 1x1 or 2x2 determinants.
     """
+    n = len(M)
+    if n not in (2, 3):
+        raise ShapeError("inverse_unimodular needs a 2x2 or 3x3 matrix, "
+                         "got %d rows" % (n,))
     d = determinant(M)
     if d not in (1, -1):
         raise NotUnimodular("determinant is %d, need +-1" % d)
-    n = len(M)
-    if n == 1:
-        return ((d,),)
     inv = []
     for i in range(n):
         row = []

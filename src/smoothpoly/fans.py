@@ -164,7 +164,8 @@ def is_numeric_vector(v):
 class Fan:
     """Complete simplicial fan: primitive rays + maximal cones as index sets.
 
-    Cones are normalized to sorted tuples.  Cones with more than d rays are
+    The rays' length d must be 2 or 3 (ValueError otherwise).  Cones are
+    normalized to sorted tuples.  Cones with more than d rays are
     tolerated at construction so that normal fans of non-simple polytopes can
     be represented; the structural operations (walls_of, wall_table,
     blow_up) reject them.
@@ -183,12 +184,14 @@ class Fan:
     __slots__ = ("rays", "cones", "d", "bounds", "excluded", "_walls",
                  "_table")
 
-    def __init__(self, rays, cones, d=None, bounds=None, excluded=None):
+    def __init__(self, rays, cones, bounds=None, excluded=None):
         rays = tuple(tuple(r) for r in rays)
         if not rays:
             raise ValueError("fan needs at least one ray")
-        if d is None:
-            d = len(rays[0])
+        d = len(rays[0])
+        if d not in (2, 3):
+            raise ValueError("fans are handled in dimension 2 or 3, got %d"
+                             % (d,))
         if any(len(r) != d for r in rays):
             raise ValueError("rays of a %d-dimensional fan have other "
                              "lengths: %r" % (d, rays))
@@ -321,11 +324,12 @@ def wall_table(fan):
     r2 its opposite rays.  The coefficients come from wall_sum_box, which
     solved every wall of the fans it yields, or are solved once on first
     use by the box pass's rule (_solve_walls) and kept.  Needs a concrete
-    simplicial fan in dimension 2 or 3 (ValueError otherwise).  Raises
-    what walls_of raises: NotComplete for a ridge in a number of cones
-    other than two (checked on every ridge before any wall is solved) and
-    ValueError for a cone with other than d rays; and InvariantError for a
-    wall whose two cones are not unimodular on its two sides.
+    simplicial fan: a family raises ValueError, naming its parameters.
+    Raises what walls_of raises: NotComplete for a ridge in a number of
+    cones other than two (checked on every ridge before any wall is
+    solved) and ValueError for a cone with other than d rays; and
+    InvariantError for a wall whose two cones are not unimodular on its
+    two sides.
     """
     walls, table = _coefficients(fan)
     return [(ridge, (c1, c2), (p, q), coeffs) for (ridge, c1, p, c2, q), coeffs
@@ -336,9 +340,14 @@ def _coefficients(fan):
     """fan's _Walls and its table: the coefficients of every paired ridge,
     from wall_sum_box or solved on first use (_solve_walls) and kept on
     the fan.  A solve that raises keeps nothing, so every later call
-    raises the same."""
+    raises the same.  A fan with a parameter box has no numeric walls to
+    solve, so a family raises ValueError first."""
     walls = _wall_structure(fan)
     if fan._table is None:
+        if fan.bounds:
+            raise ValueError("%r has the parameters %s: wall coefficients "
+                             "need a concrete fan (instantiate it first)"
+                             % (fan, ", ".join(sorted(fan.bounds))))
         fan._table = _solve_walls(fan, walls.paired)
     return walls, fan._table
 
@@ -358,20 +367,16 @@ def _solve_walls(fan, paired):
         _place(((), [(w,) + ridge + (p, q)
                      for w, (ridge, _, p, _, q) in enumerate(paired)]),
                (), rays, table, None)
-    elif fan.d == 2:
-        for w, ((n,), _, p, _, q) in enumerate(paired):
-            (x, y), (p0, p1), (q0, q1) = rays[n], rays[p], rays[q]
-            e = x * p1 - y * p0                      # det(n, p)
-            f = x * q1 - y * q0                      # det(n, q)
-            if e * e != 1 or e * f != -1:
-                raise InvariantError(
-                    "wall %r is not smooth at n, p, q = %r: det(n, p) = %d, "
-                    "det(n, q) = %d" % ((n,), (rays[n], rays[p], rays[q]),
-                                        e, f))
-            table[w] = (e * (q0 * p1 - q1 * p0),)    # e det(q, p)
-    else:
-        raise ValueError("wall tables need dimension 2 or 3, got %d"
-                         % (fan.d,))
+        return table
+    for w, ((n,), _, p, _, q) in enumerate(paired):
+        (x, y), (p0, p1), (q0, q1) = rays[n], rays[p], rays[q]
+        e = x * p1 - y * p0                          # det(n, p)
+        f = x * q1 - y * q0                          # det(n, q)
+        if e * e != 1 or e * f != -1:
+            raise InvariantError(
+                "wall %r is not smooth at n, p, q = %r: det(n, p) = %d, "
+                "det(n, q) = %d" % ((n,), (rays[n], rays[p], rays[q]), e, f))
+        table[w] = (e * (q0 * p1 - q1 * p0),)        # e det(q, p)
     return table
 
 
@@ -431,7 +436,7 @@ def blow_up(fan, target):
         # smoothness guarantees the sum of a cone's rays is primitive, but
         # normalize defensively for inputs outside the pipeline
         new_ray, _ = normalize_primitive(tuple(expr_value(a) for a in new_ray))
-    return Fan(fan.rays + (new_ray,), cones, d, fan.bounds, fan.excluded)
+    return Fan(fan.rays + (new_ray,), cones, fan.bounds, fan.excluded)
 
 
 def instantiate(pf, assignment):

@@ -149,15 +149,15 @@ class RunResult:
     warnings: tuple
 
 
-def _make_record(dim, poly, H, num_points, prov):
+def _make_record(poly, H, num_points, prov):
     """Record of a realized polytope from its facets H and its point count,
     both known from the realization: no hull and no lattice scan."""
     cf = canonical_form(poly, H)
-    return ClassificationRecord(dim, cf.vertices, num_points,
+    return ClassificationRecord(poly.d, cf.vertices, num_points,
                                 len(cf.vertices), len(H.A), prov, cf.key)
 
 
-def _realize_jobs(dim, jobs, max_points, diag):
+def _realize_jobs(jobs, max_points, diag):
     """Run the level enumeration and realization for each fan class rep.
 
     jobs are ((seed, path, assignment), fan) pairs in a deterministic
@@ -173,7 +173,7 @@ def _realize_jobs(dim, jobs, max_points, diag):
                 diag.realizations_rejected += 1
                 continue
             prov = Provenance(prefix[0], prefix[1], prefix[2], tuple(b))
-            records.append(_make_record(dim, poly, HPolytope(fan.rays, b, dim),
+            records.append(_make_record(poly, HPolytope(fan.rays, b),
                                         num_points, prov))
     return dedup(records)
 
@@ -323,7 +323,7 @@ def _class_fan(cones, order, cycle):
     """A fan with these cones whose ray order[p] is the p-th ray of the
     cycle's frame (rhs.frame_rays): a lattice image of the walked fan."""
     return Fan([ray for _, ray in sorted(zip(order, frame_rays(cycle)))],
-               cones, 2)
+               cones)
 
 
 def _classify_2d(max_points, trace):
@@ -337,7 +337,7 @@ def _classify_2d(max_points, trace):
     diag.fans_tested = len(table)
     jobs = [(prefix, _class_fan(*node)) for prefix, key, node in table
             if least_perimeter(key) <= max_points]
-    records = _realize_jobs(2, jobs, max_points, diag)
+    records = _realize_jobs(jobs, max_points, diag)
     return records, diag
 
 
@@ -407,7 +407,7 @@ def _classify_3d(max_points, stats, trace):
                 _note_class(classes, fan_canonical_key(fan), prefix, fan)
     jobs = sorted(classes.values(), key=lambda job: job[0])
     diag.fans_tested = len(jobs)
-    records = _realize_jobs(3, jobs, max_points, diag)
+    records = _realize_jobs(jobs, max_points, diag)
     return records, diag
 
 
@@ -415,7 +415,7 @@ def polygon_stats_from_records(records, max_points):
     """Fold classified polygons into the per-vertex-count minima table."""
     counts = []
     for r in records:
-        cv = VPolytope(r.vertices, 2)
+        cv = VPolytope(r.vertices)
         H = facets_of(cv)
         pts = lattice_points(cv, H)
         interior = sum(1 for p in pts

@@ -42,13 +42,12 @@ class HPolytope:
 
     __slots__ = ("A", "b", "d")
 
-    def __init__(self, A, b, d=None):
+    def __init__(self, A, b):
         A = tuple(tuple(row) for row in A)
         b = tuple(b)
         if not A or len(A) != len(b):
             raise ValueError("%d normals, %d levels" % (len(A), len(b)))
-        if d is None:
-            d = len(A[0])
+        d = len(A[0])
         _check_dim(d)
         for row in A:
             if len(row) != d:
@@ -68,18 +67,17 @@ class VPolytope:
 
     The constructor trusts that the given points are exactly the vertices
     (it only sorts and deduplicates); use from_points to reduce an arbitrary
-    point set to its hull vertices.  A non-integer coordinate raises
-    ValueError.
+    point set to its hull vertices.  The dimension d is the length of the
+    vertices, 2 or 3.  A non-integer coordinate raises ValueError.
     """
 
     __slots__ = ("vertices", "d")
 
-    def __init__(self, vertices, d=None):
+    def __init__(self, vertices):
         verts = sorted(set(tuple(v) for v in vertices))
         if not verts:
             raise ValueError("polytope needs at least one vertex")
-        if d is None:
-            d = len(verts[0])
+        d = len(verts[0])
         _check_dim(d)
         if any(len(v) != d for v in verts):
             raise ValueError("vertices of a %d-dimensional polytope have "
@@ -91,7 +89,7 @@ class VPolytope:
         self.d = d
 
     @classmethod
-    def from_points(cls, points, d=None):
+    def from_points(cls, points):
         """Hull vertices of an arbitrary finite lattice point set.
 
         A point is a vertex iff at least d facets are tight at it: in
@@ -101,15 +99,14 @@ class VPolytope:
         pts = sorted(set(tuple(p) for p in points))
         if not pts:
             raise ValueError("polytope needs at least one point")
-        if d is None:
-            d = len(pts[0])
+        d = len(pts[0])
         _check_dim(d)
         if not _full_dim(pts, d):
             raise NotFullDim("point set spans a lower-dimensional space")
         A, b = _hull_facets(pts, d)
         verts = [p for p in pts
                  if sum(dot(row, p) == c for row, c in zip(A, b)) >= d]
-        return cls(verts, d)
+        return cls(verts)
 
     def __eq__(self, other):
         return isinstance(other, VPolytope) and self.vertices == other.vertices
@@ -267,7 +264,7 @@ def facets_of(P):
     if not _full_dim(P.vertices, P.d):
         raise NotFullDim("polytope is not full-dimensional")
     A, b = _hull_facets(P.vertices, P.d)
-    return HPolytope(A, b, P.d)
+    return HPolytope(A, b)
 
 
 def edges_of(P):
@@ -317,7 +314,7 @@ def normal_fan(P):
     for v in P.vertices:
         cones.append(tuple(f for f in range(len(H.A))
                            if dot(H.A[f], v) == H.b[f]))
-    return Fan(H.A, cones, P.d)
+    return Fan(H.A, cones)
 
 
 __all__ = [

@@ -267,8 +267,8 @@ def realize_and_filter(fan, b, max_points):
         for ri, ray in enumerate(fan.rays):
             if ri not in cone and dot(ray, v) >= b[ri]:
                 return None, "mismatch", None
-    poly = VPolytope(verts, d)
-    n = count_lattice_points(poly, HPolytope(fan.rays, b, d), limit=max_points)
+    poly = VPolytope(verts)
+    n = count_lattice_points(poly, HPolytope(fan.rays, b), limit=max_points)
     if n > max_points:
         return None, "too_many_points", None
     return poly, "ok", n

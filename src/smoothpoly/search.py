@@ -114,8 +114,8 @@ def _build_fan(node):
     """The node's fan: each new ray is the sum of the rays it blew up.
 
     As in fans.blow_up, a sum with no parameter left is normalized to a
-    primitive integer vector, and the seed's parameter box passes through
-    propagate_bounds once per step (an empty box stays empty).
+    primitive integer vector.  The seed's parameter box is widened by one
+    on each side per cone step of the path (an empty box stays empty).
     """
     seed = node.seed_fan
     rays = list(seed.rays)
@@ -127,10 +127,12 @@ def _build_fan(node):
             new_ray, _ = normalize_primitive(
                 tuple(expr_value(a) for a in new_ray))
         rays.append(new_ray)
-    bounds = seed.bounds
-    for kind, _ in node.path:
-        bounds = propagate_bounds(bounds, kind)
-    return Fan(rays, node.cones, seed.d, bounds, seed.excluded)
+    # the child family of a cone blow-up can be isomorphic to a sibling at
+    # a parameter value shifted by at most one; a wall blow-up shifts none
+    widen = sum(kind == "cone" for kind, _ in node.path)
+    bounds = {n: (lo - widen, hi + widen)
+              for n, (lo, hi) in seed.bounds.items()}
+    return Fan(rays, node.cones, bounds, seed.excluded)
 
 
 def make_root(fan):
@@ -145,22 +147,6 @@ def make_root(fan):
                       wall_flags, wall_cones)
     node._fan = fan
     return node
-
-
-def propagate_bounds(bounds, kind):
-    """Parameter boxes for the fan produced by one blow-up.
-
-    A full-dimensional blow-up widens every box by one in both directions
-    (the child family can be isomorphic to a sibling at a shifted parameter
-    value, and one step shifts the relevant window by at most one); a wall
-    blow-up leaves the boxes alone.  Any other kind raises ValueError.
-    """
-    if kind == "cone":
-        return {n: (lo - 1, hi + 1) for n, (lo, hi) in bounds.items()}
-    if kind != "wall":
-        raise ValueError("blow-up kind %r is neither 'cone' nor 'wall'"
-                         % (kind,))
-    return dict(bounds)
 
 
 def enumerate_blowups(node, max_cones, pruned=True):
@@ -487,7 +473,7 @@ def polygon_criterion(profile, stats):
 
 
 __all__ = [
-    "ConeFlag", "SearchNode", "make_root", "propagate_bounds",
+    "ConeFlag", "SearchNode", "make_root",
     "enumerate_blowups", "walk_tree", "trace_line", "format_trace_line",
     "count_polygon_tree", "instantiate_all", "parameter_axes",
     "degree_profile", "PolygonStats", "polygon_stats",

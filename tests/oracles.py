@@ -150,14 +150,6 @@ def edge_parameters(fan, wall):
     return EdgeParams(wall, solve_by_parts(solve, s))
 
 
-def solve_wall(fan, wall):
-    """The wall's coefficients from the Fraction Gauss-Jordan solve."""
-    M = columns_matrix([tuple(expr_value(a) for a in fan.rays[i])
-                        for i in wall.ray_indices])
-    target = vec_add(fan.rays[wall.opposite[0]], fan.rays[wall.opposite[1]])
-    return solve_by_parts(lambda v: solve_rational(M, v), target)
-
-
 def is_smooth_fan(fan):
     """(True, None) iff every maximal cone is simplicial with determinant +-1.
 
@@ -181,8 +173,6 @@ def is_complete_fan(fan):
     with other than d rays has no ridges to pair and raises ValueError,
     as in walls_of.
     """
-    if fan.d not in (2, 3):
-        raise ValueError("completeness is checked in dimension 2 or 3")
     try:
         paired = _paired_ridges(fan)
     except NotComplete:

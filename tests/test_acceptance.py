@@ -9,6 +9,8 @@ of a complete run.
 import hashlib
 import json
 import random
+from functools import cmp_to_key
+from math import gcd
 
 import pytest
 
@@ -75,7 +77,7 @@ def realized(all_records):
     """
     out = []
     for r in all_records:
-        V = VPolytope(r.vertices, r.dimension)
+        V = VPolytope(r.vertices)
         H = facets_of(V)
         assert r.facet_count == len(H.A)
         assert r.num_lattice_points == len(lattice_points(V, H))
@@ -89,9 +91,9 @@ def realized(all_records):
     return out
 
 
-def _load_golden(name, dim):
+def _load_golden(name):
     with open("tests/data/%s" % name) as fh:
-        return [VPolytope([tuple(v) for v in vs], dim)
+        return [VPolytope([tuple(v) for v in vs])
                 for vs in json.load(fh)]
 
 
@@ -121,11 +123,10 @@ def test_reports_match_reference_digests(run2d, run3d):
 
 
 def test_criterion_3_golden_bijection_with_witnesses(run2d, run3d):
-    for dim, result, name in (
-            (2, run2d, "golden_polygons_max12.json"),
-            (3, run3d, "golden_polytopes3d_max12.json")):
-        golden = _load_golden(name, dim)
-        mine = [VPolytope(r.vertices, dim) for r in result.records]
+    for result, name in ((run2d, "golden_polygons_max12.json"),
+                         (run3d, "golden_polytopes3d_max12.json")):
+        golden = _load_golden(name)
+        mine = [VPolytope(r.vertices) for r in result.records]
         assert len(golden) == len(mine)
         hits = [0] * len(mine)
         for g in golden:
@@ -164,6 +165,49 @@ def test_criterion_5_polygon_minima_table():
         "b    3    4    7    6    -    8\n")
 
 
+def _pick_count(vertices):
+    """(lattice points n, boundary points B) of a lattice polygon, by Pick's
+    theorem in integers.  From the least vertex o every other vertex lies
+    within a half-turn, so comparing cross products about o puts them in
+    counterclockwise order; the shoelace formula gives twice the area 2A,
+    B is the sum of gcd(|dx|, |dy|) over the edges, and n = I + B =
+    (2A + B + 2) / 2."""
+    o = min(vertices)
+
+    def turn(u, v):
+        c = (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
+        return -1 if c > 0 else int(c < 0)
+
+    ring = [o] + sorted((v for v in vertices if v != o),
+                        key=cmp_to_key(turn))
+    twice_area = boundary = 0
+    for (x0, y0), (x1, y1) in zip(ring, ring[1:] + ring[:1]):
+        twice_area += x0 * y1 - x1 * y0
+        boundary += gcd(x1 - x0, y1 - y0)
+    assert twice_area > 0 and (twice_area + boundary) % 2 == 0, ring
+    return (twice_area + boundary + 2) // 2, boundary
+
+
+@pytest.mark.parametrize("max_points,polygons", [(12, 41), (13, 51)])
+def test_pick_counts_every_polygon_and_the_minima(max_points, polygons):
+    """Each record's lattice-point count agrees with Pick's theorem, and
+    the (points, interior, boundary) minima per vertex count that Pick
+    gives are run_stats' table, the premise of the polygon criterion."""
+    records = run_classify(RunConfig(2, max_points)).records
+    assert len(records) == polygons
+    minima = {}
+    for r in records:
+        n, boundary = _pick_count(r.vertices)
+        assert n == r.num_lattice_points, r.vertices
+        row = (n, n - boundary, boundary)
+        cur = minima.get(r.num_vertices, row)
+        minima[r.num_vertices] = tuple(map(min, cur, row))
+    assert minima == run_stats(max_points).table
+    if max_points == 12:
+        assert minima == {3: (3, 0, 3), 4: (4, 0, 4), 5: (8, 1, 7),
+                          6: (7, 1, 6), 8: (12, 4, 8)}
+
+
 def test_criterion_6a_smoothness_duality(all_records):
     rng = random.Random(62050)
     smooth = []
@@ -172,27 +216,25 @@ def test_criterion_6a_smoothness_duality(all_records):
         r = all_records[i % len(all_records)]
         U = random_unimodular(rng, r.dimension)
         t = random_translation(rng, r.dimension)
-        smooth.append(VPolytope(apply_affine(U, t, r.vertices),
-                                r.dimension))
+        smooth.append(VPolytope(apply_affine(U, t, r.vertices)))
         i += 1
     bad_bases = []
     for k in range(2, 10):
-        bad_bases.append(VPolytope([(0, 0), (1, 0), (0, k)], 2))
-        bad_bases.append(VPolytope([(0, 0), (2, 0), (1, k)], 2))
+        bad_bases.append(VPolytope([(0, 0), (1, 0), (0, k)]))
+        bad_bases.append(VPolytope([(0, 0), (2, 0), (1, k)]))
         bad_bases.append(VPolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0),
-                                    (1, 1, k)], 3))
+                                    (1, 1, k)]))
     bad_bases.append(VPolytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0),
-                                (0, -1, 0), (0, 0, 1), (0, 0, -1)], 3))
+                                (0, -1, 0), (0, 0, 1), (0, 0, -1)]))
     bad_bases.append(VPolytope([(1, 1, 0), (1, -1, 0), (-1, 1, 0),
-                                (-1, -1, 0), (0, 0, 1)], 3))
+                                (-1, -1, 0), (0, 0, 1)]))
     non_smooth = []
     i = 0
     while len(non_smooth) < 50:
         base = bad_bases[i % len(bad_bases)]
         U = random_unimodular(rng, base.d)
         t = random_translation(rng, base.d)
-        non_smooth.append(VPolytope(apply_affine(U, t, base.vertices),
-                                    base.d))
+        non_smooth.append(VPolytope(apply_affine(U, t, base.vertices)))
         i += 1
     assert len(smooth) == 50 and len(non_smooth) == 50
     for P in smooth:
@@ -237,7 +279,7 @@ def test_criterion_6c_thickened_edge_counts(realized):
             pts = ([v1, v2]
                    + [vec_add(v1, w) for w in trans1]
                    + [vec_add(v2, w) for w in trans2])
-            thick = VPolytope.from_points(pts, d)
+            thick = VPolytope.from_points(pts)
             count = len(lattice_points(thick))
             assert count == d * (length + 1) + sum(coeffs)
 
@@ -309,13 +351,13 @@ def test_criterion_6f_canonical_form_invariance_and_dedup(
         all_records, run2d, run3d):
     rng = random.Random(816012)
     for r in all_records:
-        P = VPolytope(r.vertices, r.dimension)
+        P = VPolytope(r.vertices)
         base = canonical_form(P)
         assert base.vertices == r.vertices
         for _ in range(100):
             U = random_unimodular(rng, r.dimension)
             t = random_translation(rng, r.dimension)
-            Q = VPolytope(apply_affine(U, t, P.vertices), r.dimension)
+            Q = VPolytope(apply_affine(U, t, P.vertices))
             cf = canonical_form(Q)
             assert cf.key == base.key
             assert cf.vertices == base.vertices

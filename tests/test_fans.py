@@ -14,7 +14,6 @@ from oracles import (
     edge_parameters,
     is_complete_fan,
     is_smooth_fan,
-    solve_wall,
 )
 from smoothpoly import InvariantError, exact_linalg, fans, seeds
 from smoothpoly.exact_linalg import (
@@ -179,6 +178,18 @@ def test_edge_parameters_inconsistent(fan, wall):
         edge_parameters(fan, wall)
 
 
+def _corner_instances(fan):
+    """(point, fan at point) for the first, middle and last values of the
+    parameter box's axes, taken together, skipping a degenerate point."""
+    names, axes = parameter_axes(fan)
+    for vals in zip(*[(ax[0], ax[len(ax) // 2], ax[-1]) for ax in axes]):
+        point = dict(zip(names, vals))
+        try:
+            yield point, instantiate(fan, point)
+        except DegenerateRay:
+            continue
+
+
 def _edge_parameter_fans(polygon_class_reps):
     """2D class representatives, then 3D seeds and their first blow-ups,
     each parametric fan also instantiated across its parameter box."""
@@ -188,30 +199,42 @@ def _edge_parameter_fans(polygon_class_reps):
             fan = node.fan
             yield fan
             if fan.bounds:
-                names, axes = parameter_axes(fan)
-                corners = [dict(zip(names, vals))
-                           for vals in zip(*[(ax[0], ax[len(ax) // 2], ax[-1])
-                                             for ax in axes])]
-                for assignment in corners:
-                    try:
-                        yield instantiate(fan, assignment)
-                    except DegenerateRay:
-                        continue
+                for _, instance in _corner_instances(fan):
+                    yield instance
 
 
-def test_edge_parameters_agree_with_rational_solve(polygon_class_reps):
-    checked = parametric = 0
+def test_edge_parameters_agree_with_wall_table_on_instances(
+        polygon_class_reps):
+    """On each family of _edge_parameter_fans, the coefficients that
+    edge_parameters solves over Fraction as ParamExprs, evaluated at a
+    corner point, equal the wall_table row of the fan instantiated there
+    (rows come in walls_of order).  Concrete fans are compared in
+    test_wall_table_matches_edge_parameters."""
+    families = points = checked = 0
     for fan in _edge_parameter_fans(polygon_class_reps):
+        if not fan.bounds:
+            continue
+        families += 1
+        solved = []
         for wall in walls_of(fan):
             try:
-                got = edge_parameters(fan, wall).coeffs
+                solved.append((wall, edge_parameters(fan, wall).coeffs))
             except ParametricWallUnsupported:
-                continue
-            assert got == solve_wall(fan, wall), (fan.rays, wall)
-            assert all(isinstance(a, (int, ParamExpr)) for a in got)
-            checked += 1
-            parametric += any(isinstance(a, ParamExpr) for a in got)
-    assert checked > 20000 and parametric > 0
+                solved.append((wall, None))
+        for point, instance in _corner_instances(fan):
+            points += 1
+            rows = wall_table(instance)
+            assert len(rows) == len(solved)
+            for (wall, coeffs), row in zip(solved, rows):
+                assert row[:3] == (wall.ray_indices, wall.incident,
+                                   wall.opposite)
+                if coeffs is None:
+                    continue
+                assert row[3] == tuple(
+                    a.evaluate(point) if isinstance(a, ParamExpr) else a
+                    for a in coeffs), (fan.rays, point, wall)
+                checked += 1
+    assert (families, points, checked) == (34, 102, 699)
 
 
 def _concrete_fans(polygon_class_reps):
@@ -265,6 +288,23 @@ def test_wall_table_errors():
                [(0, 1, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)])
     with pytest.raises(ValueError, match="simplicial"):
         wall_table(octa)
+
+
+@pytest.mark.parametrize("name", ["F_a", "(3^2 4^3)'", "4^6"])
+def test_wall_table_and_fan_key_need_a_concrete_fan(name):
+    """A family has no numeric walls: both functions raise ValueError
+    naming its parameters before any wall is solved, also on a second
+    call, and an instance of it solves."""
+    pf = seeds.get_seed(name).build(12)
+    params = ", ".join(sorted(pf.bounds))
+    for _ in range(2):
+        for function in (wall_table, fan_canonical_key):
+            with pytest.raises(ValueError, match="the parameters %s: .*"
+                               "concrete fan" % params):
+                function(pf)
+    assert pf._table is None
+    _, instance = next(_corner_instances(pf))
+    assert len(wall_table(instance)) == len(walls_of(pf))
 
 
 def test_is_smooth_fan():

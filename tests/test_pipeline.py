@@ -47,7 +47,7 @@ def _golden(name, dim, max_points):
         data = json.load(fh)
     kept = []
     for vs in data:
-        V = VPolytope([tuple(v) for v in vs], dim)
+        V = VPolytope([tuple(v) for v in vs])
         if len(lattice_points(V)) <= max_points:
             kept.append(V)
     return kept
@@ -204,7 +204,7 @@ def test_classify_dim2_matches_golden_subset():
     assert len(res.records) == 6
     assert res.histogram == {3: 2, 4: 4}
     golden = _golden("golden_polygons_max12.json", 2, 6)
-    mine = {canonical_form(VPolytope(r.vertices, 2)).key
+    mine = {canonical_form(VPolytope(r.vertices)).key
             for r in res.records}
     assert mine == {canonical_form(g).key for g in golden}
     for r in res.records:
@@ -290,12 +290,12 @@ def test_realization_solves_in_integers(monkeypatch):
 def test_classify_dim3_matches_golden_subset():
     res = run_classify(RunConfig(3, 8))
     golden = _golden("golden_polytopes3d_max12.json", 3, 8)
-    mine = {canonical_form(VPolytope(r.vertices, 3)).key
+    mine = {canonical_form(VPolytope(r.vertices)).key
             for r in res.records}
     assert len(mine) == len(res.records)
     assert mine == {canonical_form(g).key for g in golden}
     for r in res.records:
-        V = VPolytope(r.vertices, 3)
+        V = VPolytope(r.vertices)
         ok, why = is_smooth(V)
         assert ok, why
         H = facets_of(V)
@@ -308,7 +308,7 @@ def test_records_sorted_and_deterministic():
     b = run_classify(RunConfig(2, 8))
     assert a.records == b.records
     keys = [(r.num_lattice_points, r.num_vertices,
-             canonical_form(VPolytope(r.vertices, 2)).key)
+             canonical_form(VPolytope(r.vertices)).key)
             for r in a.records]
     assert keys == sorted(keys)
     hist_keys = sorted(a.histogram)

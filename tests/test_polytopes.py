@@ -47,7 +47,7 @@ def brute_vertices(H):
         if all(dot(row, x) <= c for row, c in zip(H.A, H.b)):
             assert all(f.denominator == 1 for f in x), (H.A, H.b, x)
             found.add(tuple(int(f) for f in x))
-    return VPolytope(found, H.d)
+    return VPolytope(found)
 
 
 def test_vpolytope_rejects_non_integer_vertex():
@@ -59,7 +59,7 @@ def test_vpolytope_rejects_non_integer_vertex():
 BAD_INPUTS = [
     "Fan([(1, 0), (1, 0), (0, 1)], [(0, 2), (1, 2)])",
     "Fan([(1, 0), (0, 1)], [(0, 5)])",
-    "HPolytope([(2, 0), (0, 1), (-1, -1)], [0, 0, 1], 2)",
+    "HPolytope([(2, 0), (0, 1), (-1, -1)], [0, 0, 1])",
     "VPolytope([(0, 0), (1, 0, 0)])",
 ]
 BAD_INPUT_ERRORS = [

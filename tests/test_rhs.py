@@ -155,7 +155,7 @@ def test_realize_square_band():
 def test_realize_non_smooth_raises_invariant_error():
     # cone (0, 2) has determinant -2, yet every vertex comes out integral
     # and tight exactly on its own cone: the triangle (0,0), (-2,0), (0,-1)
-    fan = Fan([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)], 2)
+    fan = Fan([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(InvariantError, match="not smooth"):
         realize_and_filter(fan, (0, 0, 2), 12)
 
@@ -185,7 +185,7 @@ def test_unreachable_cones_raise_invariant_error():
 def test_non_integral_vertex_raises():
     # the cone's determinant is 2: its vertex (0, 1/2) is not integral, and
     # the fan is not smooth, which is what realization reports
-    fan = Fan([(1, 0), (1, 2)], [(0, 1)], 2)
+    fan = Fan([(1, 0), (1, 2)], [(0, 1)])
     with pytest.raises(InvariantError, match="not smooth"):
         realize_and_filter(fan, (0, 1), 12)
 

@@ -32,7 +32,6 @@ from smoothpoly.search import (
     make_root,
     polygon_criterion,
     polygon_stats,
-    propagate_bounds,
     trace_line,
     walk_tree,
 )
@@ -237,14 +236,6 @@ def test_flagless_node_cannot_be_expanded():
     assert "ValueError" in proc.stderr and "built as a leaf" in proc.stderr
 
 
-def test_propagate_bounds():
-    assert propagate_bounds({"a": (0, 12)}, "cone") == {"a": (-1, 13)}
-    assert propagate_bounds({"a": (0, 12)}, "wall") == {"a": (0, 12)}
-    # a raise, not an assert, so python -O rejects it too
-    with pytest.raises(ValueError):
-        propagate_bounds({"a": (0, 12)}, "bogus")
-
-
 def test_walk_widens_parametric_bounds():
     fa = seeds.seed_fan("F_a", 12)
     for node in walk_tree(fa, 6):
@@ -433,8 +424,9 @@ def _reference_children(fan, bookkeeping, max_cones, pruned):
     """Children of one node, each a blown-up Fan plus its bookkeeping.
 
     The fan-based reference walk: every child is fans.blow_up of its
-    parent with bounds passed through propagate_bounds, and incident cones
-    are found by set scans on the fan.  bookkeeping is (path, cone_flags,
+    parent, its parameter box widened by one on each side after a cone
+    blow-up and kept after a wall blow-up, and incident cones are found
+    by set scans on the fan.  bookkeeping is (path, cone_flags,
     wall_order, wall_flags, wall_cones).
     """
     path, cone_flags, wall_order, wall_flags, _ = bookkeeping
@@ -444,8 +436,9 @@ def _reference_children(fan, bookkeeping, max_cones, pruned):
 
     def grown(target, kind):
         child = blow_up(fan, target)
-        return Fan(child.rays, child.cones, child.d,
-                   propagate_bounds(child.bounds, kind), child.excluded)
+        w = 1 if kind == "cone" else 0
+        bounds = {n: (lo - w, hi + w) for n, (lo, hi) in child.bounds.items()}
+        return Fan(child.rays, child.cones, bounds, child.excluded)
 
     def faces(cone):
         return [(cone[a], cone[b])
@@ -603,7 +596,7 @@ def test_polygon_walk_builds_fans_for_class_representatives_only(
 
     jobs = []
 
-    def record(dim, class_jobs, max_points, diag):
+    def record(class_jobs, max_points, diag):
         jobs.extend(class_jobs)
         return []
 
