@@ -98,7 +98,7 @@ def _cmd_stats(args):
 
 
 def _cmd_seeds(args):
-    sys.stdout.write(pipeline.render_seeds(pipeline.list_seeds()))
+    sys.stdout.write(pipeline.render_seeds())
     return 0
 
 

@@ -402,9 +402,6 @@ def blow_up(fan, target):
         raise InvalidCone("ray indices %r out of range" % (target,))
     cones = list(fan.cones)
     s = len(fan.rays)  # index of the ray about to be created
-    new_ray = fan.rays[target[0]]
-    for i in target[1:]:
-        new_ray = vec_add(new_ray, fan.rays[i])
 
     if len(target) == d and target in cones:
         i = cones.index(target)
@@ -431,12 +428,23 @@ def blow_up(fan, target):
         cones.append(tuple(sorted((q, n2, s))))
     else:
         raise InvalidCone("%r is neither a maximal cone nor a wall" % (target,))
+    return Fan(fan.rays + (blow_up_ray(fan.rays, target),), cones,
+               fan.bounds, fan.excluded)
 
+
+def blow_up_ray(rays, target):
+    """The ray a blow-up at target (ray indices) adds: the sum of its rays.
+
+    A sum with no parameter left is normalized to a primitive integer
+    vector; smoothness makes it primitive already, but inputs from outside
+    the pipeline may not be smooth.
+    """
+    new_ray = rays[target[0]]
+    for i in target[1:]:
+        new_ray = vec_add(new_ray, rays[i])
     if is_numeric_vector(new_ray):
-        # smoothness guarantees the sum of a cone's rays is primitive, but
-        # normalize defensively for inputs outside the pipeline
         new_ray, _ = normalize_primitive(tuple(expr_value(a) for a in new_ray))
-    return Fan(fan.rays + (new_ray,), cones, fan.bounds, fan.excluded)
+    return new_ray
 
 
 def instantiate(pf, assignment):
@@ -698,6 +706,6 @@ __all__ = [
     "ParamExpr", "expr_value", "is_numeric_vector",
     "Fan", "Wall",
     "walls_of", "wall_table",
-    "blow_up", "instantiate", "wall_sum_box",
+    "blow_up", "blow_up_ray", "instantiate", "wall_sum_box",
     "fan_canonical_key",
 ]

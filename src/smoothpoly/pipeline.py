@@ -21,12 +21,11 @@ lattice isomorphism.
 Dimension 3 has no such monotonicity (wall blow-ups destroy the offending
 wall), so the walk is parametric, and every node is filtered by the smooth
 polygon criterion from the 2D results.  The criterion reads only the ray
-degrees, which are carried down the walk from parent to child rather than
-recounted, and is evaluated once per distinct degree multiset.  A surviving
-node's parameter box is walked once by fans.wall_sum_box, which yields the
-concrete fan of each point that passes the wall-sum test with its wall
-table already solved (the box of a node without parameters is the one
-point ()).
+degrees, counted off each node's cones, and is evaluated once per distinct
+degree multiset.  A surviving node's parameter box is walked once by
+fans.wall_sum_box, which yields the concrete fan of each point that passes
+the wall-sum test with its wall table already solved (the box of a node
+without parameters is the one point ()).
 """
 
 import json
@@ -341,42 +340,6 @@ def _classify_2d(max_points, trace):
     return records, diag
 
 
-def _walk_degrees(nodes):
-    """(node, ray degrees) for each node of a pre-order 3D walk_tree walk.
-
-    degrees[i] is the number of maximal cones ray i lies in.  Only a root's
-    are counted: a node's parent is the last node met one level up, and its
-    last blow-up (blown_up[-1]) changes the parent's degrees locally:
-      - cone {a, b, c}: a, b and c gain a cone, and the new ray s has 3;
-      - wall {n1, n2} between {p, n1, n2} and {q, n1, n2}: p and q gain a
-        cone, read off the child's last two cones {p, n2, s} and
-        {q, n2, s}, and s has 4.
-    Each node gets its own list.
-    """
-    line = []           # degrees of the current node and its ancestors
-    for node in nodes:
-        depth = len(node.path)
-        if depth:
-            degrees = line[depth - 1].copy()
-            target = node.blown_up[-1]
-            if len(target) == 3:
-                for i in target:
-                    degrees[i] += 1
-                degrees.append(3)
-            else:
-                s = len(degrees)
-                for cone in node.cones[-2:]:
-                    degrees[sum(cone) - target[1] - s] += 1
-                degrees.append(4)
-        else:
-            degrees = [0] * node.num_rays
-            for cone in node.cones:
-                for i in cone:
-                    degrees[i] += 1
-        line[depth:] = [degrees]
-        yield node, degrees
-
-
 def _classify_3d(max_points, stats, trace):
     diag = Diagnostics()
     classes = {}
@@ -384,17 +347,20 @@ def _classify_3d(max_points, stats, trace):
     passes = {}
     for name in seeds.seed_names(3):
         seed = seeds.get_seed(name)
-        for node, degrees in _walk_degrees(
-                walk_tree(seed.build(max_points), max_points)):
+        for node in walk_tree(seed.build(max_points), max_points):
             diag.nodes_visited += 1
             if trace is not None:
                 trace.write("%s\t%s\n" % (name, trace_line(node)))
+            degrees = [0] * node.num_rays
+            for cone in node.cones:
+                for i in cone:
+                    degrees[i] += 1
             key = tuple(sorted(degrees))
             ok = passes.get(key)
             if ok is None:
                 profile = degree_profile(node)
                 if profile != Counter(key):
-                    raise InvariantError("carried degrees %r of %r do not "
+                    raise InvariantError("ray degrees %r of %r do not "
                                          "recount to %r"
                                          % (key, node.path, profile))
                 ok = passes[key] = polygon_criterion(profile, stats).passes
@@ -488,31 +454,6 @@ def run_stats(max_points):
     return _polygon_minima(max_points)
 
 
-def list_seeds():
-    """Registry dump: live seeds and the eliminated minimal fans."""
-    live = []
-    for name in seeds.seed_names():
-        seed = seeds.get_seed(name)
-        fan = seed.build(12)
-        live.append({
-            "name": seed.name,
-            "dim": seed.dim,
-            "rays": tuple(tuple(repr(a) if not isinstance(a, int) else a
-                                for a in r) for r in fan.rays),
-            "num_rays": len(fan.rays),
-            "num_cones": len(fan.cones),
-            "parameters": seed.params_desc,
-        })
-    excluded = [{
-        "name": ex.name,
-        "profile": dict(ex.profile),
-        "num_cones": ex.num_cones,
-        "bound": ex.bound,
-        "reason": ex.reason,
-    } for ex in seeds.EXCLUDED_FANS]
-    return {"seeds": live, "excluded": excluded}
-
-
 # ---------------------------------------------------------------------------
 # serialization (all integers; nothing here may ever emit a float)
 
@@ -604,29 +545,32 @@ def render_stats(stats):
     return "\n".join(lines) + "\n"
 
 
-def render_seeds(listing):
+def render_seeds():
+    """Registry dump: live seeds, built at 12, and the eliminated minimal
+    fans."""
     lines = ["seed fans"]
-    for s in listing["seeds"]:
+    for name in seeds.seed_names():
+        seed = seeds.get_seed(name)
+        fan = seed.build(12)
         lines.append("  %-14s dim %d, %d rays, %d cones, parameters: %s"
-                     % (s["name"], s["dim"], s["num_rays"], s["num_cones"],
-                        s["parameters"]))
+                     % (name, seed.dim, len(fan.rays), len(fan.cones),
+                        seed.params_desc))
         lines.append("      rays: " + " ".join(
-            "(%s)" % ",".join(str(a) for a in r) for r in s["rays"]))
+            "(%s)" % ",".join(str(a) for a in r) for r in fan.rays))
     lines.append("")
     lines.append("eliminated minimal fans (dimension 3, 12 point budget)")
-    for ex in listing["excluded"]:
-        bound = "bound %d > 12" % ex["bound"] if ex["bound"] is not None \
+    for ex in seeds.EXCLUDED_FANS:
+        bound = "bound %d > 12" % ex.bound if ex.bound is not None \
             else "no bound (impossible facet)"
-        lines.append("  %-18s %d cones, %s" % (ex["name"], ex["num_cones"],
-                                               bound))
-        lines.append("      " + ex["reason"])
+        lines.append("  %-18s %d cones, %s" % (ex.name, ex.num_cones, bound))
+        lines.append("      " + ex.reason)
     return "\n".join(lines) + "\n"
 
 
 __all__ = [
     "ConfigError", "RunConfig", "Provenance", "ClassificationRecord",
     "Diagnostics", "RunResult", "run_classify", "run_count_tree",
-    "run_stats", "list_seeds", "polygon_stats_from_records",
+    "run_stats", "polygon_stats_from_records",
     "render_json", "render_text", "render_stats", "render_seeds",
     "open_output", "VALIDATED_3D_MAX_POINTS",
 ]

@@ -35,13 +35,11 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact_linalg import normalize_primitive, vec_add
 from .fans import (
     Fan,
     blow_up,  # unused: kept for perfbench/traced.py to wrap
-    expr_value,
+    blow_up_ray,
     instantiate,
-    is_numeric_vector,
     walls_of,
 )
 
@@ -111,22 +109,16 @@ class SearchNode:
 
 
 def _build_fan(node):
-    """The node's fan: each new ray is the sum of the rays it blew up.
+    """The node's fan: each new ray is the one fans.blow_up_ray gives for
+    the rays it blew up.
 
-    As in fans.blow_up, a sum with no parameter left is normalized to a
-    primitive integer vector.  The seed's parameter box is widened by one
-    on each side per cone step of the path (an empty box stays empty).
+    The seed's parameter box is widened by one on each side per cone step
+    of the path (an empty box stays empty).
     """
     seed = node.seed_fan
     rays = list(seed.rays)
     for target in node.blown_up:
-        new_ray = rays[target[0]]
-        for i in target[1:]:
-            new_ray = vec_add(new_ray, rays[i])
-        if is_numeric_vector(new_ray):
-            new_ray, _ = normalize_primitive(
-                tuple(expr_value(a) for a in new_ray))
-        rays.append(new_ray)
+        rays.append(blow_up_ray(rays, target))
     # the child family of a cone blow-up can be isomorphic to a sibling at
     # a parameter value shifted by at most one; a wall blow-up shifts none
     widen = sum(kind == "cone" for kind, _ in node.path)

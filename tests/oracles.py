@@ -10,6 +10,9 @@ fan, the window of level vectors with its rational caps, and the
 perimeter bound over all ray pairs.  The errors that only these general
 solves can meet (Singular, Inconsistent, NonIntegral) live here as well:
 the program raises InvariantError on every wall that is not smooth.
+riemann_roch_count counts the lattice points of a smooth 3-polytope from
+its vertices alone, in integers and with its own hull, so it shares no
+code with the program's point count.
 
 A parametric target is solved by linearity (solve_by_parts): once for its
 constant vector and once for each parameter's integer vector, so no solve
@@ -18,6 +21,8 @@ ever does arithmetic on a ParamExpr.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from smoothpoly.exact_linalg import (
     ShapeError,
@@ -279,3 +284,95 @@ def pairwise_least_perimeter(cycle):
             if best is None or g < best:
                 best = g
     return k + best
+
+
+def _sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def riemann_roch_count(vertices):
+    """Lattice points of a smooth lattice 3-polytope by toric Riemann-Roch.
+
+    P is an ample divisor on a smooth toric 3-fold, so |P & Z^3| = chi(D)
+    (Fulton, Introduction to Toric Varieties, 1993, sec. 5.3), which in
+    polytope terms reads
+        12 n = 2 (6 vol) + 3 sum_F 2 area(F) + 3 sum_e l_e
+               - sum_F lambda_F + 12,
+    where area(F) is measured in the facet's own lattice, l_e is an edge's
+    lattice length, and lambda_F is given by sum_{e in F} l_e n_F' =
+    lambda_F n_F, F' being the other facet at e.  The hull is brute force
+    over vertex triples: a triple spans a facet when every vertex lies on
+    one side of its plane.  Integers only.
+    """
+    V = [tuple(v) for v in vertices]
+    facets = {}           # primitive outward normal -> vertex indices on it
+    for i, j, k in combinations(range(len(V)), 3):
+        n = _cross(_sub(V[j], V[i]), _sub(V[k], V[i]))
+        g = gcd(*n)
+        if g == 0:
+            continue
+        n = tuple(a // g for a in n)
+        c = _dot(n, V[i])
+        vals = [_dot(n, v) for v in V]
+        if min(vals) == c:
+            n, c = tuple(-a for a in n), -c
+        elif max(vals) != c:
+            continue
+        facets[n] = frozenset(x for x, v in enumerate(V) if _dot(n, v) == c)
+    normals = list(facets)
+    edges = {}            # facet normal -> [(u, v, l_e, other normal)]
+    sum_l = 0
+    for a, b in combinations(normals, 2):
+        common = facets[a] & facets[b]
+        if len(common) != 2:
+            continue
+        u, v = sorted(common)
+        l_e = gcd(*_sub(V[v], V[u]))
+        sum_l += l_e
+        edges.setdefault(a, []).append((u, v, l_e, b))
+        edges.setdefault(b, []).append((u, v, l_e, a))
+    o = V[0]
+    six_vol = sum_area = sum_lambda = 0
+    for n in normals:
+        # the facet's boundary cycle, walked along its edges
+        nxt = {}
+        for u, v, _, _ in edges[n]:
+            nxt.setdefault(u, []).append(v)
+            nxt.setdefault(v, []).append(u)
+        ring = [edges[n][0][0]]
+        prev = None
+        while len(ring) < len(nxt):
+            x, y = nxt[ring[-1]]
+            step = y if x == prev else x
+            prev = ring[-1]
+            ring.append(step)
+        p0 = V[ring[0]]
+        k_sum = 0
+        for x, y in zip(ring[1:], ring[2:]):
+            w = _cross(_sub(V[x], p0), _sub(V[y], p0))
+            k_sum += _dot(w, n) // _dot(n, n)
+            six_vol += abs(_dot(_sub(p0, o), _cross(_sub(V[x], o),
+                                                     _sub(V[y], o))))
+        sum_area += abs(k_sum)
+        acc = [0, 0, 0]
+        for _, _, l_e, other in edges[n]:
+            acc = [s + l_e * t for s, t in zip(acc, other)]
+        lam = _dot(acc, n) // _dot(n, n)
+        if [lam * t for t in n] != acc:
+            raise ValueError("edge normals of facet %r do not sum to a "
+                             "multiple of it: %r" % (n, acc))
+        sum_lambda += lam
+    total = 2 * six_vol + 3 * sum_area + 3 * sum_l - sum_lambda + 12
+    if total % 12:
+        raise ValueError("Riemann-Roch total %d is not a multiple of 12"
+                         % total)
+    return total // 12

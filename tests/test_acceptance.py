@@ -15,7 +15,12 @@ from math import gcd
 import pytest
 
 from conftest import apply_affine, random_translation, random_unimodular
-from oracles import edge_parameters, is_smooth_fan, vec_scale
+from oracles import (
+    edge_parameters,
+    is_smooth_fan,
+    riemann_roch_count,
+    vec_scale,
+)
 from smoothpoly import seeds
 from smoothpoly.exact_linalg import (
     determinant,
@@ -206,6 +211,37 @@ def test_pick_counts_every_polygon_and_the_minima(max_points, polygons):
     if max_points == 12:
         assert minima == {3: (3, 0, 3), 4: (4, 0, 4), 5: (8, 1, 7),
                           6: (7, 1, 6), 8: (12, 4, 8)}
+
+
+def test_riemann_roch_counts_the_unit_cube_and_simplex():
+    cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    assert riemann_roch_count(cube) == 8
+    assert riemann_roch_count([(0, 0, 0), (1, 0, 0), (0, 1, 0),
+                               (0, 0, 1)]) == 4
+
+
+def test_riemann_roch_counts_every_solid_and_its_images(run3d):
+    """Each N = 12 record's lattice-point count agrees with toric
+    Riemann-Roch, which shares no code with the program's count, and so
+    does the count of random unimodular images of each record."""
+    assert len(run3d.records) == 33
+    rng = random.Random(120301)
+    for r in run3d.records:
+        assert riemann_roch_count(r.vertices) == r.num_lattice_points, \
+            r.vertices
+        for _ in range(3):
+            U = random_unimodular(rng, 3)
+            t = random_translation(rng, 3)
+            assert riemann_roch_count(apply_affine(U, t, r.vertices)) == \
+                r.num_lattice_points, (U, t, r.vertices)
+
+
+def test_riemann_roch_counts_every_solid_at_13():
+    records = run_classify(RunConfig(3, 13, allow_unvalidated=True)).records
+    assert len(records) == 43
+    for r in records:
+        assert riemann_roch_count(r.vertices) == r.num_lattice_points, \
+            r.vertices
 
 
 def test_criterion_6a_smoothness_duality(all_records):

@@ -21,8 +21,6 @@ from smoothpoly.pipeline import (
     _min_interior,
     _polygon_cycle,
     _splice_cycle,
-    _walk_degrees,
-    list_seeds,
     render_json,
     render_seeds,
     render_stats,
@@ -37,6 +35,7 @@ from smoothpoly.search import (
     degree_profile,
     enumerate_blowups,
     make_root,
+    polygon_criterion,
     walk_tree,
 )
 from smoothpoly.seeds import UnknownSeed
@@ -337,6 +336,63 @@ def test_trace_tree_digest_2d(tmp_path):
         "97186ff87e911a358940029dd916cbb81e5fa80c3bae475fabb4e4b143c60575")
 
 
+def test_trace_tree_digest_3d(tmp_path):
+    """The N = 12 solid --trace-tree file is byte-identical run to run."""
+    path = tmp_path / "trace.txt"
+    run_classify(RunConfig(3, 12, trace_tree=str(path)))
+    text = path.read_bytes()
+    assert text.count(b"\n") == 31698
+    assert hashlib.sha256(text).hexdigest() == (
+        "f38a9666feac8396ab45abd115d77e60381c126ece86ab1540e97f728b54e9e4")
+
+
+@pytest.fixture(scope="module")
+def recorded_3d_run():
+    """The fans whose box a 3D N = 12 run walks, in walk order, and how
+    often it calls polygon_criterion and degree_profile."""
+    boxes = []
+    calls = Counter()
+    box = pipeline.wall_sum_box
+
+    def record(pf, *args):
+        boxes.append((pf.rays, pf.cones))
+        return box(pf, *args)
+
+    def counted(f):
+        def wrapper(*args):
+            calls[f.__name__] += 1
+            return f(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "wall_sum_box", record)
+        mp.setattr(pipeline, "polygon_criterion",
+                   counted(pipeline.polygon_criterion))
+        mp.setattr(pipeline, "degree_profile",
+                   counted(pipeline.degree_profile))
+        run_classify(RunConfig(3, 12))
+    return boxes, calls
+
+
+def test_criterion_memo_gives_every_node_its_verdict(recorded_3d_run):
+    """The run walks the box of exactly the nodes whose own degree profile
+    passes the criterion: the memo, keyed on the degrees counted off each
+    node, gives every one of the 31698 nodes the verdict of its profile."""
+    stats = run_stats(12)
+    want = [(node.fan.rays, node.fan.cones)
+            for name in seeds.seed_names(3)
+            for node in walk_tree(seeds.get_seed(name).build(12), 12)
+            if polygon_criterion(degree_profile(node), stats).passes]
+    boxes, _ = recorded_3d_run
+    assert len(boxes) == 590
+    assert boxes == want
+
+
+def test_criterion_runs_once_per_degree_multiset(recorded_3d_run):
+    _, calls = recorded_3d_run
+    assert calls == {"polygon_criterion": 22, "degree_profile": 22}
+
+
 def test_count_tree_values():
     assert run_count_tree("F_p", 3) == 1
     assert run_count_tree("F_p", 6) == 41
@@ -354,35 +410,6 @@ def test_count_tree_values():
     assert run_count_tree("4^6", 8) == 1
     with pytest.raises(UnknownSeed):
         run_count_tree("F_q", 6)
-
-
-def _degree_walks():
-    """The 3D walks of the N = 12 and N = 13 runs, then the seed 3^4 to 14
-    cones, where wall and cone blow-ups both go deep."""
-    for n in (12, 13):
-        yield n, [walk_tree(seeds.get_seed(name).build(n), n)
-                  for name in seeds.seed_names(3)]
-    yield "3^4", [walk_tree(seeds.get_seed("3^4").build(14), 14)]
-
-
-def test_walk_carries_ray_degrees():
-    """The ray degrees carried down a 3D walk equal a recount on every
-    node, ray by ray; on the runs' walks they also give the profile that
-    degree_profile counts."""
-    nodes = {}
-    for name, walks in _degree_walks():
-        nodes[name] = 0
-        for walk in walks:
-            for node, degrees in _walk_degrees(walk):
-                recount = [0] * node.num_rays
-                for cone in node.cones:
-                    for i in cone:
-                        recount[i] += 1
-                assert degrees == recount, (name, node.path)
-                if name != "3^4":
-                    assert Counter(degrees) == degree_profile(node)
-                nodes[name] += 1
-    assert nodes == {12: 31698, 13: 31698, "3^4": 393669}
 
 
 def test_stats_small_budget():
@@ -409,16 +436,23 @@ def test_render_stats_shows_every_vertex_count():
 
 
 def test_list_seeds_registry():
-    listing = list_seeds()
-    assert [s["name"] for s in listing["seeds"]] == [
+    """The listing reads the registry: every seed with its rays, then the
+    14 eliminated minimal fans, each with its cone count and reason."""
+    live, excluded = render_seeds().split("\n\n")
+    live, excluded = live.splitlines(), excluded.splitlines()
+    assert live[0] == "seed fans"
+    assert [line[2:16].rstrip() for line in live[1::2]] == [
         "F_p", "F_a", "3^4", "(3^2 4^3)'", "(3^2 4^3)''", "4^6",
         "3^2 4^3 6^2"]
-    assert len(listing["excluded"]) == 14
-    for ex in listing["excluded"]:
-        assert ex["reason"]
-        assert ex["num_cones"] in (10, 12)
-    text = render_seeds(listing)
-    assert "F_p" in text and "eliminated" in text
+    assert all(line.startswith("      rays: (") for line in live[2::2])
+    assert excluded[0] == ("eliminated minimal fans (dimension 3, 12 point "
+                           "budget)")
+    assert len(excluded) == 1 + 2 * 14
+    for ex, line, reason in zip(seeds.EXCLUDED_FANS, excluded[1::2],
+                                excluded[2::2]):
+        assert ex.num_cones in (10, 12) and ex.reason
+        assert line.startswith("  %-18s %d cones, " % (ex.name, ex.num_cones))
+        assert reason == "      " + ex.reason
 
 
 def test_render_json_integers_only(tmp_path):
