@@ -18,11 +18,13 @@ a later wall blow-up touches the cones beside it, and the three old face
 walls of a blown-up cone never need expanding again (ALWAYS_IGNORE).
 
 Most nodes sit at the cone cap and are never expanded (369152 of the
-393669 nodes of the 3^4 tree to 14 cones), so enumerate_blowups builds
-every child in one loop that reads only its parent's flags, and a leaf
-holds its cones, path and blow-ups alone.  Only a child the walk will
-expand then gets flags, and in 3D each wall's two cone positions, updated
-locally from its parent's (k is the parent's cone count, s the new ray):
+393669 nodes of the 3^4 tree to 14 cones), so enumerate_blowups makes
+every child from its parent's flags alone, and a child is its parent
+plus one step: its cones, path and blow-ups are derived when first read,
+so a leaf nobody reads costs one small object.  Only a child the walk
+will expand then gets flags, and in 3D each wall's two cone positions,
+updated locally from its parent's (k is the parent's cone count, s the
+new ray):
   - cone (a, b, c) at i: walls a-c and b-c move from i to k and k + 1;
     new walls a-s, b-s, c-s lie in (i, k), (i, k + 1), (k, k + 1);
   - wall (n1, n2) in cones i1 < i2 with opposite rays p, q: the wall goes,
@@ -63,13 +65,21 @@ _EXPAND = (_CONSIDER, _ALWAYS_CONSIDER)
 class SearchNode:
     """One fan in the blow-up tree, held combinatorially, plus the flags.
 
+    A root holds its seed fan and that fan's cones.  Any other node holds
+    its parent and its step, ("cone", position) or ("wall", key), and
+    derives the rest from them the first time it is read: cones through
+    _child_cones, then kept on the node; path, the parent's path plus the
+    step, also kept; blown_up, the parent's plus the step's target (the
+    parent's cone at that position, or the wall key).  seed_fan and
+    num_rays are stored on every node, since the walk's consumers read
+    them at every node.
+
     cones are the maximal cones as sorted ray-index tuples, in the
     positions fans.blow_up gives them, and num_rays counts the seed's rays
     plus one new ray per blow-up: the walk and its ordering rule read
-    nothing else.  path records the blow-ups from the seed: ("cone",
-    position) or ("wall", key) steps.  blown_up holds the ray indices each
-    step blew up, so the j-th new ray is the sum of the rays blown_up[j]
-    names.
+    nothing else.  path records the blow-ups from the seed.  blown_up
+    holds the ray indices each step blew up, so the j-th new ray is the
+    sum of the rays blown_up[j] names.
 
     Only a node the walk will expand carries the bookkeeping for its
     children; at a leaf (a node the cone cap stops) cone_flags, wall_flags
@@ -82,24 +92,44 @@ class SearchNode:
     In dimension 2 both wall maps are empty.
 
     fan is the Fan itself, built from seed_fan, blown_up and path on first
-    read and then kept on the node.  A node refers to its seed fan, never
-    to its parent.
+    read and then kept on the node.  A node keeps its ancestors alive: at
+    most one path, of depth at most (cap - seed cones) / 2 in dimension 3
+    and cap - seed cones in dimension 2.
     """
 
-    __slots__ = ("seed_fan", "cones", "num_rays", "path", "blown_up",
-                 "cone_flags", "wall_flags", "wall_cones", "_fan")
+    __slots__ = ("parent", "step", "seed_fan", "num_rays", "_cones",
+                 "_path", "cone_flags", "wall_flags", "wall_cones", "_fan")
 
-    def __init__(self, seed_fan, cones, num_rays, path, blown_up,
-                 cone_flags=None, wall_flags=None, wall_cones=None):
-        self.seed_fan = seed_fan
-        self.cones = cones
-        self.num_rays = num_rays
-        self.path = path
-        self.blown_up = blown_up
-        self.cone_flags = cone_flags
-        self.wall_flags = wall_flags
-        self.wall_cones = wall_cones
-        self._fan = None
+    def __init__(self, parent, step):
+        self.parent = parent
+        self.step = step
+        self.seed_fan = parent.seed_fan
+        self.num_rays = parent.num_rays + 1
+        self._cones = self._path = self._fan = None
+        self.cone_flags = self.wall_flags = self.wall_cones = None
+
+    @property
+    def cones(self):
+        cones = self._cones
+        if cones is None:
+            cones = self._cones = _child_cones(self.parent, self.step)
+        return cones
+
+    @property
+    def path(self):
+        path = self._path
+        if path is None:
+            path = self._path = self.parent.path + (self.step,)
+        return path
+
+    @property
+    def blown_up(self):
+        parent = self.parent
+        if parent is None:
+            return ()
+        kind, t = self.step
+        return parent.blown_up + ((parent.cones[t] if kind == "cone"
+                                   else t),)
 
     @property
     def fan(self):
@@ -128,17 +158,59 @@ def _build_fan(node):
 
 
 def make_root(fan):
-    cone_flags = tuple(_CONSIDER for _ in fan.cones)
+    """The root node of fan's tree: it has no parent to derive from, so it
+    holds the fan, its cones and its flags, all expandable."""
+    node = SearchNode.__new__(SearchNode)
+    node.parent = node.step = None
+    node.seed_fan = node._fan = fan
+    node.num_rays = len(fan.rays)
+    node._cones = fan.cones
+    node._path = ()
+    node.cone_flags = tuple(_CONSIDER for _ in fan.cones)
     if fan.d == 3:
         walls = walls_of(fan)
-        wall_flags = {w.ray_indices: _CONSIDER for w in walls}
-        wall_cones = {w.ray_indices: w.incident for w in walls}
+        node.wall_flags = {w.ray_indices: _CONSIDER for w in walls}
+        node.wall_cones = {w.ray_indices: w.incident for w in walls}
     else:
-        wall_flags, wall_cones = {}, {}
-    node = SearchNode(fan, fan.cones, len(fan.rays), (), (), cone_flags,
-                      wall_flags, wall_cones)
-    node._fan = fan
+        node.wall_flags, node.wall_cones = {}, {}
     return node
+
+
+def _child_cones(node, step):
+    """The cones of node's child by step, in fans.blow_up's positions.
+
+    The new ray's index is node.num_rays, which exceeds every old index.
+    A wall step reads the wall's two cone positions off node.wall_cones,
+    which every node the walk expands carries.
+    """
+    cones = node.cones
+    s = node.num_rays
+    kind, t = step
+    if kind == "cone":
+        # fans.blow_up's first index rule: the child cone missing the
+        # target's last ray replaces position t, the others follow at the
+        # end, last-but-one first
+        if len(cones[t]) == 3:
+            a, b, c = cones[t]
+            return (cones[:t] + ((a, b, s),) + cones[t + 1:]
+                    + ((a, c, s), (b, c, s)))
+        a, b = cones[t]
+        return cones[:t] + ((a, s),) + cones[t + 1:] + ((b, s),)
+    # fans.blow_up's second index rule: the incident cones i1 < i2 have
+    # opposite rays p and q; {p,n1,s} replaces i1, {q,n1,s} replaces i2,
+    # and {p,n2,s}, {q,n2,s} follow at the end; n1 < n2 < s, so only p and
+    # q need placing
+    n1, n2 = t
+    i1, i2 = node.wall_cones[t]
+    a, b, c = cones[i1]
+    p = a + b + c - n1 - n2
+    a, b, c = cones[i2]
+    q = a + b + c - n1 - n2
+    child_cones = [*cones, (p, n2, s) if p < n2 else (n2, p, s),
+                   (q, n2, s) if q < n2 else (n2, q, s)]
+    child_cones[i1] = (p, n1, s) if p < n1 else (n1, p, s)
+    child_cones[i2] = (q, n1, s) if q < n1 else (n1, q, s)
+    return tuple(child_cones)
 
 
 def enumerate_blowups(node, max_cones, pruned=True):
@@ -147,16 +219,15 @@ def enumerate_blowups(node, max_cones, pruned=True):
     Cone blow-ups come first, by position, then wall blow-ups in wall
     order.  pruned=False expands every cone and (in dimension 3) every
     wall, which revisits fans many times; it exists as the correctness
-    oracle for the flag discipline.  All children are built in one loop
-    that reads the node's own flags, into a list the iterator runs over.
+    oracle for the flag discipline.  The children are made from the
+    node's own flags alone, each as the node plus its step, into a list
+    the iterator runs over; none derives its cones here.
     Children that max_cones will stop are leaves and get nothing more, so
     a leaf raises ValueError under a higher cap; otherwise _flag_child
     then gives each child its flags and wall cones.
     """
     cones = node.cones
-    seed_fan = node.seed_fan
-    d = seed_fan.d
-    step = 1 if d == 2 else 2       # cones added by one blow-up
+    step = 1 if node.seed_fan.d == 2 else 2     # cones added by one blow-up
     k = len(cones)
     if k + step > max_cones:
         return iter(())
@@ -165,56 +236,19 @@ def enumerate_blowups(node, max_cones, pruned=True):
         raise ValueError("node %r was built as a leaf under a lower cone "
                          "cap and carries no flags to expand it; walk from "
                          "its seed instead" % (node.path,))
-    s = node.num_rays
-    s1 = s + 1
-    path = node.path
-    blown_up = node.blown_up
-    children = []
-    append = children.append
     # a position is tested before the running flags of later siblings
     # could flip it, so the node's own flags decide
-    for i in range(k):
-        if pruned and cone_flags[i] not in _EXPAND:
-            continue
-        target = cones[i]
-        # fans.blow_up's first index rule: the child cone missing the
-        # target's last ray replaces position i, the others follow at the
-        # end, last-but-one first; s exceeds every old index
-        if d == 3:
-            a, b, c = target
-            child_cones = (cones[:i] + ((a, b, s),) + cones[i + 1:]
-                           + ((a, c, s), (b, c, s)))
-        else:
-            a, b = target
-            child_cones = cones[:i] + ((a, s),) + cones[i + 1:] + ((b, s),)
-        append(SearchNode(seed_fan, child_cones, s1, path + (("cone", i),),
-                          blown_up + (target,)))
-    wall_cones = node.wall_cones
-    for key, flag in node.wall_flags.items():
-        if pruned and flag not in _EXPAND:
-            continue
-        # fans.blow_up's second index rule: the incident cones i1 < i2
-        # have opposite rays p and q; {p,n1,s} replaces i1, {q,n1,s}
-        # replaces i2, and {p,n2,s}, {q,n2,s} follow at the end;
-        # n1 < n2 < s, so only p and q need placing
-        n1, n2 = key
-        i1, i2 = wall_cones[key]
-        a, b, c = cones[i1]
-        p = a + b + c - n1 - n2
-        a, b, c = cones[i2]
-        q = a + b + c - n1 - n2
-        child_cones = [*cones, (p, n2, s) if p < n2 else (n2, p, s),
-                       (q, n2, s) if q < n2 else (n2, q, s)]
-        child_cones[i1] = (p, n1, s) if p < n1 else (n1, p, s)
-        child_cones[i2] = (q, n1, s) if q < n1 else (n1, q, s)
-        append(SearchNode(seed_fan, tuple(child_cones), s1,
-                          path + (("wall", key),), blown_up + (key,)))
+    children = [SearchNode(node, ("cone", i)) for i in range(k)
+                if not pruned or cone_flags[i] in _EXPAND]
+    children += [SearchNode(node, ("wall", key))
+                 for key, flag in node.wall_flags.items()
+                 if not pruned or flag in _EXPAND]
     if k + 2 * step <= max_cones:
         cones_running = list(cone_flags)
         walls_running = dict(node.wall_flags)
         for child in children:
             _flag_child(node, child, cones_running, walls_running)
-            kind, t = child.path[-1]
+            kind, t = child.step
             if kind == "cone":
                 cones_running[t] = _IGNORE
             elif walls_running[t] is not _ALWAYS_CONSIDER:
@@ -226,15 +260,15 @@ def _flag_child(node, child, cones_running, walls_running):
     """Give a child the walk will expand its flags and wall cones.
 
     cones_running and walls_running are node's flags after its earlier
-    children were passed over.  The step's rays are read off the child's
-    cones, at the positions enumerate_blowups put them.
+    children were passed over.  A wall step's rays are read off the
+    child's cones, at the positions _child_cones put them.
     """
-    kind, t = child.path[-1]
+    kind, t = child.step
     k = len(node.cones)
     s = node.num_rays
     flags = list(cones_running)
     if kind == "cone":
-        target = child.blown_up[-1]
+        target = node.cones[t]
         flags[t] = _CONSIDER
         flags.extend([_CONSIDER] * (len(target) - 1))
         if len(target) == 3:
@@ -302,7 +336,9 @@ def walk_tree(root, max_cones, pruned=True):
     makes leaves are yielded straight from enumerate_blowups right after
     their parent: nothing lies below them, so pre-order is kept without a
     stack entry or an enumerate_blowups call per leaf.  The children of any
-    other node go on the stack, last child first.
+    other node go on the stack, last child first.  Every node is yielded,
+    but a leaf builds its cones, path and fan only if its consumer reads
+    them: counting the tree builds the cones of expanded nodes alone.
     """
     node = root if isinstance(root, SearchNode) else make_root(root)
     step = 1 if node.seed_fan.d == 2 else 2     # cones added by one blow-up

@@ -1,6 +1,7 @@
 """Blow-up tree tests: counting recurrences against real walks, the flag
 discipline against an exhaustive oracle, and the polygon criterion."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -512,6 +513,38 @@ def _reference_walk(fan, max_cones, pruned):
                                                   max_cones, pruned)))
 
 
+def test_count_tree_builds_no_leaf(monkeypatch):
+    # a child is its parent plus its step, and its cones are derived when
+    # first read: counting the 3^4 tree to 12 cones derives them once for
+    # each of the 1678 children it expands, the ones _flag_child flags, and
+    # for none of its 22838 leaves
+    built = []
+    child_cones = search._child_cones
+
+    def counting(node, step):
+        built.append(node.path + (step,))
+        return child_cones(node, step)
+
+    monkeypatch.setattr(search, "_child_cones", counting)
+    assert pipeline.run_count_tree("3^4", 12) == 24517
+    assert len(built) == len(set(built)) == 1678
+    assert Counter(len(path) for path in built) == {1: 10, 2: 117, 3: 1551}
+
+
+def test_walk_leaves_no_reference_cycle():
+    # a node holds its parent and never its children, so the nodes of a
+    # walk are freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        assert pipeline.run_count_tree("3^4", 12) == 24517
+        result = pipeline.run_classify(pipeline.RunConfig(3, 12))
+        assert len(result.records) == 33
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 _EQUIVALENCE_ROOTS = [(name, 9) for name in seeds.seed_names(3)] + [
     ("F_p", 8), ("F_a", 8)]
 
@@ -526,6 +559,7 @@ def test_walk_equals_blow_up_replay(name, max_cones, pruned):
     nodes = list(walk_tree(fan, max_cones, pruned=pruned))
     reference = list(_reference_walk(fan, max_cones, pruned))
     assert len(nodes) == len(reference)
+    by_path = {}
     for node, (ref, bookkeeping) in zip(nodes, reference):
         assert node.path == bookkeeping[0]
         if _expandable(node, max_cones):
@@ -545,9 +579,17 @@ def test_walk_equals_blow_up_replay(name, max_cones, pruned):
         assert built.d == ref.d
         assert built.bounds == ref.bounds
         assert built.excluded == ref.excluded
-        # a node refers to its seed fan, never to another node
+        # a node refers to no node but its parent, the node the walk
+        # yielded at the path less its step, so one path of ancestors at
+        # most stays alive with it
         assert not any(isinstance(getattr(node, slot), SearchNode)
-                       for slot in SearchNode.__slots__)
+                       for slot in SearchNode.__slots__ if slot != "parent")
+        if node.path:
+            assert node.step == node.path[-1]
+            assert node.parent is by_path[node.path[:-1]]
+        else:
+            assert node.parent is None
+        by_path[node.path] = node
 
 
 def test_built_rays_normalize_like_blow_up():
