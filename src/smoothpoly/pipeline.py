@@ -20,9 +20,13 @@ the walked fan, which has the same level vectors and polytopes up to
 lattice isomorphism.
 Dimension 3 has no such monotonicity (wall blow-ups destroy the offending
 wall), so the walk is parametric, and every node is filtered by the smooth
-polygon criterion from the 2D results.  The criterion reads only the ray
-degrees, counted off each node's cones, and is evaluated once per distinct
-degree multiset.  A surviving node's parameter box is walked once by
+polygon criterion from the 2D results: polygon minima from a 2D pass that
+stops at the largest ray degree a 3D node can have (search.max_ray_degree).
+The criterion reads only the ray degrees, counted off each node's cones,
+and is evaluated once per distinct degree multiset, after the dead-subtree
+bound (search.subtree_bound) over the same degrees: a node over the budget
+by that bound has its whole subtree walked bare, without degrees.  A
+surviving node's parameter box is walked once by
 fans.wall_sum_box, which yields the concrete fan of each point that passes
 the wall-sum test with its wall table already solved (the box of a node
 without parameters is the one point ()).
@@ -59,9 +63,12 @@ from .search import (
     instantiate_all,
     # unused: kept for perfbench/traced.py to wrap
     make_root,
+    max_ray_degree,
     parameter_axes,
     polygon_criterion,
     polygon_stats,
+    subtree_bound,
+    tail_minima,
     trace_line,
     walk_tree,
 )
@@ -269,11 +276,14 @@ def _min_interior(n):
     return max(1, (n - 6) // 2)
 
 
-def _polygon_walk(max_points, trace, diag):
+def _polygon_walk(max_points, trace, diag, max_vertices=None):
     """The 2D class table: (prefix, cycle key, (cones, order, cycle)) rows.
 
     Walks the polygon trees, counts nodes_visited in diag, and keeps one
     row per dihedral key, the one with the least prefix; sorted by prefix.
+    Nodes are expanded up to the most rays a polygon within the budget can
+    have, or up to max_vertices rays when that is smaller: a 3D run needs
+    no polygon with more vertices than its largest ray degree.
     A node is the tuple (cones, start, path, order, cycle), and its
     children blow up the positions start..k-1 only: in 2D that is all the
     flag discipline of search.enumerate_blowups leaves, as in
@@ -285,6 +295,8 @@ def _polygon_walk(max_points, trace, diag):
     max_rays = max_points
     while max_rays + _min_interior(max_rays) > max_points:
         max_rays -= 1
+    if max_vertices is not None:
+        max_rays = min(max_rays, max_vertices)
     classes = {}
     for name, assignment, fan in _polygon_roots(max_points):
         label = name if not assignment else \
@@ -324,14 +336,15 @@ def _class_fan(cones, order, cycle):
                cones)
 
 
-def _classify_2d(max_points, trace):
+def _classify_2d(max_points, trace, max_vertices=None):
     """Walk, then realize only the classes within the perimeter bound.
 
     Every class counts in fans_tested; a class whose least_perimeter
     exceeds max_points has no level vector, so its fan is never built.
+    max_vertices caps the walk's ray count (_polygon_walk).
     """
     diag = Diagnostics()
-    table = _polygon_walk(max_points, trace, diag)
+    table = _polygon_walk(max_points, trace, diag, max_vertices)
     diag.fans_tested = len(table)
     jobs = [(prefix, _class_fan(*node)) for prefix, key, node in table
             if least_perimeter(key) <= max_points]
@@ -339,26 +352,60 @@ def _classify_2d(max_points, trace):
     return records, diag
 
 
+def _verdict(degrees, node, stats, tails, max_points):
+    """(dead, passes) for a node with these sorted ray degrees.
+
+    A node is dead when no node of its subtree can pass: a seed root with
+    more cones than max_points (its criterion bound is at least its cone
+    count, and its degrees may pass the table's cap, so it is decided
+    before the table is read), or a node whose subtree_bound exceeds
+    max_points.  Only a live node meets polygon_criterion.
+    """
+    if len(node.cones) > max_points:
+        return True, False
+    bound = subtree_bound(degrees, tails)
+    if bound is None or bound > max_points:
+        return True, False
+    return False, polygon_criterion(degree_profile(node), stats).passes
+
+
 def _classify_3d(max_points, stats, trace):
+    """The 3D walk, filtered by the polygon criterion, then realized.
+
+    stats needs the polygon minima up to max_ray_degree(max_points)
+    vertices.  Once a node is dead (_verdict), the nodes of its subtree,
+    which pre-order puts right after it with more rays, are walked bare:
+    counted and traced, with no degree count and no cones derived.
+    """
     diag = Diagnostics()
     classes = {}
-    # the criterion reads only the degree multiset, and the walk meets few
-    passes = {}
+    tails = tail_minima(stats, max_ray_degree(max_points))
+    # the verdict reads only the degree multiset, and the walk meets few
+    verdicts = {}
     for name in seeds.seed_names(3):
         seed = seeds.get_seed(name)
+        dead_rays = None          # ray count of the dead node walked below
         for node in walk_tree(seed.build(max_points), max_points):
             diag.nodes_visited += 1
             if trace is not None:
                 trace.write("%s\t%s\n" % (name, trace_line(node)))
+            if dead_rays is not None:
+                if node.num_rays > dead_rays:
+                    continue      # below the dead node: walked bare
+                dead_rays = None
             degrees = [0] * node.num_rays
             for cone in node.cones:
                 for i in cone:
                     degrees[i] += 1
             key = tuple(sorted(degrees))
-            ok = passes.get(key)
-            if ok is None:
-                ok = passes[key] = polygon_criterion(degree_profile(node),
-                                                     stats).passes
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = _verdict(key, node, stats, tails,
+                                                   max_points)
+            dead, ok = verdict
+            if dead:
+                dead_rays = node.num_rays
+                continue
             if not ok:
                 continue          # not a candidate, but children may be
             names, axes = parameter_axes(node.fan)
@@ -372,8 +419,9 @@ def _classify_3d(max_points, stats, trace):
     return records, diag
 
 
-def polygon_stats_from_records(records, max_points):
-    """Fold classified polygons into the per-vertex-count minima table."""
+def polygon_stats_from_records(records, max_points, max_vertices=None):
+    """Fold classified polygons into the per-vertex-count minima table,
+    which covers at most max_vertices vertices when given."""
     counts = []
     for r in records:
         cv = VPolytope(r.vertices)
@@ -384,7 +432,7 @@ def polygon_stats_from_records(records, max_points):
                               for row, c in zip(H.A, H.b)))
         counts.append((r.num_vertices, r.num_lattice_points, interior,
                        r.num_lattice_points - interior))
-    return polygon_stats(counts, max_points)
+    return polygon_stats(counts, max_points, max_vertices)
 
 
 def _histogram(records, dim):
@@ -415,8 +463,9 @@ def run_classify(cfg):
         if cfg.dimension == 2:
             records, diag = _classify_2d(cfg.max_points, trace)
         else:
-            records, diag = _classify_3d(
-                cfg.max_points, _polygon_minima(cfg.max_points), trace)
+            stats = _polygon_minima(cfg.max_points,
+                                    max_ray_degree(cfg.max_points))
+            records, diag = _classify_3d(cfg.max_points, stats, trace)
     finally:
         if trace is not None:
             trace.close()
@@ -437,10 +486,12 @@ def run_count_tree(seed_name, max_cones, unpruned=False):
     return sum(1 for _ in walk_tree(fan, max_cones, pruned=not unpruned))
 
 
-def _polygon_minima(max_points):
-    """Smooth polygon minima for the given budget, from a fresh 2D pass."""
-    records, _ = _classify_2d(max_points, None)
-    return polygon_stats_from_records(records, max_points)
+def _polygon_minima(max_points, max_vertices=None):
+    """Smooth polygon minima for the given budget, from a fresh 2D pass,
+    covering polygons with at most max_vertices vertices when given."""
+    # positional: perfbench/traced.py wraps _classify_2d as traced(*args)
+    records, _ = _classify_2d(max_points, None, max_vertices)
+    return polygon_stats_from_records(records, max_points, max_vertices)
 
 
 def run_stats(max_points):

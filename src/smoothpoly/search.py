@@ -37,6 +37,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import InvariantError
 from .fans import (
     Fan,
     blow_up,  # unused: kept for perfbench/traced.py to wrap
@@ -451,24 +452,39 @@ def degree_profile(fan):
 class PolygonStats:
     """Per vertex count k, the minima over smooth polygons with at most
     max_points lattice points and exactly k vertices: (lattice points,
-    interior points, boundary points).  Absent k means no such polygon."""
+    interior points, boundary points).  Absent k means no such polygon.
+
+    A table from a walk capped at max_vertices rays covers k up to that
+    count only, and get(k) past it raises InvariantError rather than
+    answer "no such polygon"; None means every k is covered.
+    """
     max_points: int
     table: dict
+    max_vertices: object = None
 
     def get(self, k):
+        if self.max_vertices is not None and k > self.max_vertices:
+            raise InvariantError("polygon minima cover at most %d vertices, "
+                                 "asked for %d" % (self.max_vertices, k))
         return self.table.get(k)
 
 
-def polygon_stats(counts, max_points):
-    """Fold (vertices, points, interior, boundary) tuples into PolygonStats."""
+def polygon_stats(counts, max_points, max_vertices=None):
+    """Fold (vertices, points, interior, boundary) tuples into PolygonStats.
+
+    Counts past max_vertices are dropped: a capped walk still realizes its
+    roots, and a root may have more rays than the cap.
+    """
     table = {}
     for k, pts, inner, bnd in counts:
+        if max_vertices is not None and k > max_vertices:
+            continue
         cur = table.get(k)
         if cur is None:
             table[k] = (pts, inner, bnd)
         else:
             table[k] = (min(cur[0], pts), min(cur[1], inner), min(cur[2], bnd))
-    return PolygonStats(max_points, dict(sorted(table.items())))
+    return PolygonStats(max_points, dict(sorted(table.items())), max_vertices)
 
 
 @dataclass(frozen=True)
@@ -481,13 +497,15 @@ class CriterionResult:
 def polygon_criterion(profile, stats):
     """Least lattice-point count compatible with a 3-fan degree profile.
 
-    Any smooth 3-polytope whose normal fan refines a fan with this profile
-    has, for each ray r of degree k_r, a facet with >= k_r vertices; facets
-    meet the bound through the polygon minima: the polytope has at least
-    one lattice point per maximal cone (its vertices), the largest facet
+    Any smooth 3-polytope whose normal fan has this profile has, for each
+    ray r of degree k_r, a facet with exactly k_r vertices; facets meet the
+    bound through the polygon minima: the polytope has at least one
+    lattice point per maximal cone (its vertices), the largest facet
     contributes at least b(k) - k extra boundary points, and every facet
     contributes its interior points.  If some degree has no polygon at all
-    within max_points the profile is impossible outright.
+    within max_points the profile is impossible outright.  The minima are
+    per exact vertex count, so the bound holds for the fan itself, not for
+    the fans that refine it; subtree_bound covers those.
     """
     num_cones = 2 * sum(profile.values()) - 4
     for k in sorted(profile):
@@ -500,10 +518,75 @@ def polygon_criterion(profile, stats):
     return CriterionResult(bound, bound <= stats.max_points, None)
 
 
+def max_ray_degree(max_cones):
+    """Largest ray degree in a complete simplicial 3-fan with at most
+    max_cones maximal cones: max_cones // 2 + 1.
+
+    Such a fan is a triangulated 2-sphere: with R rays it has C = 2R - 4
+    cones (Euler), so R = C/2 + 2.  The cones around a ray r form a disc
+    whose boundary is a cycle of deg r rays other than r, so deg r <= R - 1
+    = C/2 + 1, and C is even, so C <= 2 (max_cones // 2).  The bound is
+    met: a ray of degree 7 occurs in the N = 12 walk.
+    """
+    return max_cones // 2 + 1
+
+
+def tail_minima(stats, max_degree):
+    """The polygon minima over vertex counts k..max_degree, per k.
+
+    Returns (inner, extra), lists indexed by k up to max_degree: inner[k]
+    is the least interior count and extra[k] the least boundary count
+    minus vertex count, over smooth polygons with k' vertices, k <= k' <=
+    max_degree; None where there is none.  Both only grow with k.
+    """
+    inner = [None] * (max_degree + 1)
+    extra = [None] * (max_degree + 1)
+    low_i = low_b = None
+    for k in range(max_degree, 2, -1):
+        entry = stats.get(k)
+        if entry is not None:
+            _, i, b = entry
+            low_i = i if low_i is None else min(low_i, i)
+            low_b = b - k if low_b is None else min(low_b, b - k)
+        inner[k], extra[k] = low_i, low_b
+    return inner, extra
+
+
+def subtree_bound(degrees, tails):
+    """A lower bound on polygon_criterion's bound over a node's subtree.
+
+    degrees are the node's ray degrees, sorted, and tails the tail_minima
+    (inner, extra) up to the largest degree any node in the walk can reach
+    (max_ray_degree of its cone cap).  The bound is
+        DB = cones + sum_r inner[deg r] + extra[max deg],
+    or None when no polygon has max deg to max_degree vertices, so that
+    the node and every descendant have a ray with no polygon and fail.
+    Proof that DB is at most the criterion bound of the node and of every
+    descendant D.  A blow-up adds two cones and a ray and never lowers a
+    ray's degree (a cone blow-up raises three degrees by one, a wall
+    blow-up those of the two opposite rays).  No degree in D exceeds
+    max_degree, so D's exact-k minima i(k) and b(k) - k are at least
+    inner[k] and extra[k]; these only grow with k, so they are at least
+    the node's terms for its own rays, and D's new rays add terms >= 0.
+    """
+    inner, extra = tails
+    top = degrees[-1]
+    if top >= len(extra):
+        raise InvariantError("ray degree %d past the tail minima's %d"
+                             % (top, len(extra) - 1))
+    low_b = extra[top]
+    if low_b is None:
+        return None
+    # a polygon with top or more vertices exists, so one exists at or above
+    # every smaller degree too: no inner term is None
+    return 2 * len(degrees) - 4 + low_b + sum(inner[d] for d in degrees)
+
+
 __all__ = [
     "ConeFlag", "SearchNode", "make_root",
     "enumerate_blowups", "walk_tree", "trace_line", "format_trace_line",
     "count_polygon_tree", "instantiate_all", "parameter_axes",
     "degree_profile", "PolygonStats", "polygon_stats",
-    "CriterionResult", "polygon_criterion",
+    "CriterionResult", "polygon_criterion", "max_ray_degree",
+    "tail_minima", "subtree_bound",
 ]

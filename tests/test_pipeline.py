@@ -35,7 +35,10 @@ from smoothpoly.search import (
     degree_profile,
     enumerate_blowups,
     make_root,
+    max_ray_degree,
     polygon_criterion,
+    subtree_bound,
+    tail_minima,
     walk_tree,
 )
 from smoothpoly.seeds import UnknownSeed
@@ -245,7 +248,9 @@ def test_realization_solves_in_integers(monkeypatch):
     """Every realized vertex comes from an integer solve: no smoothpoly
     module has a rational solve, both N = 12 reports are unchanged, and
     each realized polytope's vertices are the Fraction solutions of its
-    cones, from the tests-side solve."""
+    cones, from the tests-side solve.  The 3D run's own polygon pass stops
+    at 7 rays, the largest ray degree of its fans, so it realizes fewer
+    polygons than the 2D run."""
     modules = [smoothpoly] + [
         importlib.import_module("smoothpoly." + info.name)
         for info in pkgutil.iter_modules(smoothpoly.__path__)]
@@ -281,9 +286,9 @@ def test_realization_solves_in_integers(monkeypatch):
     assert digests == [
         "a9efaa6dccc6318130e6a288fdae6d3fa68666ae5e85a18c28c8c9f38d2f09d8",
         "9dcc83cfe3a06e55d10ea5a79ca885b051a30fe1475e733a191be6d3acc48cc1"]
-    polygons = {(2, "ok"): 50, (2, "too_many_points"): 122}
-    assert statuses == [polygons, {**polygons, (3, "ok"): 35,
-                                   (3, "too_many_points"): 3}]
+    assert statuses == [{(2, "ok"): 50, (2, "too_many_points"): 122},
+                        {(2, "ok"): 49, (2, "too_many_points"): 65,
+                         (3, "ok"): 35, (3, "too_many_points"): 3}]
 
 
 def test_classify_dim3_matches_golden_subset():
@@ -389,8 +394,130 @@ def test_criterion_memo_gives_every_node_its_verdict(recorded_3d_run):
 
 
 def test_criterion_runs_once_per_degree_multiset(recorded_3d_run):
+    """The criterion runs once per live degree multiset: the run counts
+    degrees outside dead subtrees only, and meets 17 multisets there, of
+    which 11 are dead by subtree_bound alone and 6 are live."""
     _, calls = recorded_3d_run
-    assert calls == {"polygon_criterion": 22, "degree_profile": 22}
+    assert calls == {"polygon_criterion": 6, "degree_profile": 6}
+
+
+@pytest.mark.parametrize("max_points", range(4, 15))
+def test_capped_polygon_minima_equal_the_full_table(max_points):
+    """The polygon pass a 3D run makes stops at max_ray_degree rays, and its
+    table is the complete one restricted to that many vertices."""
+    top = max_ray_degree(max_points)
+    capped = pipeline._polygon_minima(max_points, top)
+    full = run_stats(max_points)
+    assert full.max_vertices is None and capped.max_vertices == top
+    assert capped.table == {k: v for k, v in full.table.items() if k <= top}
+
+
+@pytest.fixture(scope="module")
+def recorded_3d_walk():
+    """A 3D N = 12 run's polygon pass, (arguments, diagnostics), and per
+    walked node whether it is a leaf whose cones the run never derived."""
+    passes = []
+    untouched = []
+    classify_2d = pipeline._classify_2d
+    walk = pipeline.walk_tree
+
+    def recorded_pass(*args):
+        out = classify_2d(*args)
+        passes.append((args, out[1]))
+        return out
+
+    def recorded_walk(root, max_cones):
+        for node in walk(root, max_cones):
+            yield node
+            # a leaf carries no flags, and its cones are derived on read
+            untouched.append(node.cone_flags is None
+                             and node._cones is None)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_classify_2d", recorded_pass)
+        mp.setattr(pipeline, "walk_tree", recorded_walk)
+        res = run_classify(RunConfig(3, 12))
+    assert hashlib.sha256(render_json(res).encode()).hexdigest() == (
+        "9dcc83cfe3a06e55d10ea5a79ca885b051a30fe1475e733a191be6d3acc48cc1")
+    return passes, untouched
+
+
+def test_3d_polygon_pass_stops_at_the_largest_ray_degree(recorded_3d_walk):
+    passes, _ = recorded_3d_walk
+    [(args, diag)] = passes
+    assert args == (12, None, 7)
+    assert (diag.nodes_visited, diag.fans_tested) == (631, 88)
+
+
+def _dead_subtree_walk(max_points):
+    """Per node of the five 3D seed walks: (leaf, below a dead node).
+
+    Checks on the way that the subtree_bound of every node and of each of
+    its ancestors is at most the node's polygon_criterion bound under the
+    complete polygon table, so that no node at or below a node with
+    subtree_bound > max_points passes the criterion.
+    """
+    full = run_stats(max_points)
+    top = max_ray_degree(max_points)
+    tails = tail_minima(pipeline._polygon_minima(max_points, top), top)
+    nodes = []
+    for name in seeds.seed_names(3):
+        path = []       # (ray count, largest bound so far) per ancestor
+        for node in walk_tree(seeds.get_seed(name).build(max_points),
+                              max_points):
+            while path and path[-1][0] >= node.num_rays:
+                path.pop()
+            above = path[-1][1] if path else 0
+            profile = degree_profile(node)
+            degrees = tuple(sorted(d for d, m in profile.items()
+                                   for _ in range(m)))
+            bound = subtree_bound(degrees, tails)
+            if bound is None:
+                bound = float("inf")
+            largest = max(above, bound)
+            res = polygon_criterion(profile, full)
+            if res.bound is not None:
+                assert largest <= res.bound, (name, node.path)
+            if largest > max_points:
+                assert not res.passes, (name, node.path)
+            nodes.append((len(node.cones) + 2 > max_points,
+                          above > max_points))
+            path.append((node.num_rays, largest))
+    return nodes
+
+
+@pytest.mark.parametrize("max_points, bare", [(12, 19357), (13, 2701)])
+def test_dead_subtrees_hold_no_candidate(max_points, bare):
+    nodes = _dead_subtree_walk(max_points)
+    assert len(nodes) == 31698
+    assert sum(below for _, below in nodes) == bare
+    # every dead node with a subtree has 10 cones here, so all are leaves
+    assert sum(leaf and below for leaf, below in nodes) == bare
+
+
+def test_run_derives_no_cones_below_dead_nodes(recorded_3d_walk):
+    """The run counts no degrees in a dead subtree: the leaves whose cones
+    it never derived are exactly the leaves below a dead node."""
+    _, untouched = recorded_3d_walk
+    assert untouched == [leaf and below
+                         for leaf, below in _dead_subtree_walk(12)]
+
+
+@pytest.mark.parametrize("max_points, digest", [
+    (4, "01d8db5f92d7e88726cfe825c915886badef91e258255e6a8f2fc4648fba2824"),
+    (5, "800a5c682dcbd19b0e81df1f61982cea6a86eff4b308c152ffea2baffc183cda"),
+    (6, "4aa41f74dcc6ff4b6a3900ea04e15dd551dddee9dbb436cf31bd80a9784a6626"),
+    (7, "bc50cbe22ba9544f04efd2e3dd933197a2e4a53b947fdc1b03f35088a29facdb"),
+    (8, "3e6134cb85b2b628a953cf2cbdf0c642a3c69b1448ecb1f0604c14b4e613ce4b"),
+    (9, "9a6d4bd6dd7abb8fa6ff158b684c12e02dab4b5b4f99debe2d220bdc04be637f"),
+    (10, "197d1cf563adc711a40f016022c1a6ce7070056b3776c6de22a4761c32035bc8"),
+    (11, "41450a7426e5ff83dedabfd5e7b20abce0ffb720c800fa9a42a669ccfa517ca2"),
+])
+def test_classify_dim3_small_budget_digests(max_points, digest):
+    """3D reports below N = 12, where some seed roots have more cones than
+    the budget and rays of a degree past max_ray_degree."""
+    res = run_classify(RunConfig(3, max_points))
+    assert hashlib.sha256(render_json(res).encode()).hexdigest() == digest
 
 
 def test_count_tree_values():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from smoothpoly import pipeline, search, seeds
+from smoothpoly import InvariantError, pipeline, search, seeds
 from smoothpoly.fans import (
     DegenerateRay,
     Fan,
@@ -31,8 +31,11 @@ from smoothpoly.search import (
     format_trace_line,
     instantiate_all,
     make_root,
+    max_ray_degree,
     polygon_criterion,
     polygon_stats,
+    subtree_bound,
+    tail_minima,
     trace_line,
     walk_tree,
 )
@@ -379,6 +382,61 @@ def test_polygon_stats_componentwise_minima():
     assert stats.table == {3: (3, 0, 3), 4: (4, 0, 4)}
     assert stats.get(5) is None
     assert stats.max_points == 12
+
+
+def test_capped_polygon_stats_answer_only_within_their_cap():
+    assert STATS12.max_vertices is None
+    assert STATS12.get(9) is None
+    stats = polygon_stats([(3, 3, 0, 3), (4, 4, 0, 4), (9, 14, 1, 13)], 14, 7)
+    assert stats.table == {3: (3, 0, 3), 4: (4, 0, 4)}
+    assert stats.max_vertices == 7
+    assert stats.get(7) is None
+    with pytest.raises(InvariantError, match="at most 7 vertices"):
+        stats.get(8)
+    with pytest.raises(InvariantError):
+        polygon_criterion({3: 2, 8: 1, 4: 3}, stats)
+
+
+def test_max_ray_degree_is_met_and_never_passed():
+    """Every node within the cone cap of the five seed walks has no ray of
+    degree above max_ray_degree, and some node has one of exactly that."""
+    for max_cones in (12, 13):
+        top = max_ray_degree(max_cones)
+        assert top == 7
+        seen = Counter()
+        for name in seeds.seed_names(3):
+            for node in walk_tree(seeds.get_seed(name).build(max_cones),
+                                  max_cones):
+                assert len(node.cones) <= max_cones
+                seen[max(degree_profile(node))] += 1
+        assert max(seen) == top
+        assert seen[top] == 11561
+        assert sum(seen.values()) == 31698
+    assert [max_ray_degree(c) for c in (4, 5, 8, 9, 14, 16)] == \
+        [3, 3, 5, 5, 8, 9]
+
+
+def test_tail_minima_and_subtree_bound_hand_cases():
+    inner, extra = tail_minima(STATS12, 7)
+    # i and b - k at k = 3..6: (0, 0), (0, 0), (1, 2), (1, 0); no 7-gon
+    assert inner[3:] == [0, 0, 1, 1, None]
+    assert extra[3:] == [0, 0, 0, 0, None]
+    tails = (inner, extra)
+    # the seed 3^4: 4 cones and nothing else; its criterion bound is 4
+    assert subtree_bound((3, 3, 3, 3), tails) == 4
+    # 3^2 4^3 6^2: 10 cones, b(6) - 6 = 0 and two 6s with one interior
+    # point each; its own bound is 12 too
+    assert subtree_bound((3, 3, 4, 4, 4, 6, 6), tails) == 12
+    assert polygon_criterion({3: 2, 4: 3, 6: 2}, STATS12).bound == 12
+    # a ray of degree 7 has no polygon at or above it within 12 points
+    assert subtree_bound((3, 3, 3, 4, 4, 5, 7, 7), tails) is None
+    # the 8-gon of the complete table is past the walk's degree cap
+    with pytest.raises(InvariantError, match="degree 8"):
+        subtree_bound((3, 3, 3, 3, 4, 4, 4, 8), tails)
+    # a table with a pentagon alone: every smaller k reads its minima
+    inner, extra = tail_minima(PolygonStats(12, {5: (8, 1, 7)}, 7), 7)
+    assert inner[3:] == [1, 1, 1, None, None]
+    assert extra[3:] == [2, 2, 2, None, None]
 
 
 def test_degree_profile():
