@@ -21,9 +21,16 @@ of a family.  A 3D family's box is walked once (wall_sum_box): each wall
 is solved and tested against the wall-sum cap as soon as its four rays are
 fixed, so a wall that reads no parameter is solved once per family, and
 every kept point yields its concrete fan with its wall table in hand.
+Each parameter's axis is cut to its admissible run before it is walked:
+a wall's coefficients are polynomials of degree at most 3 in the
+parameter being fixed, and where a few samples show they are lines with
+the wall smooth throughout, "sum <= cap" is a half-line.  The cut proves
+the smoothness premise on the whole axis, and the run's coefficients are
+read off the lines with no solve; an axis it cannot cut is scanned value
+by value.
 
 Every wall is solved by one rule, Cramer's rule in the lattice basis of
-the unimodular cone on one side (_place, shared by the box pass and
+the unimodular cone on one side (_solve, shared by the box pass and
 wall_table; in 2D its one-ray form), so a wall that is not smooth raises
 InvariantError and a parametric wall coefficient is an integer
 polynomial of degree at most 3 in the parameters.
@@ -251,11 +258,13 @@ class _Walls:
     paired is _paired_ridges' list.  across maps (cone, ray x) to (the
     cone across the facet opposite x, its far ray y, the wall's index in
     paired).  walks maps a flag (start cone, then its rays in label order)
-    to that flag's compiled walk (_compile_walk).  Only the cones and the
-    ray count are read, so the fans of one family share one.
+    to that flag's compiled walk (_compile_walk).  stars is None until
+    star_cycles first needs it, then each ray's star as compiled by
+    _compile_stars.  Only the cones and the ray count are read, so the
+    fans of one family share one.
     """
 
-    __slots__ = ("paired", "across", "walks")
+    __slots__ = ("paired", "across", "walks", "stars")
 
     def __init__(self):
         self.paired = None
@@ -278,6 +287,7 @@ def _wall_structure(fan):
             across[c2, q] = (c1, p, w)
         walls.across = across
         walls.walks = {}
+        walls.stars = None
         walls.paired = paired
     return walls
 
@@ -336,6 +346,54 @@ def wall_table(fan):
             in zip(walls.paired, table)]
 
 
+def star_cycles(fan):
+    """The coefficient cycle of every ray's star, in ray order.
+
+    The star of a ray v of a concrete smooth complete 3D fan, taken
+    modulo v, is a smooth complete 2D fan whose rays are the images of
+    v's neighbours u, in their cyclic order around v.  Across the wall
+    {v, u}, with opposite rays p and q, p + q = a_v v + a_u u, so modulo v
+    the images of p and q (u's two neighbours in the cycle) sum to a_u
+    times the image of u: the cycle's entry at u is a_u, read off the
+    wall table.  The cycle has deg v entries and is the one
+    rhs.least_perimeter reads.  Raises what wall_table raises.
+    """
+    walls, table = _coefficients(fan)
+    if walls.stars is None:
+        walls.stars = _compile_stars(fan, walls)
+    flat = list(chain.from_iterable(table))
+    return [star(flat) for star in walls.stars]
+
+
+def _compile_stars(fan, walls):
+    """Per ray, an itemgetter of the flattened wall table that returns its
+    star cycle.
+
+    Around ray v, a cone (v, u, x) leads across the facet opposite x,
+    the wall {v, u}, to the cone (v, u, y), which leads on across the
+    wall {v, y}; the walk ends back at its first cone.  Wall w's
+    coefficient at u sits at 2 w + (the position of u in its ridge).
+    Needs a 3D fan whose every ray lies in a cone.
+    """
+    first = {}
+    for c, cone in enumerate(fan.cones):
+        for v in cone:
+            first.setdefault(v, (c, cone))
+    stars = []
+    for v in range(len(fan.rays)):
+        start, cone = first[v]
+        u, x = (r for r in cone if r != v)
+        c, picks = start, []
+        while True:
+            c, y, w = walls.across[c, x]
+            picks.append(2 * w + walls.paired[w][0].index(u))
+            if c == start:
+                break
+            u, x = y, u
+        stars.append(itemgetter(*picks))
+    return stars
+
+
 def _coefficients(fan):
     """fan's _Walls and its table: the coefficients of every paired ridge,
     from wall_sum_box or solved on first use (_solve_walls) and kept on
@@ -365,7 +423,7 @@ def _solve_walls(fan, paired):
     table = [None] * len(paired)
     if fan.d == 3:
         _place(((), [(w,) + ridge + (p, q)
-                     for w, (ridge, _, p, _, q) in enumerate(paired)]),
+                     for w, (ridge, _, p, _, q) in enumerate(paired)], ()),
                (), rays, table, None)
         return table
     for w, ((n,), _, p, _, q) in enumerate(paired):
@@ -499,19 +557,25 @@ def wall_sum_box(pf, names, axes, max_points):
     concrete fan, whose box is the one point ()).  Parameters are fixed in
     names order; a ray is evaluated once all it reads are fixed, and a
     wall is solved and tested once its four rays are (_place), so a wall
-    past the cap drops the rest of the box below it.
+    past the cap drops the rest of the box below it.  Each axis is first
+    cut to the run of values that pass the walls it completes
+    (_cut_axis), whose coefficients it reads off lines, so most values
+    are neither solved nor tested one by one.
 
     Every point has one of two outcomes: a wall past the cap drops it, or
     it is kept, as a fan with pf's cones and _Walls, the rays as evaluated
     and its complete wall table.  The solve needs the cones of a 3D family
     to be unimodular on its whole box, with each wall between its two
     opposite rays; a point where this fails raises InvariantError, and so
-    does a kept point with two equal rays.  A ray of a unimodular cone is
-    primitive, so no ray is normalized.
+    does a kept point with two equal rays.  A cut axis holds no such
+    point: the cut proves the premise on the whole axis for every wall
+    the scan would test there, and an axis where it cannot is scanned
+    value by value, raising where the scan raises.  A ray of a unimodular
+    cone is primitive, so no ray is normalized.
     """
     walls = _wall_structure(pf)
     pos = {n: t for t, n in enumerate(names)}
-    ray_step, plans = [], [([], []) for _ in range(len(names) + 1)]
+    ray_step, plans = [], [([], [], []) for _ in range(len(names) + 1)]
     for ri, ray in enumerate(pf.rays):
         entries = [(x.const, tuple((pos[n], c) for n, c in x.coeffs.items()))
                    if isinstance(x, ParamExpr) else (x, ()) for x in ray]
@@ -520,7 +584,12 @@ def wall_sum_box(pf, names, axes, max_points):
         plans[ray_step[-1]][0].append((ri, tuple(entries)))
     for w, (ridge, _, p, _, q) in enumerate(walls.paired):
         four = ridge + (p, q)
-        plans[max(ray_step[i] for i in four)][1].append((w,) + four)
+        step = max(ray_step[i] for i in four)
+        wall = (w,) + four
+        plans[step][1].append(wall)
+        # the rays of this step are the ones that move with its parameter
+        if sum(ray_step[i] == step for i in four) > 1:
+            plans[step][2].append(wall)
     rays = [None] * len(pf.rays)
     table = [None] * len(walls.paired)
     vals = [0] * len(names)
@@ -531,19 +600,8 @@ def wall_sum_box(pf, names, axes, max_points):
     return out
 
 
-def _place(plan, vals, rays, table, cap):
-    """Evaluate the plan's rays on vals, then solve and test its walls.
-
-    False at the first wall whose coefficient sum is past the cap; a cap
-    of None tests nothing, which is how _solve_walls solves a whole fan.
-    A wall spanned by n1, n2 with opposite rays p, q is solved in the
-    basis n1, n2, p.  If e = det(n1, n2, p) = +-1, Cramer's rule gives q the
-    coordinates e det(q, n2, p), e det(n1, q, p) and e det(n1, n2, q).  If
-    also e det(n1, n2, q) = -1, so that q lies across the wall in a
-    unimodular cone, then p + q = a1 n1 + a2 n2 with a1 = e det(q, n2, p)
-    and a2 = e det(n1, q, p).  Otherwise it raises InvariantError.
-    """
-    new_rays, walls = plan
+def _evaluate(new_rays, vals, rays):
+    """Evaluate each (ray index, entries) of new_rays on vals into rays."""
     for ri, entries in new_rays:
         ray = []
         for const, terms in entries:
@@ -551,32 +609,143 @@ def _place(plan, vals, rays, table, cap):
                 const += c * vals[t]
             ray.append(const)
         rays[ri] = ray
-    for w, n1, n2, p, q in walls:
+
+
+def _solve(walls, rays):
+    """(e, f, a1 + a2, a1) for each wall (w, n1, n2, p, q) of walls: the
+    wall spanned by n1, n2 with opposite rays p and q, solved in the basis
+    n1, n2, p.
+
+    e = det(n1, n2, p) and f = det(n1, n2, q).  If e = +-1, Cramer's rule
+    gives q the coordinates e det(q, n2, p), e det(n1, q, p) and
+    e det(n1, n2, q).  If also e f = -1, so that q lies across the wall in
+    a unimodular cone, then p + q = a1 n1 + a2 n2 with a1 = e det(q, n2, p)
+    and a2 = e det(n1, q, p).  Nothing is checked here.
+    """
+    out = []
+    for _, n1, n2, p, q in walls:
         (x1, y1, z1), (x2, y2, z2) = rays[n1], rays[n2]
         (p0, p1, p2), (q0, q1, q2) = rays[p], rays[q]
         w0, w1, w2 = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
         e = p0 * w0 + p1 * w1 + p2 * w2              # det(n1, n2, p)
-        f = q0 * w0 + q1 * w1 + q2 * w2              # det(n1, n2, q)
+        # a1 + a2 = e det(q, n2 - n1, p)
+        d0, d1, d2 = x2 - x1, y2 - y1, z2 - z1
+        out.append((
+            e, q0 * w0 + q1 * w1 + q2 * w2,          # f = det(n1, n2, q)
+            e * (q0 * (d1 * p2 - d2 * p1) + q1 * (d2 * p0 - d0 * p2)
+                 + q2 * (d0 * p1 - d1 * p0)),
+            e * (q0 * (y2 * p2 - z2 * p1) + q1 * (z2 * p0 - x2 * p2)
+                 + q2 * (x2 * p1 - y2 * p0))))       # e det(q, n2, p)
+    return out
+
+
+def _place(plan, vals, rays, table, cap):
+    """Evaluate the plan's rays on vals, then solve and test its walls.
+
+    plan is (rays to evaluate, walls (w, n1, n2, p, q), the walls with
+    more than one moving ray, for _cut_axis).  Walls are taken in order:
+    one where e = det(n1, n2, p) is not +-1 or e det(n1, n2, q) is not -1
+    raises InvariantError, and at the first whose coefficient sum is past
+    the cap the result is False.  A cap of None tests no sum, which is
+    how _solve_walls solves a whole fan.
+    """
+    _evaluate(plan[0], vals, rays)
+    walls = plan[1]
+    for (w, n1, n2, p, q), (e, f, total, a1) in zip(walls,
+                                                   _solve(walls, rays)):
         if e * e != 1 or e * f != -1:
             raise InvariantError(
                 "wall %r is not smooth at n1, n2, p, q = %r: det(n1, n2, p) "
                 "= %d, det(n1, n2, q) = %d" % (
                     (n1, n2), tuple(tuple(rays[i]) for i in (n1, n2, p, q)),
                     e, f))
-        # a1 + a2 = e det(q, n2 - n1, p)
-        d0, d1, d2 = x2 - x1, y2 - y1, z2 - z1
-        total = e * (q0 * (d1 * p2 - d2 * p1) + q1 * (d2 * p0 - d0 * p2)
-                     + q2 * (d0 * p1 - d1 * p0))
         if cap is not None and total > cap:
             return False
-        a1 = e * (q0 * (y2 * p2 - z2 * p1) + q1 * (z2 * p0 - x2 * p2)
-                  + q2 * (x2 * p1 - y2 * p0))        # e det(q, n2, p)
         table[w] = (a1, total - a1)
     return True
 
 
+def _cut_axis(plan, axis, t, vals, rays, cap):
+    """(first value, run, lines) for axis, or None where it must be
+    scanned: run holds the values of axis, in order, at which every wall
+    of plan passes the cap, and lines a (w, a1, slope, a2, slope) per
+    wall, its coefficients at the first value and their integer slopes.
+
+    The plan's rays are those that read parameter t, each affine in its
+    value v once vals[:t] are fixed.  So e = det(n1, n2, p) and
+    f = det(n1, n2, q) have degree at most 3 in v, and at most 1 for a
+    wall with one moving ray.  Where e is constant, so is the sign in
+    front of a1 = e det(q, n2, p) and of the cap sum
+    e det(q, n2 - n1, p), which then have degree at most 3 in v, and
+    at most 1 when one ray moves.  Every wall is sampled at the first 2
+    axis values, and a wall with more than one moving ray at the next 2
+    as well.  If e f = -1 with e and f equal at every sample, they are
+    constant on the whole axis; if a1 and the sum are collinear too, each
+    is its line, which has integer slope as the polynomial has integer
+    coefficients.  Then "sum <= cap" is a half-line, measured from the
+    first sample value, that one floor division bounds.  The run is the
+    axis cut to every wall's half-line; a wall past the cap at every
+    value, once the walls before it in plan order are shown smooth, ends
+    the run empty, as the scan stops at that wall on every value.
+
+    So the walls a scan would test on any value of the axis are smooth
+    there, the cut keeps exactly the values the scan keeps, and each
+    kept value's wall coefficients are read off the lines.  None, for a
+    scan, where the samples disagree, a wall is not affine, the axis has
+    fewer than 4 values (or repeats one of its first 4) or the plan has
+    no walls.  Sampling sets vals[t] and the plan's rays; the table is
+    not touched.
+    """
+    new_rays, walls, wide = plan
+    if len(axis) < 4 or len(set(axis[:4])) < 4 or not walls:
+        return None
+    samples = []
+    for v, group in zip(axis, (walls, walls, wide, wide) if wide else
+                        (walls, walls)):
+        vals[t] = v
+        _evaluate(new_rays, vals, rays)
+        samples.append(_solve(group, rays))
+    v0, dv = axis[0], axis[1] - axis[0]
+    lo = hi = None
+    lines = []
+    k = 0                 # wide[k] is the next wide wall in plan order
+    for wall, (e, f, s0, a0), (e1, f1, s1, a1) in zip(walls, *samples[:2]):
+        if e * e != 1 or e * f != -1 or e1 != e or f1 != f:
+            return None
+        m, r = divmod(s1 - s0, dv)
+        m1, r1 = divmod(a1 - a0, dv)
+        if r or r1:
+            return None
+        if k < len(wide) and wide[k] is wall:
+            for j in (2, 3):
+                ej, fj, sj, aj = samples[j][k]
+                d = axis[j] - v0
+                if ej != e or fj != f or sj != s0 + m * d or \
+                        aj != a0 + m1 * d:
+                    return None
+            k += 1
+        # s0 + m (v - v0) <= cap
+        if m > 0:
+            bound = v0 + (cap - s0) // m
+            hi = bound if hi is None else min(hi, bound)
+        elif m < 0:
+            bound = v0 - (cap - s0) // -m
+            lo = bound if lo is None else max(lo, bound)
+        elif s0 > cap:
+            return v0, [], lines
+        lines.append((wall[0], a0, m1, s0 - a0, m - m1))
+    return v0, [v for v in axis if (lo is None or v >= lo)
+                and (hi is None or v <= hi)], lines
+
+
 def _fix_parameters(pf, axes, plans, t, vals, rays, table, cap, out):
-    """Kept points for parameters t, t+1, ... given vals[:t]."""
+    """Kept points for parameters t, t+1, ... given vals[:t].
+
+    Axis t is cut to its run (_cut_axis), whose values pass every wall
+    the step completes, with each wall's coefficients on a line, so no
+    value of the run is solved; an axis that cannot be cut is scanned,
+    each value placed and tested (_place).
+    """
     if t == len(axes):
         fan_rays = tuple(map(tuple, rays))
         if len(set(fan_rays)) != len(fan_rays):
@@ -584,11 +753,23 @@ def _fix_parameters(pf, axes, plans, t, vals, rays, table, cap, out):
                                  % (pf, vals, fan_rays))
         out.append((tuple(vals), _instance(pf, fan_rays, list(table))))
         return
-    for v in axes[t]:
+    plan = plans[t + 1]
+    cut = _cut_axis(plan, axes[t], t, vals, rays, cap)
+    if cut is None:
+        for v in axes[t]:
+            vals[t] = v
+            if _place(plan, vals, rays, table, cap):
+                _fix_parameters(pf, axes, plans, t + 1, vals, rays, table,
+                                cap, out)
+        return
+    v0, run, lines = cut
+    for v in run:
         vals[t] = v
-        if _place(plans[t + 1], vals, rays, table, cap):
-            _fix_parameters(pf, axes, plans, t + 1, vals, rays, table, cap,
-                            out)
+        _evaluate(plan[0], vals, rays)
+        d = v - v0
+        for w, a1, m1, a2, m2 in lines:
+            table[w] = (a1 + m1 * d, a2 + m2 * d)
+        _fix_parameters(pf, axes, plans, t + 1, vals, rays, table, cap, out)
 
 
 def fan_canonical_key(fan):
@@ -705,7 +886,7 @@ __all__ = [
     "NotComplete", "InvalidCone", "OutOfBounds", "DegenerateRay",
     "ParamExpr", "expr_value", "is_numeric_vector",
     "Fan", "Wall",
-    "walls_of", "wall_table",
+    "walls_of", "wall_table", "star_cycles",
     "blow_up", "blow_up_ray", "instantiate", "wall_sum_box",
     "fan_canonical_key",
 ]

@@ -29,7 +29,11 @@ by that bound has its whole subtree walked bare, without degrees.  A
 surviving node's parameter box is walked once by
 fans.wall_sum_box, which yields the concrete fan of each point that passes
 the wall-sum test with its wall table already solved (the box of a node
-without parameters is the one point ()).
+without parameters is the one point ()).  Every 3D class is keyed and
+counted, but only a class whose facets can close gets a level search: the
+2D perimeter bound, applied to the star of each ray (every facet of a
+polytope with that fan is such a polygon) and to their sum
+(rhs.facets_can_close), shows 331 of the 386 classes at N = 12 empty.
 """
 
 import json
@@ -49,6 +53,7 @@ from .iso_dedup import canonical_form, dedup
 from .polytopes import HPolytope, VPolytope, facets_of, lattice_points
 from .rhs import (
     enumerate_rhs,
+    facets_can_close,
     frame_rays,
     least_perimeter,
     passes_wall_sum,  # unused: kept for perfbench/traced.py to wrap
@@ -372,6 +377,9 @@ def _verdict(degrees, node, stats, tails, max_points):
 def _classify_3d(max_points, stats, trace):
     """The 3D walk, filtered by the polygon criterion, then realized.
 
+    Every class counts in fans_tested; one that fails
+    rhs.facets_can_close has no level vector and gets no level search.
+
     stats needs the polygon minima up to max_ray_degree(max_points)
     vertices.  Once a node is dead (_verdict), the nodes of its subtree,
     which pre-order puts right after it with more rays, are walked bare:
@@ -415,7 +423,11 @@ def _classify_3d(max_points, stats, trace):
                 _note_class(classes, fan_canonical_key(fan), prefix, fan)
     jobs = sorted(classes.values(), key=lambda job: job[0])
     diag.fans_tested = len(jobs)
-    records = _realize_jobs(jobs, max_points, diag)
+    perimeters = {}
+    records = _realize_jobs([job for job in jobs
+                             if facets_can_close(job[1], max_points,
+                                                 perimeters)],
+                            max_points, diag)
     return records, diag
 
 

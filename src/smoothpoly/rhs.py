@@ -25,12 +25,15 @@ Edge lengths are integers, so enumeration floors each cap once, to
 In 2D, least_perimeter bounds the edge-length sum of any polygon with a
 given coefficient cycle from below, in integers and without building the
 fan; a class whose bound exceeds N has no level vector, so the 2D run
-enumerates levels only for classes within the bound.
+enumerates levels only for classes within the bound.  In 3D every facet
+is such a polygon, and facets_can_close applies the same bound to each
+facet and to their sum, so the 3D run enumerates levels only for the
+classes that pass it.
 """
 
 from . import InvariantError
 from .exact_linalg import determinant, dot
-from .fans import wall_table
+from .fans import star_cycles, wall_table
 from .polytopes import (
     HPolytope,
     VPolytope,
@@ -228,6 +231,45 @@ def least_perimeter(cycle):
                    for (xu, yu), (xv, yv) in zip(hull, hull[1:]))
 
 
+def facets_can_close(fan, max_points, perimeters):
+    """False only when the concrete smooth 3D fan has no level vector
+    within max_points: the least perimeters of its facets break a bound
+    that every level vector keeps.
+
+    Take a level vector b that enumerate_rhs returns for a fan with C
+    cones.  Its edge lengths l_e satisfy l_e >= 1 and
+    sum_e (l_e - 1) <= N - C.  The star of ray v, taken modulo v, is a
+    smooth complete 2D fan with the coefficient cycle c_v of
+    fans.star_cycles (the normal fan of v's facet, where b is realized).
+    In a lattice basis with v as its last vector, the third coordinates
+    c_u of the rays give the star the levels b_u - c_u b_v, and its 2D
+    edge-length form at u takes the value b_p + b_q - a_u b_u - a_v b_v
+    = l_vu there, as p + q = a_u u + a_v v.  So the lengths l_vu of the
+    walls {v, u} are the star's own, and by the identity in
+    least_perimeter they satisfy its closure: least_perimeter(c_v) <=
+    sum_u l_vu.  Hence:
+
+      * per facet: sum_u l_vu = deg v + sum_u (l_vu - 1) <= deg v + N - C,
+      * summed: every edge lies on two facets and a fan with C cones has
+        3C/2 walls, so sum_v sum_u l_vu = 2 sum_e l_e <= 2(N - C) + 3C
+        = 2N + C.
+
+    A fan that breaks either bound has no level vector, and its level
+    search may be skipped.  perimeters memoizes least_perimeter by cycle
+    and is shared across the fans of a run.
+    """
+    slack = max_points - len(fan.cones)
+    total = 0
+    for cycle in star_cycles(fan):
+        least = perimeters.get(cycle)
+        if least is None:
+            least = perimeters[cycle] = least_perimeter(cycle)
+        if least > slack + len(cycle):
+            return False
+        total += least
+    return total <= 2 * max_points + len(fan.cones)
+
+
 def realize_and_filter(fan, b, max_points):
     """Solve for the vertex of every cone and validate the result.
 
@@ -292,6 +334,7 @@ def passes_wall_sum(fan, max_points):
 
 
 __all__ = [
-    "enumerate_rhs", "frame_rays", "least_perimeter", "realize_and_filter",
+    "enumerate_rhs", "frame_rays", "least_perimeter", "facets_can_close",
+    "realize_and_filter",
     "wall_sums", "passes_wall_sum",
 ]

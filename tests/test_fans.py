@@ -15,7 +15,7 @@ from oracles import (
     is_complete_fan,
     is_smooth_fan,
 )
-from smoothpoly import InvariantError, exact_linalg, fans, seeds
+from smoothpoly import InvariantError, exact_linalg, fans, pipeline, seeds
 from smoothpoly.exact_linalg import (
     columns_matrix,
     determinant,
@@ -34,10 +34,12 @@ from smoothpoly.fans import (
     fan_canonical_key,
     expr_value,
     instantiate,
+    star_cycles,
     wall_sum_box,
     wall_table,
     walls_of,
 )
+from smoothpoly.rhs import passes_wall_sum
 from smoothpoly.search import parameter_axes, walk_tree
 
 A = ParamExpr.var("a")
@@ -476,7 +478,10 @@ def test_3d_seed_cones_are_unimodular_on_their_whole_box():
     two are constant, so this too holds everywhere.  Blow-ups keep both,
     as the new ray is the sum of the rays it splits.  These are the
     premises of wall_sum_box's Cramer solve: every wall solves in integers
-    and every ray, lying in a unimodular cone, is primitive."""
+    and every ray, lying in a unimodular cone, is primitive.  The box pass
+    does not lean on this test at run time: its axis cut checks the same
+    premise from its samples, on the whole axis, and an axis where the
+    samples do not show it is scanned, which raises at a bad point."""
     for name in seeds.seed_names(3):
         pf = seeds.get_seed(name).build(12)
         names, axes = parameter_axes(pf)
@@ -571,6 +576,144 @@ def test_wall_sum_box_raises_on_a_non_primitive_ray(flags):
     assert lines[0] == "(1,) (1, 0, 0) True True"
     assert lines[1].startswith("InvariantError: wall ")
     assert lines[1].endswith("det(n1, n2, p) = 2, det(n1, n2, q) = -2")
+
+
+def _recorded_cuts(monkeypatch, max_points):
+    """(cut axes, scanned axes) of a 3D run at max_points: every call of
+    fans._cut_axis, its run and its lines checked against a scan of the
+    whole axis, which solves every wall at every value."""
+    cut_axis, place = fans._cut_axis, fans._place
+    counts = [0, 0]
+
+    def checked(plan, axis, t, vals, rays, cap):
+        vals_copy, rays_copy = list(vals), list(rays)
+        cut = cut_axis(plan, axis, t, vals, rays, cap)
+        if cut is None:
+            counts[1] += 1
+            assert len(axis) < 4 or not plan[1], (axis, plan)
+            return cut
+        counts[0] += 1
+        v0, run, lines = cut
+        scan = []
+        for v in axis:
+            vals_copy[t] = v
+            table = {}
+            if place(plan, vals_copy, rays_copy, table, cap):
+                scan.append(v)
+                assert table == {w: (a1 + m1 * (v - v0), a2 + m2 * (v - v0))
+                                 for w, a1, m1, a2, m2 in lines}, (axis, v)
+        assert v0 == axis[0] and run == scan, (axis, plan)
+        return cut
+
+    monkeypatch.setattr(fans, "_cut_axis", checked)
+    pipeline.run_classify(pipeline.RunConfig(3, max_points,
+                                             allow_unvalidated=True))
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("max_points,counts", [(12, (1943, 59)),
+                                               (13, (4301, 131))])
+def test_cut_axis_keeps_what_the_scan_keeps(monkeypatch, max_points, counts):
+    """At every parameter step of the 3D runs at N = 12 and 13, the cut
+    axis holds exactly the values a scan of the whole axis keeps, in
+    order, and its lines give each kept value the wall coefficients the
+    scan solves.  No axis of these runs falls back for a reason other
+    than having no wall to cut by or fewer than four values."""
+    assert _recorded_cuts(monkeypatch, max_points) == counts
+
+
+def test_cut_axis_scans_a_wall_of_degree_2(monkeypatch):
+    """A wall whose cap sum has degree 2 in its parameter is not cut but
+    scanned, and the box keeps the points the scalar test keeps.  On the
+    bundle with rays e1, e2, (-1, a, 0), -e2 over the plane and e3,
+    (a, 0, -1) across it, the wall spanned by e2 and (-1, a, 0) has the
+    opposite rays e3 and (a, 0, -1), whose sum (a, 0, 0) is
+    a^2 e2 - a (-1, a, 0): its sum a^2 - a is past the cap 6 at a = -3."""
+    bundle = Fan([(1, 0, 0), (0, 1, 0), (-1, A, 0), (0, -1, 0), (0, 0, 1),
+                  (A, 0, -1)],
+                 [c + (k,) for c in [(0, 1), (1, 2), (2, 3), (0, 3)]
+                  for k in (4, 5)], bounds={"a": (-3, 3)})
+    axis = list(range(-3, 4))
+    cut_axis, scanned = fans._cut_axis, []
+
+    def recorded(plan, axis, *args):
+        cut = cut_axis(plan, axis, *args)
+        if cut is None:
+            scanned.append(list(axis))
+        return cut
+
+    monkeypatch.setattr(fans, "_cut_axis", recorded)
+    kept = [v for (v,), _ in wall_sum_box(bundle, ["a"], [axis], 12)]
+    assert scanned == [axis]
+    assert kept == [v for v in axis
+                    if passes_wall_sum(instantiate(bundle, {"a": v}), 12)]
+    assert kept == [-2, -1, 0, 1, 2, 3]
+
+
+SHEARED_OCTANT = """
+from smoothpoly import InvariantError
+from smoothpoly.fans import Fan, ParamExpr, wall_sum_box
+a = ParamExpr.var("a")
+rays = [(a + 1, a, 0), (a, 1, 0), (0, 0, 1), (-a - 1, -a, 0), (-a, -1, 0),
+        (0, 0, -1)]
+cones = [(i, j, k) for i in (0, 3) for j in (1, 4) for k in (2, 5)]
+pf = Fan(rays, cones, bounds={"a": (-1, 3)})
+doubled = Fan([(2, a, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0),
+               (0, 0, -1)], cones, bounds={"a": (-1, 2)})
+for fan, axis, max_points in [(pf, [-1, 0, 1, 2], 12),
+                              (pf, [-1, 0, 1, 2, 3], 12),
+                              (pf, [3, 2, 1, 0, -1], 12),
+                              (doubled, [-1, 0, 1, 2], 6)]:
+    try:
+        print([v for (v,), _ in wall_sum_box(fan, ["a"], [axis],
+                                             max_points)])
+    except InvariantError as exc:
+        print("InvariantError:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_wall_sum_box_raises_the_scans_error_on_long_axes(flags):
+    """Axes of at least four values with points where the cones are not
+    unimodular raise the scan's InvariantError, also under python -O:
+    one bad point, and every point bad.  The octant's image under [[1 + a, a, 0], [a, 1, 0],
+    [0, 0, 1]], of determinant 1 + a - a^2, is a smooth fan at
+    a = -1, 0, 1, 2 and has cones of determinant +-5 at a = 3.  Its
+    determinants change sign across the samples, so no axis is cut.  With
+    (2, a, 0) in place of e1 every point has cones of determinant 2, a
+    constant that the samples show, so that axis is not cut either: the
+    scan raises at its first value, where a cut to the values within the
+    cap would have skipped it."""
+    out = subprocess.run([sys.executable, *flags, "-c", SHEARED_OCTANT],
+                         capture_output=True, text=True, env=package_env(),
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    error = ("InvariantError: wall (0, 1) is not smooth at n1, n2, p, q = "
+             "((4, 3, 0), (3, 1, 0), (0, 0, 1), (0, 0, -1)): "
+             "det(n1, n2, p) = -5, det(n1, n2, q) = 5")
+    doubled = ("InvariantError: wall (0, 1) is not smooth at n1, n2, p, "
+               "q = ((2, -1, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)): "
+               "det(n1, n2, p) = 2, det(n1, n2, q) = -2")
+    assert out.stdout.splitlines() == ["[-1, 0, 1, 2]", error, error,
+                                       doubled]
+
+
+def test_star_cycles_hand_cases():
+    """Each ray's star cycle, in the cyclic order of its neighbours: the
+    octant's stars are squares, and the tetrahedral fan's triangles.  A
+    blow-up at a cone gives each of its three rays the new ray as one more
+    neighbour, with coefficient 1, and that neighbour's two neighbours
+    gain 1 (the 2D blow-up of the star); the new ray's star is the
+    triangle's."""
+    octant = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0),
+              (0, 0, -1)]
+    cones = [(i, j, k) for i in (0, 3) for j in (1, 4) for k in (2, 5)]
+    assert star_cycles(Fan(octant, cones)) == [(0, 0, 0, 0)] * 6
+    assert star_cycles(tetra_fan()) == [(-1, -1, -1)] * 4
+    blown = star_cycles(blow_up(tetra_fan(), (0, 1, 3)))
+    assert [len(c) for c in blown] == [4, 4, 3, 4, 3]
+    assert blown[2] == blown[4] == (-1, -1, -1)
+    assert all(sorted(c) == [-1, 0, 0, 1] for c in blown[:2] + blown[3:4])
 
 
 def test_instantiate_octahedral():

@@ -11,8 +11,9 @@ import pytest
 
 import smoothpoly
 from oracles import solve_rational
-from smoothpoly import InvariantError, pipeline, polytopes, seeds
-from smoothpoly.fans import Fan, fan_canonical_key, instantiate
+from smoothpoly import InvariantError, fans, pipeline, polytopes, seeds
+from smoothpoly.exact_linalg import dot, normalize_primitive
+from smoothpoly.fans import Fan, fan_canonical_key, instantiate, star_cycles
 from smoothpoly.iso_dedup import canonical_form
 from smoothpoly.pipeline import (
     ConfigError,
@@ -30,6 +31,7 @@ from smoothpoly.pipeline import (
     run_stats,
 )
 from smoothpoly.polytopes import VPolytope, facets_of, is_smooth, lattice_points
+from smoothpoly.rhs import enumerate_rhs
 from smoothpoly.search import (
     PolygonStats,
     degree_profile,
@@ -501,6 +503,95 @@ def test_run_derives_no_cones_below_dead_nodes(recorded_3d_walk):
     _, untouched = recorded_3d_walk
     assert untouched == [leaf and below
                          for leaf, below in _dead_subtree_walk(12)]
+
+
+def test_3d_run_places_and_searches_only_what_can_pass(monkeypatch):
+    """The work the two skips of the 3D run save, pinned: at N = 12 the box
+    passes make 2149 _place calls (52439 when every axis is scanned), and
+    the 3D fans get 55 level searches (one per class, 386, without the
+    facet bound), while the polygon pass keeps its own.  An axis that
+    falls back to the scan, or a class that loses the bound, fails
+    here."""
+    calls = Counter()
+    place, search = fans._place, pipeline.enumerate_rhs
+
+    def counted_place(*args):
+        calls["_place"] += 1
+        return place(*args)
+
+    def counted_search(fan, max_points):
+        calls[fan.d] += 1
+        return search(fan, max_points)
+
+    monkeypatch.setattr(fans, "_place", counted_place)
+    monkeypatch.setattr(pipeline, "enumerate_rhs", counted_search)
+    res = run_classify(RunConfig(3, 12))
+    assert res.diagnostics.fans_tested == 386
+    assert calls == {"_place": 2149, 3: 55, 2: 21}
+
+
+@pytest.mark.parametrize("max_points,cut", [(12, 331), (13, 647)])
+def test_facet_bound_cuts_only_classes_without_levels(monkeypatch,
+                                                      max_points, cut):
+    """Every 3D class the facet bound (rhs.facets_can_close) cuts has no
+    level vector, and the bound is asked once per class."""
+    verdicts = []
+    bound = pipeline.facets_can_close
+
+    def recorded(fan, max_points, perimeters):
+        ok = bound(fan, max_points, perimeters)
+        verdicts.append((fan, ok))
+        return ok
+
+    monkeypatch.setattr(pipeline, "facets_can_close", recorded)
+    res = run_classify(RunConfig(3, max_points, allow_unvalidated=True))
+    assert len(verdicts) == res.diagnostics.fans_tested
+    dropped = [fan for fan, ok in verdicts if not ok]
+    assert len(dropped) == cut
+    for fan in dropped:
+        assert enumerate_rhs(fan, max_points) == [], fan.rays
+
+
+def _facet_polygon_cycle(vertices):
+    """The coefficient cycle of a smooth lattice polygon in space, from its
+    vertices in cyclic order: primitive edge directions d_i, with
+    d_{i-1} + d_{i+1} = a_i d_i (the normal fan's relation, as a normal
+    is its edge direction turned a quarter)."""
+    k = len(vertices)
+    dirs = [normalize_primitive(tuple(b - a for a, b in zip(
+        vertices[i], vertices[(i + 1) % k])))[0] for i in range(k)]
+    cycle = []
+    for i, d in enumerate(dirs):
+        s = tuple(a + b for a, b in zip(dirs[i - 1], dirs[(i + 1) % k]))
+        j = next(j for j, x in enumerate(d) if x)
+        a = s[j] // d[j]
+        assert s == tuple(a * x for x in d), (vertices, i)
+        cycle.append(a)
+    return tuple(cycle)
+
+
+def test_star_cycles_are_the_facet_polygon_cycles():
+    """For every 3D record at N = 12, the star cycle of each ray of its
+    normal fan is the coefficient cycle of that ray's facet polygon, up
+    to rotation and reflection."""
+    res = run_classify(RunConfig(3, 12))
+    assert len(res.records) == 33
+    for r in res.records:
+        H = facets_of(VPolytope(r.vertices))
+        tight = [{f for f, (row, b) in enumerate(zip(H.A, H.b))
+                  if dot(row, v) == b} for v in r.vertices]
+        fan = Fan(H.A, [sorted(t) for t in tight])
+        for f, star in enumerate(star_cycles(fan)):
+            # the facet's vertices, each next one sharing an edge with the
+            # last: two facets
+            on = [i for i, t in enumerate(tight) if f in t]
+            order = [on[0]]
+            while len(order) < len(on):
+                order.append(next(i for i in on if i not in order and
+                                  len(tight[i] & tight[order[-1]]) == 2))
+            facet = _facet_polygon_cycle([r.vertices[i] for i in order])
+            assert len(star) == len(facet)
+            assert _dihedral_key(star) == _dihedral_key(facet), (r, f)
 
 
 @pytest.mark.parametrize("max_points, digest", [

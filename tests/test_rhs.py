@@ -201,6 +201,10 @@ def test_wall_sum_scalar():
 @pytest.mark.parametrize("name,box", [
     ("4^6", [("a", [-2, 0, 2]), ("b", [-2, 0, 2]), ("c", [-2, 0, 2])]),
     ("3^2 4^3 6^2", [("a", list(range(-6, 6)))]),
+    # axes out of order and with gaps, which the axis cut must keep
+    ("4^6", [("a", [3, -2, 0, 4, -4, 1]), ("b", [-1, 2, -3, 0]),
+             ("c", [4, 0, -2, 1, -4])]),
+    ("3^2 4^3 6^2", [("a", [5, -6, 2, -1, 0, 3, -4])]),
 ])
 def test_wall_sum_box_matches_scalar_3d(name, box):
     pf = seeds.get_seed(name).build(12)
@@ -216,7 +220,9 @@ def test_wall_sum_box_matches_scalar_on_every_box_of_a_run(monkeypatch):
     """Every parameter box of the 3D N = 12 run keeps exactly the points
     whose instantiated fan passes the scalar test, in product order, with
     the rays instantiate gives.  The 472 concrete nodes that pass the
-    criterion are one-point boxes ().
+    criterion are one-point boxes ().  So the axis cuts (fans._cut_axis),
+    which leave most of these points unplaced, drop no point the scalar
+    test keeps and keep none it drops.
 
     Each kept fan comes with the wall table its box pass solved: the 3D
     part of the run solves no wall after the box passes.  Every distinct
