@@ -36,8 +36,9 @@ InvariantError and a parametric wall coefficient is an integer
 polynomial of degree at most 3 in the parameters.
 """
 
+from bisect import bisect
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import chain
 from operator import itemgetter
 
 from . import InvariantError
@@ -255,16 +256,18 @@ def walls_of(fan):
 class _Walls:
     """What a cone set fixes about its walls, whatever the rays.
 
-    paired is _paired_ridges' list.  across maps (cone, ray x) to (the
-    cone across the facet opposite x, its far ray y, the wall's index in
-    paired).  walks maps a flag (start cone, then its rays in label order)
-    to that flag's compiled walk (_compile_walk).  stars is None until
-    star_cycles first needs it, then each ray's star as compiled by
-    _compile_stars.  Only the cones and the ray count are read, so the
-    fans of one family share one.
+    paired is _paired_ridges' list.  across[c] maps each ray x of cone c
+    to (the cone across the facet opposite x, its far ray y, the wall's
+    index in paired).  starts holds, per wall, None until
+    fan_canonical_key first starts a walk across it, then that wall's
+    _wall_starts: the flags that start there, each with the getters of
+    its start-cone items (_compile_start) and of its walk (_compile_walk)
+    once compiled.  stars is None until star_cycles first needs it, then
+    each ray's star as compiled by _compile_stars.  Only the cones and
+    the ray count are read, so the fans of one family share one.
     """
 
-    __slots__ = ("paired", "across", "walks", "stars")
+    __slots__ = ("paired", "across", "starts", "stars")
 
     def __init__(self):
         self.paired = None
@@ -281,12 +284,12 @@ def _wall_structure(fan):
         walls = fan._walls = _Walls()
     if walls.paired is None:
         paired = _paired_ridges(fan)
-        across = {}
+        across = [{} for _ in fan.cones]
         for w, (ridge, c1, p, c2, q) in enumerate(paired):
-            across[c1, p] = (c2, q, w)
-            across[c2, q] = (c1, p, w)
+            across[c1][p] = (c2, q, w)
+            across[c2][q] = (c1, p, w)
         walls.across = across
-        walls.walks = {}
+        walls.starts = [None] * len(paired)
         walls.stars = None
         walls.paired = paired
     return walls
@@ -372,8 +375,8 @@ def _compile_stars(fan, walls):
     Around ray v, a cone (v, u, x) leads across the facet opposite x,
     the wall {v, u}, to the cone (v, u, y), which leads on across the
     wall {v, y}; the walk ends back at its first cone.  Wall w's
-    coefficient at u sits at 2 w + (the position of u in its ridge).
-    Needs a 3D fan whose every ray lies in a cone.
+    coefficient at u is the first of its coefficients listed from u
+    (_spots).  Needs a 3D fan whose every ray lies in a cone.
     """
     first = {}
     for c, cone in enumerate(fan.cones):
@@ -385,8 +388,8 @@ def _compile_stars(fan, walls):
         u, x = (r for r in cone if r != v)
         c, picks = start, []
         while True:
-            c, y, w = walls.across[c, x]
-            picks.append(2 * w + walls.paired[w][0].index(u))
+            c, y, w = walls.across[c][x]
+            picks.append(_spots(walls, w, u, 0)[0])
             if c == start:
                 break
             u, x = y, u
@@ -792,18 +795,34 @@ def fan_canonical_key(fan):
     onto each other by the unimodular map between those bases.  The key is
     (number of cones, least sequence over all flags).
 
-    Only flags that can give the least sequence are walked.  A flag's first
-    item comes from the facet opposite flag[0]: its far ray is new, so the
-    item is (d, coefficients of flag[1:] on that wall).  The least sequence
-    starts with the least first item, so the flags with a larger one are
-    cut before any walk: the least first item is d and the least sorted
-    coefficient tuple of any wall, and the flags left start on either side
-    of such a wall, with its spanning rays in an order that reads that
-    tuple.
+    Only flags that can give the least sequence are walked.  Every
+    sequence has one item per cone but the start, and every item has d
+    integers, so sequences compare as their flat integers do: a flag
+    whose first items are larger than another's cannot give the least.
+    The first d items are the start cone's: its walls, crossed in the
+    order of the rays r_0, ..., r_{d-1} opposite them, each lead to a cone
+    not yet reached (two cones sharing two walls share all their rays,
+    and a wall between two cones on the same rays is not smooth).  So
+    flags are cut in two steps, before any walk:
+
+    * Item 1 crosses the wall opposite r_0.  Its far ray is new, so the
+      item is (d, coefficients of r_1, ..., r_{d-1}).  The least first
+      item is d and the least sorted coefficient tuple of any wall, so
+      the flags left start on either side of such a wall, with its rays
+      in an order that reads that tuple, and all share item 1.  That
+      tuple starts with the least coefficient m of all, so only the walls
+      where m occurs are read.
+    * Items 2..d cross the walls opposite r_1, ..., r_{d-1}.  Their far
+      rays lie off the start cone, as the cones across are other cones,
+      so each one's label is an earlier far ray's if it is that ray, and
+      else the next new one; the coefficients are read off the table,
+      r_0's first (_compile_start).  Of the flags left, only those whose
+      items 2..d are least are walked to the end.
 
     A walk's order and labels depend on the cones and the flag alone, so
-    each flag's walk is compiled once per cone set (_compile_walk) and a
-    fan only reads each walked flag's items off its wall table.
+    each flag's start-cone items and walk are compiled once per cone set,
+    when first needed (_compile_start, _compile_walk), and a fan only
+    reads them off its labels and wall table.
 
     Needs a concrete smooth complete fan.  The errors come from
     wall_table: a ridge not shared by two cones raises NotComplete, and a
@@ -814,33 +833,89 @@ def fan_canonical_key(fan):
     every cone of a connected fan, and none does otherwise).
     """
     walls, table = _coefficients(fan)
-    paired = walls.paired
-    # the least ordering of a wall's coefficients is their sorted tuple
-    firsts = [tuple(sorted(coeffs)) for coeffs in table]
-    least = min(firsts)
+    flat = list(chain.from_iterable(table))
     # a walk's items are read off the labels 0, 1, ... and then the
     # coefficients of every wall, in order
     values = list(range(len(fan.rays)))
-    values.extend(chain.from_iterable(table))
+    values.extend(flat)
+    # a wall's least ordering starts with its least coefficient, so the
+    # least of them is the least of the walls' coefficients listed from
+    # an occurrence of the least coefficient m of all (at position j of
+    # its wall: the coefficients reversed when j is 1)
+    m, k = min(flat), fan.d - 1
+    least, found, i = None, [], -1
+    for _ in range(flat.count(m)):
+        i = flat.index(m, i + 1)
+        w, j = divmod(i, k)
+        order = table[w][::-1] if j else table[w]
+        if least is None or order < least:
+            least, found = order, [(w, j)]
+        elif order == least:
+            found.append((w, j))
+    starts = walls.starts
+    head, chosen = None, []
+    for w, j in found:
+        if starts[w] is None:
+            starts[w] = _wall_starts(walls.paired[w])
+        for start in starts[w][j]:
+            if start[1] is None:
+                start[1] = _compile_start(fan, walls, start[0])
+            items = start[1](values)
+            if head is None or items < head:
+                head, chosen = items, [start]
+            elif items == head:
+                chosen.append(start)
     best = None
-    for w, first in enumerate(firsts):
-        if first != least:
-            continue
-        ridge, c1, p, c2, q = paired[w]
-        by_ray = dict(zip(ridge, table[w]))
-        for perm in permutations(ridge):
-            if tuple(by_ray[n] for n in perm) != least:
-                continue
-            for flag in ((c1, p) + perm, (c2, q) + perm):
-                walk = walls.walks.get(flag)
-                if walk is None:
-                    walk = walls.walks[flag] = _compile_walk(fan, walls,
-                                                             flag)
-                seq = walk(values)
-                if best is None or seq < best:
-                    best = seq
-    d = fan.d
-    return len(fan.cones), tuple(best[i:i + d] for i in range(0, len(best), d))
+    for start in chosen:
+        if start[2] is None:
+            start[2] = _compile_walk(fan, walls, start[0])
+        seq = start[2](values)
+        if best is None or seq < best:
+            best = seq
+    return len(fan.cones), tuple(zip(*[iter(best)] * fan.d))
+
+
+def _wall_starts(wall):
+    """Per order of the ridge's rays (as it is, then reversed), a
+    [flag, None, None] per flag that starts across wall (ridge, c1, p,
+    c2, q) with its rays in that order, from either side.
+    fan_canonical_key fills in the getters of the flag's start-cone items
+    (_compile_start) and of its walk (_compile_walk) when it first needs
+    them."""
+    ridge, c1, p, c2, q = wall
+    return [[[(c, x) + perm, None, None] for c, x in ((c1, p), (c2, q))]
+            for perm in (ridge, ridge[::-1])]
+
+
+def _spots(walls, w, first, offset):
+    """Where wall w's coefficients sit in a flat list that holds the
+    wall table from offset on, listed from ray first (its rays in an
+    order that starts there).  A ridge is sorted and has at most two
+    rays, so one comparison with its first ray tells the order."""
+    ridge = walls.paired[w][0]
+    base = offset + w * len(ridge)
+    span = range(base, base + len(ridge))
+    return span if first == ridge[0] else span[::-1]
+
+
+def _compile_start(fan, walls, flag):
+    """Items 2..d of one flag's walk, those of the start cone's walls
+    but the first, as an itemgetter of values flattened as in
+    _compile_walk.  Each far ray's label is an earlier far ray's if it is
+    that ray, and else the next new one (fan_canonical_key shows that no
+    ray of the start cone is met), and each wall's rays are listed from
+    flag[1]."""
+    c, x = flag[0], flag[1]
+    d = len(flag) - 1
+    far = [walls.across[c][x][1]]
+    picks = []
+    for r in flag[2:]:
+        _, y, w = walls.across[c][r]
+        if y not in far:
+            far.append(y)
+        picks.append(d + far.index(y))
+        picks.extend(_spots(walls, w, x, len(fan.rays)))
+    return itemgetter(*picks)
 
 
 def _compile_walk(fan, walls, flag):
@@ -850,32 +925,39 @@ def _compile_walk(fan, walls, flag):
     cone adds d positions to the getter: the label of its far ray, then
     each coefficient of the wall crossed, in label order of its spanning
     rays.  In values the labels come first, one per ray of the fan, and
-    wall w's coefficients start at len(fan.rays) + w * (d - 1), so the
-    getter returns the walk's items end to end; items all have length d,
-    so flat sequences compare as the item sequences do.  Raises
-    NotComplete when the walk misses a cone.
+    then the wall table, flattened, so the getter returns the walk's
+    items end to end; items all have length d, so flat sequences compare
+    as the item sequences do.  Raises NotComplete when the walk misses a
+    cone.
+
+    One pass, with no sort: each queued cone carries its rays in label
+    order.  Those of a reached cone are the crossed wall's rays, in the
+    order its parent lists them, with the far ray placed by its label; a
+    new far ray has the largest label, so it goes last.
     """
-    cones = fan.cones
+    cones, across = fan.cones, walls.across
     start, order = flag[0], flag[1:]
-    d = len(order)
     label = {r: k for k, r in enumerate(order)}
     seen = {start}
-    queue = [start]
+    queue = [(start, order)]
     picks = []
-    for c in queue:
-        ordered = sorted(cones[c], key=label.__getitem__)
-        for x in ordered:
-            nxt, y, w = walls.across[c, x]
+    for c, ordered in queue:
+        crossings = across[c]
+        for k, x in enumerate(ordered):
+            nxt, y, w = crossings[x]
             if nxt in seen:
                 continue
             seen.add(nxt)
-            queue.append(nxt)
-            if y not in label:
-                label[y] = len(label)
-            ridge = walls.paired[w][0]
-            base = len(fan.rays) + w * (d - 1)
-            picks.append(label[y])
-            picks.extend(base + ridge.index(n) for n in ordered if n != x)
+            rest = ordered[:k] + ordered[k + 1:]
+            at = label.get(y)
+            if at is None:
+                at = label[y] = len(label)
+                queue.append((nxt, rest + (y,)))
+            else:
+                i = bisect(rest, at, key=label.__getitem__)
+                queue.append((nxt, rest[:i] + (y,) + rest[i:]))
+            picks.append(at)
+            picks.extend(_spots(walls, w, rest[0], len(fan.rays)))
     if len(seen) != len(cones):
         raise NotComplete("the walls join %d of the %d cones"
                           % (len(seen), len(cones)))

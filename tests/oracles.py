@@ -12,7 +12,9 @@ solves can meet (Singular, Inconsistent, NonIntegral) live here as well:
 the program raises InvariantError on every wall that is not smooth.
 riemann_roch_count counts the lattice points of a smooth 3-polytope from
 its vertices alone, in integers and with its own hull, so it shares no
-code with the program's point count.
+code with the program's point count.  all_flags_key is the fan key with
+no cut, every flag walked to the end on edge_parameters; keyed_fans
+collects the fans a 3D run keys, to check the key against it at scale.
 
 A parametric target is solved by linearity (solve_by_parts): once for its
 constant vector and once for each parameter's integer vector, so no solve
@@ -21,9 +23,10 @@ ever does arithmetic on a ParamExpr.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
+from smoothpoly import pipeline
 from smoothpoly.exact_linalg import (
     ShapeError,
     columns_matrix,
@@ -39,6 +42,7 @@ from smoothpoly.fans import (
     is_numeric_vector,
     walls_of,
 )
+from smoothpoly.pipeline import RunConfig, run_classify
 from smoothpoly.rhs import frame_rays
 
 
@@ -153,6 +157,64 @@ def edge_parameters(fan, wall):
 
     s = vec_add(fan.rays[wall.opposite[0]], fan.rays[wall.opposite[1]])
     return EdgeParams(wall, solve_by_parts(solve, s))
+
+
+def all_flags_key(fan):
+    """fan_canonical_key with every flag walked to the end, no cut at all.
+
+    The walk is the key's (breadth-first from the flag, each cone's facets
+    crossed in label order, each new cone giving its far ray's label and
+    the wall's coefficients in label order), but every ordering of every
+    cone is a start, and the coefficients are edge_parameters, so it
+    shares neither the cut nor the wall solve with the program.
+    """
+    across = {}
+    for wall in walls_of(fan):
+        coeffs = dict(zip(wall.ray_indices, edge_parameters(fan, wall).coeffs))
+        (c1, c2), (p, q) = wall.incident, wall.opposite
+        across[c1, p] = (c2, q, coeffs)
+        across[c2, q] = (c1, p, coeffs)
+    sequences = []
+    for start, cone in enumerate(fan.cones):
+        for flag in permutations(cone):
+            label = {r: k for k, r in enumerate(flag)}
+            seen = {start}
+            queue = [start]
+            seq = []
+            for c in queue:
+                rays = sorted(fan.cones[c], key=label.__getitem__)
+                for x in rays:
+                    nxt, y, coeffs = across[c, x]
+                    if nxt in seen:
+                        continue
+                    seen.add(nxt)
+                    queue.append(nxt)
+                    label.setdefault(y, len(label))
+                    seq.append((label[y],)
+                               + tuple(coeffs[n] for n in rays if n != x))
+            sequences.append(seq)
+    return len(fan.cones), tuple(min(sequences))
+
+
+def keyed_fans(max_points):
+    """Every fan a 3D run at max_points keys, in the order it keys them.
+
+    The run reads fan_canonical_key through pipeline's module attribute,
+    which is wrapped to record each fan for the run and then restored.
+    """
+    kept = []
+    key = pipeline.fan_canonical_key
+
+    def record(fan):
+        kept.append(fan)
+        return key(fan)
+
+    pipeline.fan_canonical_key = record
+    try:
+        run_classify(RunConfig(3, max_points, allow_unvalidated=True))
+    finally:
+        pipeline.fan_canonical_key = key
+    return kept
 
 
 def is_smooth_fan(fan):

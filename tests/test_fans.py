@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -11,9 +12,11 @@ from oracles import (
     Inconsistent,
     NonIntegral,
     ParametricWallUnsupported,
+    all_flags_key,
     edge_parameters,
     is_complete_fan,
     is_smooth_fan,
+    keyed_fans,
 )
 from smoothpoly import InvariantError, exact_linalg, fans, pipeline, seeds
 from smoothpoly.exact_linalg import (
@@ -833,42 +836,91 @@ def test_fan_key_reads_only_wall_table(monkeypatch):
                      blow_up(tetra_fan(), (0, 1)))]
 
 
-def _all_flags_key(fan):
-    """fan_canonical_key with every flag walked to the end, no cut at all."""
-    across = {}
-    for wall in walls_of(fan):
-        coeffs = dict(zip(wall.ray_indices, edge_parameters(fan, wall).coeffs))
-        (c1, c2), (p, q) = wall.incident, wall.opposite
-        across[c1, p] = (c2, q, coeffs)
-        across[c2, q] = (c1, p, coeffs)
-    sequences = []
-    for start, cone in enumerate(fan.cones):
-        for flag in permutations(cone):
-            label = {r: k for k, r in enumerate(flag)}
-            seen = {start}
-            queue = [start]
-            seq = []
-            for c in queue:
-                rays = sorted(fan.cones[c], key=label.__getitem__)
-                for x in rays:
-                    nxt, y, coeffs = across[c, x]
-                    if nxt in seen:
-                        continue
-                    seen.add(nxt)
-                    queue.append(nxt)
-                    label.setdefault(y, len(label))
-                    seq.append((label[y],)
-                               + tuple(coeffs[n] for n in rays if n != x))
-            sequences.append(seq)
-    return len(fan.cones), tuple(min(sequences))
-
-
 def test_fan_key_first_item_cut_is_exact(polygon_class_reps):
     fans_seen = 0
     for fan in _concrete_fans(polygon_class_reps):
-        assert fan_canonical_key(fan) == _all_flags_key(fan), fan.rays
+        assert fan_canonical_key(fan) == all_flags_key(fan), fan.rays
         fans_seen += 1
     assert fans_seen == 2222
+
+
+def test_fan_key_matches_all_flags_on_a_3d_run():
+    """Every fan the 3D N = 12 run keys, of the 3^4 tree and of every
+    family, keys as a walk of every flag does."""
+    keyed = keyed_fans(12)
+    assert len(keyed) == 4419
+    for fan in keyed:
+        assert fan_canonical_key(fan) == all_flags_key(fan), fan.rays
+
+
+def test_fan_key_compiles_and_reads_few_walks(monkeypatch):
+    """At 3D N = 12 the start-cone cut leaves 2202 walks to compile and
+    8880 to read (4138 and 15500 with the first item alone)."""
+    counts = Counter()
+    compile_walk = fans._compile_walk
+
+    def counted(*args):
+        counts["compiled"] += 1
+        walk = compile_walk(*args)
+
+        def read(values):
+            counts["read"] += 1
+            return walk(values)
+        return read
+
+    monkeypatch.setattr(fans, "_compile_walk", counted)
+    assert len(keyed_fans(12)) == 4419
+    assert counts == {"compiled": 2202, "read": 8880}
+
+
+def _bipyramid():
+    # the triangle (0, 1, 2) coned to (0, 0, 1) and (0, 0, -1): rays 3 and 4
+    # have degree 3
+    return Fan([(0, 1, 0), (1, 0, 0), (-1, -1, -1), (0, 0, 1), (0, 0, -1)],
+               [(0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4), (0, 2, 4),
+                (1, 2, 4)])
+
+
+def _moved(fan, rng):
+    """fan with its rays and cones relabelled at random and its rays mapped
+    by a random GL_d(Z) matrix."""
+    new = list(range(len(fan.rays)))
+    rng.shuffle(new)
+    U = random_unimodular(rng, fan.d)
+    rays = [None] * len(fan.rays)
+    for old, r in enumerate(fan.rays):
+        rays[new[old]] = mat_vec(U, r)
+    cones = [tuple(new[i] for i in cone) for cone in fan.cones]
+    rng.shuffle(cones)
+    return Fan(rays, cones)
+
+
+@pytest.mark.parametrize("case", ["tie", "far ray again", "tetrahedral",
+                                  "2D"])
+def test_fan_key_start_cone_cases(case):
+    """Small fans for each case of the start-cone cut, each keyed as a
+    walk of every flag keys it, under relabellings and GL(Z) maps.
+
+    tie: four flags tie on their start-cone items and walk to two
+    sequences, so more than one must be walked.  far ray again: the least
+    flag's start cone is next to a degree-3 ray, which is the far ray of
+    two of its walls, so item 2 reuses item 1's label.  tetrahedral: the
+    one ray off the start cone is the far ray of all three walls.
+    """
+    fan = {"tie": blow_up(_bipyramid(), (0, 1, 4)),
+           "far ray again": _bipyramid(),
+           "tetrahedral": tetra_fan(),
+           "2D": blow_up(instantiate(fa_fan(), {"a": 3}), (1, 2))}[case]
+    key = fan_canonical_key(fan)
+    assert key == all_flags_key(fan)
+    labels = [item[0] for item in key[1]]
+    if case == "far ray again":
+        assert labels[:2] == [3, 3]
+    if case == "tetrahedral":
+        assert labels == [3, 3, 3]
+    rng = random.Random(37)
+    for _ in range(40):
+        assert fan_canonical_key(_moved(fan, rng)) == key
 
 
 def test_fan_key_needs_smooth_complete_fan():
