@@ -793,7 +793,8 @@ def fan_canonical_key(fan):
     the basis of the flag's rays.  For a smooth fan that basis is a lattice
     basis, so two fans with equal sequences from some flags are carried
     onto each other by the unimodular map between those bases.  The key is
-    (number of cones, least sequence over all flags).
+    (number of cones, least sequence over all flags), the sequence as the
+    flat tuple of its items' integers, end to end.
 
     Only flags that can give the least sequence are walked.  Every
     sequence has one item per cone but the start, and every item has d
@@ -872,7 +873,7 @@ def fan_canonical_key(fan):
         seq = start[2](values)
         if best is None or seq < best:
             best = seq
-    return len(fan.cones), tuple(zip(*[iter(best)] * fan.d))
+    return len(fan.cones), best
 
 
 def _wall_starts(wall):

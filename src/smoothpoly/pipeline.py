@@ -416,10 +416,11 @@ def _classify_3d(max_points, stats, trace):
                 continue
             if not ok:
                 continue          # not a candidate, but children may be
-            names, axes = parameter_axes(node.fan)
-            for values, fan in wall_sum_box(node.fan, names, axes,
-                                            max_points):
-                prefix = (name, node.path, tuple(zip(names, values)))
+            # a leaf derives its fan and path on every read
+            family, path = node.fan, node.path
+            names, axes = parameter_axes(family)
+            for values, fan in wall_sum_box(family, names, axes, max_points):
+                prefix = (name, path, tuple(zip(names, values)))
                 _note_class(classes, fan_canonical_key(fan), prefix, fan)
     jobs = sorted(classes.values(), key=lambda job: job[0])
     diag.fans_tested = len(jobs)

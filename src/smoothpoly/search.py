@@ -18,12 +18,16 @@ a later wall blow-up touches the cones beside it, and the three old face
 walls of a blown-up cone never need expanding again (ALWAYS_IGNORE).
 
 Most nodes sit at the cone cap and are never expanded (369152 of the
-393669 nodes of the 3^4 tree to 14 cones), so enumerate_blowups makes
-every child from its parent's flags alone, and a child is its parent
-plus one step: its cones, path and blow-ups are derived when first read,
-so a leaf nobody reads costs one small object.  Only a child the walk
-will expand then gets flags, and in 3D each wall's two cone positions,
-updated locally from its parent's (k is the parent's cone count, s the
+393669 nodes of the 3^4 tree to 14 cones), and most of the rest are leaf
+parents, whose children all sit there (22838 more).  So only the nodes
+above the leaf parents carry flags.  A leaf parent holds just the steps
+of its children, read off its parent's running flags when the parent is
+expanded, and a leaf is the pair (leaf parent, step), made in C; either
+derives its cones, path and blow-ups when read, so a leaf nobody reads
+costs one small tuple.  The walk reads a node's cone count off its ray
+count (max_ray_degree's Euler count in 3D), not off its cones.  Each
+non-root node derives, when first read, each wall's two cone positions
+from its parent's, updated locally (k is the parent's cone count, s the
 new ray):
   - cone (a, b, c) at i: walls a-c and b-c move from i to k and k + 1;
     new walls a-s, b-s, c-s lie in (i, k), (i, k + 1), (k, k + 1);
@@ -36,6 +40,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from . import InvariantError
 from .fans import (
@@ -60,11 +65,11 @@ _ALWAYS_IGNORE = ConeFlag.ALWAYS_IGNORE
 _IGNORE = ConeFlag.IGNORE
 _CONSIDER = ConeFlag.CONSIDER
 _ALWAYS_CONSIDER = ConeFlag.ALWAYS_CONSIDER
-_EXPAND = (_CONSIDER, _ALWAYS_CONSIDER)
 
 
 class SearchNode:
-    """One fan in the blow-up tree, held combinatorially, plus the flags.
+    """One fan in the blow-up tree, held combinatorially: a root, or a node
+    the walk expands.
 
     A root holds its seed fan and that fan's cones.  Any other node holds
     its parent and its step, ("cone", position) or ("wall", key), and
@@ -82,15 +87,19 @@ class SearchNode:
     holds the ray indices each step blew up, so the j-th new ray is the
     sum of the rays blown_up[j] names.
 
-    Only a node the walk will expand carries the bookkeeping for its
-    children; at a leaf (a node the cone cap stops) cone_flags, wall_flags
-    and wall_cones are None.  cone_flags is aligned with cones.  wall_flags
-    maps wall keys (sorted ray-index pairs) to flags, and its insertion
-    order is the walls' stable iteration order: survivors keep their
-    relative order across a blow-up, new walls are appended sorted.
-    wall_cones maps the same keys to the positions (i1, i2), i1 < i2, of
-    the wall's two cones, as fans.walls_of gives them in Wall.incident.
-    In dimension 2 both wall maps are empty.
+    A node whose grandchildren the walk expands carries flags: cone_flags
+    is aligned with cones, and wall_flags maps wall keys (sorted ray-index
+    pairs) to flags; its insertion order is the walls' stable iteration
+    order: survivors keep their relative order across a blow-up, new walls
+    are appended sorted.  A leaf parent, a node whose children all sit at
+    the cone cap, carries none (both are None): child_steps lists its
+    children's steps, in sibling order, under the pruned setting of the
+    walk that made it.  wall_cones maps the same wall keys to the
+    positions (i1, i2), i1 < i2, of the wall's two cones, as fans.walls_of
+    gives them in Wall.incident; a non-root node derives it from its
+    parent's and its step (_child_wall_cones) on first read and keeps it.
+    In dimension 2 both wall maps are empty.  The nodes at the cone cap
+    are _Leaf pairs, not SearchNodes.
 
     fan is the Fan itself, built from seed_fan, blown_up and path on first
     read and then kept on the node.  A node keeps its ancestors alive: at
@@ -99,15 +108,16 @@ class SearchNode:
     """
 
     __slots__ = ("parent", "step", "seed_fan", "num_rays", "_cones",
-                 "_path", "cone_flags", "wall_flags", "wall_cones", "_fan")
+                 "_path", "cone_flags", "wall_flags", "_wall_cones",
+                 "child_steps", "_fan")
 
     def __init__(self, parent, step):
         self.parent = parent
         self.step = step
         self.seed_fan = parent.seed_fan
         self.num_rays = parent.num_rays + 1
-        self._cones = self._path = self._fan = None
-        self.cone_flags = self.wall_flags = self.wall_cones = None
+        self._cones = self._path = self._fan = self._wall_cones = None
+        self.cone_flags = self.wall_flags = self.child_steps = None
 
     @property
     def cones(self):
@@ -133,10 +143,54 @@ class SearchNode:
                                    else t),)
 
     @property
+    def wall_cones(self):
+        wall_cones = self._wall_cones
+        if wall_cones is None:
+            wall_cones = self._wall_cones = _child_wall_cones(self.parent,
+                                                              self.step)
+        return wall_cones
+
+    @property
     def fan(self):
         if self._fan is None:
             self._fan = _build_fan(self)
         return self._fan
+
+
+class _Leaf(tuple):
+    """A node at the cone cap: the pair (parent, step), nothing more.
+
+    It reads like a SearchNode (parent, step, seed_fan, num_rays, cones,
+    path, blown_up, fan), but derives each of these from its parent on
+    every read and keeps none, and it has no flags, child steps or wall
+    cones (all None): the walk never expands it.
+    """
+
+    __slots__ = ()
+    cone_flags = wall_flags = wall_cones = child_steps = None
+    parent = property(itemgetter(0))
+    step = property(itemgetter(1))
+    blown_up = SearchNode.blown_up
+
+    @property
+    def seed_fan(self):
+        return self[0].seed_fan
+
+    @property
+    def num_rays(self):
+        return self[0].num_rays + 1
+
+    @property
+    def cones(self):
+        return _child_cones(*self)
+
+    @property
+    def path(self):
+        return self[0].path + (self[1],)
+
+    @property
+    def fan(self):
+        return _build_fan(self)
 
 
 def _build_fan(node):
@@ -160,29 +214,58 @@ def _build_fan(node):
 
 def make_root(fan):
     """The root node of fan's tree: it has no parent to derive from, so it
-    holds the fan, its cones and its flags, all expandable."""
+    holds the fan, its cones and its flags, all expandable.
+
+    The walk reads cone counts off ray counts (_num_cones), so a fan with
+    another cone count than a complete one raises ValueError.
+    """
     node = SearchNode.__new__(SearchNode)
-    node.parent = node.step = None
+    node.parent = node.step = node.child_steps = None
     node.seed_fan = node._fan = fan
     node.num_rays = len(fan.rays)
     node._cones = fan.cones
+    if _num_cones(node) != len(fan.cones):
+        raise ValueError("a fan with %d rays and %d cones is not complete"
+                         % (len(fan.rays), len(fan.cones)))
     node._path = ()
     node.cone_flags = tuple(_CONSIDER for _ in fan.cones)
     if fan.d == 3:
         walls = walls_of(fan)
         node.wall_flags = {w.ray_indices: _CONSIDER for w in walls}
-        node.wall_cones = {w.ray_indices: w.incident for w in walls}
+        node._wall_cones = {w.ray_indices: w.incident for w in walls}
     else:
-        node.wall_flags, node.wall_cones = {}, {}
+        node.wall_flags, node._wall_cones = {}, {}
     return node
+
+
+def _num_cones(node):
+    """node's cone count, read off its ray count: a complete fan, as every
+    seed and so every node is, has as many cones as rays in dimension 2
+    and 2R - 4 cones with R rays in dimension 3 (Euler, as in
+    max_ray_degree)."""
+    rays = node.num_rays
+    return rays if node.seed_fan.d == 2 else 2 * rays - 4
+
+
+def _across(node, wall):
+    """(i1, i2, p, q): the positions i1 < i2 of the two cones of node on
+    either side of wall, and their rays off it."""
+    n1, n2 = wall
+    i1, i2 = node.wall_cones[wall]
+    cones = node.cones
+    return i1, i2, sum(cones[i1]) - n1 - n2, sum(cones[i2]) - n1 - n2
+
+
+def _pair(x, y):
+    """The wall key of rays x and y."""
+    return (x, y) if x < y else (y, x)
 
 
 def _child_cones(node, step):
     """The cones of node's child by step, in fans.blow_up's positions.
 
     The new ray's index is node.num_rays, which exceeds every old index.
-    A wall step reads the wall's two cone positions off node.wall_cones,
-    which every node the walk expands carries.
+    A wall step reads the wall's two cone positions off node.wall_cones.
     """
     cones = node.cones
     s = node.num_rays
@@ -202,11 +285,7 @@ def _child_cones(node, step):
     # and {p,n2,s}, {q,n2,s} follow at the end; n1 < n2 < s, so only p and
     # q need placing
     n1, n2 = t
-    i1, i2 = node.wall_cones[t]
-    a, b, c = cones[i1]
-    p = a + b + c - n1 - n2
-    a, b, c = cones[i2]
-    q = a + b + c - n1 - n2
+    i1, i2, p, q = _across(node, t)
     child_cones = [*cones, (p, n2, s) if p < n2 else (n2, p, s),
                    (q, n2, s) if q < n2 else (n2, q, s)]
     child_cones[i1] = (p, n1, s) if p < n1 else (n1, p, s)
@@ -214,113 +293,38 @@ def _child_cones(node, step):
     return tuple(child_cones)
 
 
-def enumerate_blowups(node, max_cones, pruned=True):
-    """Iterator over the children of one node, left to right.
-
-    Cone blow-ups come first, by position, then wall blow-ups in wall
-    order.  pruned=False expands every cone and (in dimension 3) every
-    wall, which revisits fans many times; it exists as the correctness
-    oracle for the flag discipline.  The children are made from the
-    node's own flags alone, each as the node plus its step, into a list
-    the iterator runs over; none derives its cones here.
-    Children that max_cones will stop are leaves and get nothing more, so
-    a leaf raises ValueError under a higher cap; otherwise _flag_child
-    then gives each child its flags and wall cones.
-    """
+def _child_wall_cones(node, step):
+    """The wall cones of node's child by step: node's, updated by the
+    local rules of the module docstring."""
     cones = node.cones
-    step = 1 if node.seed_fan.d == 2 else 2     # cones added by one blow-up
     k = len(cones)
-    if k + step > max_cones:
-        return iter(())
-    cone_flags = node.cone_flags
-    if cone_flags is None:
-        raise ValueError("node %r was built as a leaf under a lower cone "
-                         "cap and carries no flags to expand it; walk from "
-                         "its seed instead" % (node.path,))
-    # a position is tested before the running flags of later siblings
-    # could flip it, so the node's own flags decide
-    children = [SearchNode(node, ("cone", i)) for i in range(k)
-                if not pruned or cone_flags[i] in _EXPAND]
-    children += [SearchNode(node, ("wall", key))
-                 for key, flag in node.wall_flags.items()
-                 if not pruned or flag in _EXPAND]
-    if k + 2 * step <= max_cones:
-        cones_running = list(cone_flags)
-        walls_running = dict(node.wall_flags)
-        for child in children:
-            _flag_child(node, child, cones_running, walls_running)
-            kind, t = child.step
-            if kind == "cone":
-                cones_running[t] = _IGNORE
-            elif walls_running[t] is not _ALWAYS_CONSIDER:
-                walls_running[t] = _IGNORE
-    return iter(children)
-
-
-def _flag_child(node, child, cones_running, walls_running):
-    """Give a child the walk will expand its flags and wall cones.
-
-    cones_running and walls_running are node's flags after its earlier
-    children were passed over.  A wall step's rays are read off the
-    child's cones, at the positions _child_cones put them.
-    """
-    kind, t = child.step
-    k = len(node.cones)
     s = node.num_rays
-    flags = list(cones_running)
+    kind, t = step
     if kind == "cone":
-        target = node.cones[t]
-        flags[t] = _CONSIDER
-        flags.extend([_CONSIDER] * (len(target) - 1))
-        if len(target) == 3:
-            wflags = dict(walls_running)
-            # the blown-up cone's own faces never need expanding again
-            a, b, c = target
-            for pair in ((a, b), (a, c), (b, c)):
-                wflags[pair] = _ALWAYS_IGNORE
-            for x in target:        # appended sorted: dict order is wall order
-                wflags[(x, s)] = _CONSIDER
-            # {a,b,s} stays at t, {a,c,s} and {b,c,s} go to k and k + 1
-            wcones = dict(node.wall_cones)
-            wcones[(a, c)] = _moved(wcones[(a, c)], t, k)
-            wcones[(b, c)] = _moved(wcones[(b, c)], t, k + 1)
-            wcones[(a, s)] = (t, k)
-            wcones[(b, s)] = (t, k + 1)
-            wcones[(c, s)] = (k, k + 1)
-        else:
-            wflags, wcones = {}, {}
-    else:
-        n1, n2 = t
-        i1, i2 = node.wall_cones[t]
-        cones = child.cones
-        pn1, qn1 = cones[i1][:2], cones[i2][:2]
-        pn2, qn2 = cones[k][:2], cones[k + 1][:2]
-        p = sum(pn2) - n2
-        q = sum(qn2) - n2
-        flags[i1] = _CONSIDER
-        flags[i2] = _CONSIDER
-        flags.extend([_CONSIDER, _CONSIDER])
-        wflags = dict(walls_running)
-        del wflags[t]
-        # the side walls of the two destroyed cones may now lead to new
-        # fans even if an earlier step passed them over
-        for side in (pn1, pn2, qn1, qn2):
-            if wflags[side] is _IGNORE:
-                wflags[side] = _ALWAYS_CONSIDER
-        for x in sorted((p, q, n1, n2)):
-            wflags[(x, s)] = _CONSIDER
-        # {p,n2,s} and {q,n2,s} at k and k + 1 take the walls p-n2 and q-n2
+        if len(cones[t]) == 2:
+            return {}
+        a, b, c = cones[t]
+        # {a,b,s} stays at t, {a,c,s} and {b,c,s} go to k and k + 1
         wcones = dict(node.wall_cones)
-        del wcones[t]
-        wcones[pn2] = _moved(wcones[pn2], i1, k)
-        wcones[qn2] = _moved(wcones[qn2], i2, k + 1)
-        wcones[(n1, s)] = (i1, i2)
-        wcones[(n2, s)] = (k, k + 1)
-        wcones[(p, s)] = (i1, k)
-        wcones[(q, s)] = (i2, k + 1)
-    child.cone_flags = tuple(flags)
-    child.wall_flags = wflags
-    child.wall_cones = wcones
+        wcones[(a, c)] = _moved(wcones[(a, c)], t, k)
+        wcones[(b, c)] = _moved(wcones[(b, c)], t, k + 1)
+        wcones[(a, s)] = (t, k)
+        wcones[(b, s)] = (t, k + 1)
+        wcones[(c, s)] = (k, k + 1)
+        return wcones
+    n1, n2 = t
+    i1, i2, p, q = _across(node, t)
+    pn2, qn2 = _pair(p, n2), _pair(q, n2)
+    # {p,n2,s} and {q,n2,s} at k and k + 1 take the walls p-n2 and q-n2
+    wcones = dict(node.wall_cones)
+    del wcones[t]
+    wcones[pn2] = _moved(wcones[pn2], i1, k)
+    wcones[qn2] = _moved(wcones[qn2], i2, k + 1)
+    wcones[(n1, s)] = (i1, i2)
+    wcones[(n2, s)] = (k, k + 1)
+    wcones[(p, s)] = (i1, k)
+    wcones[(q, s)] = (i2, k + 1)
+    return wcones
 
 
 def _moved(incident, old, new):
@@ -330,25 +334,155 @@ def _moved(incident, old, new):
     return (y if x == old else x, new)
 
 
+def enumerate_blowups(node, max_cones, pruned=True):
+    """Iterator over the children of one node, left to right.
+
+    Cone blow-ups come first, by position, then wall blow-ups in wall
+    order.  pruned=False expands every cone and (in dimension 3) every
+    wall, which revisits fans many times; it exists as the correctness
+    oracle for the flag discipline.
+
+    Children that max_cones stops are _Leaf pairs, made in C from the
+    steps a leaf parent holds or, at a node with flags, from its own
+    flags.  Otherwise the children are SearchNodes, each the node plus its
+    step, made from the node's own flags into a list the iterator runs
+    over; then each child, in order, is given its flags (_flag_child) or,
+    when its own children will be leaves, only their steps
+    (_child_steps), from the node's flags after the earlier children were
+    passed over.  A leaf, or a leaf parent under a cap at which its
+    children would be expanded, has no flags to go on and raises
+    ValueError.
+    """
+    step = node.seed_fan.d - 1          # cones added by one blow-up
+    k = _num_cones(node)
+    if k + step > max_cones:
+        return iter(())
+    if k + 2 * step > max_cones:
+        steps = node.child_steps
+        if steps is None:
+            steps = _flagged_steps(node, pruned)
+        return map(_Leaf, zip(itertools.repeat(node), steps))
+    children = [SearchNode(node, s) for s in _flagged_steps(node, pruned)]
+    cones_running = list(node.cone_flags)
+    walls_running = dict(node.wall_flags)
+    last = k + 3 * step > max_cones     # the children are leaf parents
+    for child in children:
+        if last:
+            child.child_steps = _child_steps(node, child.step, cones_running,
+                                             walls_running, pruned)
+        else:
+            _flag_child(node, child, cones_running, walls_running)
+        kind, t = child.step
+        if kind == "cone":
+            cones_running[t] = _IGNORE
+        elif walls_running[t] is not _ALWAYS_CONSIDER:
+            walls_running[t] = _IGNORE
+    return iter(children)
+
+
+def _flagged_steps(node, pruned):
+    """The steps of node's children, read off its own flags.
+
+    A position is tested before the running flags of later siblings
+    could flip it, so the node's own flags decide.  The explicit raise
+    holds under python -O as well.
+    """
+    cone_flags = node.cone_flags
+    if cone_flags is None:
+        raise ValueError("node %r was built as a leaf or a leaf parent "
+                         "under a lower cone cap and carries no flags to "
+                         "expand it; walk from its seed instead"
+                         % (node.path,))
+    return _steps(cone_flags, node.wall_flags, pruned)
+
+
+def _steps(cone_flags, wall_flags, pruned):
+    """The steps of the children of a node with these flags."""
+    if not pruned:
+        return ([("cone", i) for i in range(len(cone_flags))]
+                + [("wall", key) for key in wall_flags])
+    # two identity tests: `in (_CONSIDER, _ALWAYS_CONSIDER)` would make a
+    # failing rich comparison per flag that is neither
+    return ([("cone", i) for i, flag in enumerate(cone_flags)
+             if flag is _CONSIDER or flag is _ALWAYS_CONSIDER]
+            + [("wall", key) for key, flag in wall_flags.items()
+               if flag is _CONSIDER or flag is _ALWAYS_CONSIDER])
+
+
+def _child_flags(node, step, cones_running, walls_running):
+    """The flags of node's child by step, a list and a dict.
+
+    cones_running and walls_running are node's flags after the child's
+    earlier siblings were passed over; the step changes a few of them and
+    appends the flags of the new cones and walls.
+    """
+    kind, t = step
+    s = node.num_rays
+    flags = list(cones_running)
+    wflags = dict(walls_running)
+    if kind == "cone":
+        target = node.cones[t]
+        flags[t] = _CONSIDER
+        flags.extend([_CONSIDER] * (len(target) - 1))
+        if len(target) == 3:
+            # the blown-up cone's own faces never need expanding again
+            a, b, c = target
+            for pair in ((a, b), (a, c), (b, c)):
+                wflags[pair] = _ALWAYS_IGNORE
+            for x in target:        # appended sorted: dict order is wall order
+                wflags[(x, s)] = _CONSIDER
+        return flags, wflags
+    n1, n2 = t
+    i1, i2, p, q = _across(node, t)
+    flags[i1] = _CONSIDER
+    flags[i2] = _CONSIDER
+    flags.extend([_CONSIDER, _CONSIDER])
+    del wflags[t]
+    # the side walls of the two destroyed cones may now lead to new fans
+    # even if an earlier step passed them over
+    for side in (_pair(p, n1), _pair(p, n2), _pair(q, n1), _pair(q, n2)):
+        if wflags[side] is _IGNORE:
+            wflags[side] = _ALWAYS_CONSIDER
+    for x in sorted((p, q, n1, n2)):
+        wflags[(x, s)] = _CONSIDER
+    return flags, wflags
+
+
+def _flag_child(node, child, cones_running, walls_running):
+    """Give a child whose children the walk will expand its flags."""
+    flags, child.wall_flags = _child_flags(node, child.step, cones_running,
+                                           walls_running)
+    child.cone_flags = tuple(flags)
+
+
+def _child_steps(node, step, cones_running, walls_running, pruned):
+    """The steps of the children of node's child by step, read off the
+    flags _child_flags gives the child, which are then dropped."""
+    return _steps(*_child_flags(node, step, cones_running, walls_running),
+                  pruned)
+
+
 def walk_tree(root, max_cones, pruned=True):
     """Pre-order walk of the blow-up tree.
 
-    root may be a Fan or a prepared SearchNode.  Children that the cone cap
-    makes leaves are yielded straight from enumerate_blowups right after
-    their parent: nothing lies below them, so pre-order is kept without a
-    stack entry or an enumerate_blowups call per leaf.  The children of any
-    other node go on the stack, last child first.  Every node is yielded,
-    but a leaf builds its cones, path and fan only if its consumer reads
-    them: counting the tree builds the cones of expanded nodes alone.
+    root may be a Fan, or a node of an earlier walk.  Children that the
+    cone cap makes leaves are yielded straight from enumerate_blowups
+    right after their parent: nothing lies below them, so pre-order is
+    kept without a stack entry or an enumerate_blowups call per leaf.  The
+    children of any other node go on the stack, last child first.  Whether
+    a node's children are leaves is read off its ray count (_num_cones),
+    so counting the tree derives no cones of a leaf or a leaf parent.
+    Every node is yielded, but a leaf builds its cones, path and fan only
+    if its consumer reads them, and again on every read.
     """
-    node = root if isinstance(root, SearchNode) else make_root(root)
-    step = 1 if node.seed_fan.d == 2 else 2     # cones added by one blow-up
+    node = root if isinstance(root, (SearchNode, _Leaf)) else make_root(root)
+    step = node.seed_fan.d - 1          # cones added by one blow-up
     stack = [node]
     while stack:
         node = stack.pop()
         yield node
         children = enumerate_blowups(node, max_cones, pruned)
-        if len(node.cones) + 2 * step > max_cones:
+        if _num_cones(node) + 2 * step > max_cones:
             yield from children
         else:
             stack.extend(reversed(list(children)))
@@ -356,7 +490,7 @@ def walk_tree(root, max_cones, pruned=True):
 
 def trace_line(node):
     """One stable text line per node for --trace-tree output."""
-    return format_trace_line(len(node.cones), node.path)
+    return format_trace_line(_num_cones(node), node.path)
 
 
 def format_trace_line(num_cones, path):

@@ -190,9 +190,11 @@ def all_flags_key(fan):
                     seen.add(nxt)
                     queue.append(nxt)
                     label.setdefault(y, len(label))
-                    seq.append((label[y],)
-                               + tuple(coeffs[n] for n in rays if n != x))
+                    seq.append(label[y])
+                    seq.extend(coeffs[n] for n in rays if n != x)
             sequences.append(seq)
+    # items all have d integers, so flat sequences compare as item
+    # sequences do
     return len(fan.cones), tuple(min(sequences))
 
 

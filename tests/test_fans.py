@@ -913,7 +913,7 @@ def test_fan_key_start_cone_cases(case):
            "2D": blow_up(instantiate(fa_fan(), {"a": 3}), (1, 2))}[case]
     key = fan_canonical_key(fan)
     assert key == all_flags_key(fan)
-    labels = [item[0] for item in key[1]]
+    labels = list(key[1][::fan.d])
     if case == "far ray again":
         assert labels[:2] == [3, 3]
     if case == "tetrahedral":

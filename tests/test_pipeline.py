@@ -11,7 +11,7 @@ import pytest
 
 import smoothpoly
 from oracles import solve_rational
-from smoothpoly import InvariantError, fans, pipeline, polytopes, seeds
+from smoothpoly import InvariantError, fans, pipeline, polytopes, search, seeds
 from smoothpoly.exact_linalg import dot, normalize_primitive
 from smoothpoly.fans import Fan, fan_canonical_key, instantiate, star_cycles
 from smoothpoly.iso_dedup import canonical_form
@@ -420,24 +420,33 @@ def recorded_3d_walk():
     walked node whether it is a leaf whose cones the run never derived."""
     passes = []
     untouched = []
+    derived = []
     classify_2d = pipeline._classify_2d
     walk = pipeline.walk_tree
+    child_cones = search._child_cones
 
     def recorded_pass(*args):
         out = classify_2d(*args)
         passes.append((args, out[1]))
         return out
 
+    def recorded_cones(node, step):
+        derived.append(step)
+        return child_cones(node, step)
+
     def recorded_walk(root, max_cones):
         for node in walk(root, max_cones):
+            before = len(derived)
             yield node
-            # a leaf carries no flags, and its cones are derived on read
-            untouched.append(node.cone_flags is None
-                             and node._cones is None)
+            # a leaf is (parent, step) and derives its cones on each read,
+            # so the run read none while it held the leaf
+            untouched.append(type(node) is search._Leaf
+                             and len(derived) == before)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "_classify_2d", recorded_pass)
         mp.setattr(pipeline, "walk_tree", recorded_walk)
+        mp.setattr(search, "_child_cones", recorded_cones)
         res = run_classify(RunConfig(3, 12))
     assert hashlib.sha256(render_json(res).encode()).hexdigest() == (
         "9dcc83cfe3a06e55d10ea5a79ca885b051a30fe1475e733a191be6d3acc48cc1")

@@ -166,21 +166,46 @@ def test_wall_blowup_flag_mechanics_3d():
                                    (0, 5), (1, 5), (2, 5), (3, 5))
 
 
-def _expandable(node, max_cones):
-    """Whether the walk to max_cones expands node, so that it carries flags
-    (a root always does)."""
+def _flagged(node, max_cones):
+    """Whether the walk to max_cones expands node's children, so that it
+    carries flags (a root always does)."""
     step = 1 if node.seed_fan.d == 2 else 2
-    return not node.path or len(node.cones) + step <= max_cones
+    return not node.path or len(node.cones) + 2 * step <= max_cones
+
+
+def _leaf_parent(node, max_cones):
+    """Whether node is no root and its children are all leaves at
+    max_cones, so that it holds its child steps and no flags."""
+    step = 1 if node.seed_fan.d == 2 else 2
+    return (bool(node.path)
+            and len(node.cones) + step <= max_cones < len(node.cones)
+            + 2 * step)
+
+
+def _bare(node):
+    """node carries no flags and no wall cones, and it is a leaf pair
+    (parent, step) with no child steps, or a leaf parent with them."""
+    if type(node) is search._Leaf:
+        return (node.cone_flags, node.wall_flags, node.wall_cones,
+                node.child_steps) == (None, None, None, None)
+    return (node.cone_flags, node.wall_flags) == (None, None) and \
+        isinstance(node.child_steps, list)
 
 
 def test_wall_order_tracks_actual_walls():
-    for node in walk_tree(t34(), 8):
-        if _expandable(node, 8):
-            assert set(node.wall_flags) == {w.ray_indices
-                                            for w in walls_of(node.fan)}
+    kinds = Counter()
+    for node in walk_tree(t34(), 10):
+        walls = {w.ray_indices for w in walls_of(node.fan)}
+        if _flagged(node, 10):
+            kinds["flagged"] += 1
+            assert set(node.wall_flags) == walls
+        elif _leaf_parent(node, 10):
+            kinds["leaf parent"] += 1
+            assert _bare(node) and set(node.wall_cones) == walls
         else:
-            assert (node.cone_flags, node.wall_flags,
-                    node.wall_cones) == (None, None, None)
+            kinds["leaf"] += 1
+            assert _bare(node) and type(node) is search._Leaf
+    assert kinds == {"flagged": 11, "leaf parent": 117, "leaf": 1551}
 
 
 # per 3D seed, the nodes its walk to 12 cones expands (of 31698 in all)
@@ -190,17 +215,19 @@ _EXPANDABLE_AT_12 = {"3^4": 1679, "(3^2 4^3)'": 229, "(3^2 4^3)''": 229,
 
 @pytest.mark.parametrize("name", seeds.seed_names(3))
 def test_wall_cones_match_a_scan(name):
-    """wall_cones, carried from parent to child by the local update rules,
-    equals a fresh walls_of scan on every expandable node, and the sum of a
+    """wall_cones, carried from parent to child by the local update rules
+    on a flagged node and derived on first read on a leaf parent, equals a
+    fresh walls_of scan on every node the walk expands, and the sum of a
     cone less the wall's two rays is the wall's opposite ray there."""
     expandable = 0
     for node in walk_tree(seeds.seed_fan(name, 12), 12):
-        if not _expandable(node, 12):
+        if len(node.cones) + 2 > 12 and node.path:
             continue
         expandable += 1
         walls = walls_of(node.fan)
         assert node.wall_cones == {w.ray_indices: w.incident for w in walls}
-        assert set(node.wall_cones) == set(node.wall_flags)
+        if _flagged(node, 12):
+            assert set(node.wall_cones) == set(node.wall_flags)
         for w in walls:
             n1, n2 = w.ray_indices
             assert tuple(sum(node.cones[i]) - n1 - n2
@@ -208,36 +235,78 @@ def test_wall_cones_match_a_scan(name):
     assert expandable == _EXPANDABLE_AT_12[name]
 
 
-def _leaf_node(name, max_cones):
-    """The first node the walk of seed name to max_cones does not expand."""
+def _first(name, max_cones, kind):
+    """The first node of the walk of seed name to max_cones that is a
+    leaf, or a leaf parent."""
+    def wanted(node):
+        if kind == "leaf parent":
+            return _leaf_parent(node, max_cones)
+        return node.path and not _flagged(node, max_cones) \
+            and not _leaf_parent(node, max_cones)
     return next(node for node in walk_tree(seeds.seed_fan(name, 12),
                                            max_cones)
-                if not _expandable(node, max_cones))
+                if wanted(node))
 
 
 def test_flagless_node_cannot_be_expanded():
-    for name, max_cones in (("3^4", 6), ("F_p", 4)):
-        leaf = _leaf_node(name, max_cones)
-        assert leaf.cone_flags is None
-        # at its own cap the leaf has no children, above it a clear error
+    # a leaf at its own cap has no children; a leaf parent at its own cap,
+    # or any cap at which its children are still leaves, has the leaves
+    # of its child steps; above that each raises a clear error
+    for name, max_cones, step in (("3^4", 6, 2), ("F_p", 4, 1)):
+        leaf = _first(name, max_cones, "leaf")
+        assert _bare(leaf)
         assert list(enumerate_blowups(leaf, max_cones)) == []
+        for cap in (max_cones + step, max_cones + 2 * step):
+            with pytest.raises(ValueError, match="built as a leaf"):
+                list(walk_tree(leaf, cap))
+        parent = _first(name, max_cones + step, "leaf parent")
+        assert _bare(parent)
+        for cap in (max_cones + step, max_cones + 2 * step - 1):
+            leaves = list(enumerate_blowups(parent, cap))
+            assert [leaf.step for leaf in leaves] == parent.child_steps
+            assert all(leaf.parent is parent for leaf in leaves)
+        assert list(enumerate_blowups(parent, max_cones)) == []
         with pytest.raises(ValueError, match="built as a leaf"):
-            list(walk_tree(leaf, max_cones + 2))
-    # an explicit raise, so the check holds under python -O as well
+            list(enumerate_blowups(parent, max_cones + 2 * step))
+        with pytest.raises(ValueError, match="built as a leaf"):
+            list(walk_tree(parent, max_cones + 2 * step))
+    # explicit raises, so the check holds under python -O as well
     script = (
         "from smoothpoly import seeds\n"
         "from smoothpoly.search import walk_tree\n"
         "assert False, 'asserts are on'\n"
-        "leaf = list(walk_tree(seeds.seed_fan('3^4', 12), 6))[-1]\n"
-        "list(walk_tree(leaf, 8))\n"
+        "seed = seeds.seed_fan('3^4', 12)\n"
+        "leaf = list(walk_tree(seed, 6))[-1]\n"
+        "parent = next(node for node in walk_tree(seed, 8)\n"
+        "              if node.child_steps is not None)\n"
+        "for node, cap in ((leaf, 8), (parent, 10)):\n"
+        "    try:\n"
+        "        list(walk_tree(node, cap))\n"
+        "    except ValueError as exc:\n"
+        "        print(type(node).__name__, 'raised:', exc)\n"
     )
     src = str(Path(search.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert "ValueError" in proc.stderr and "built as a leaf" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(" raised: ")[0] for line in lines] == [
+        "_Leaf", "SearchNode"]
+    assert all("built as a leaf" in line for line in lines)
+
+
+def test_walk_needs_a_complete_fan():
+    # the walk reads cone counts off ray counts, which holds for complete
+    # fans only
+    for fan in (Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)]),
+                Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                    [(0, 1, 2), (0, 1, 3), (0, 2, 3)])):
+        with pytest.raises(ValueError, match="not complete"):
+            make_root(fan)
+        with pytest.raises(ValueError, match="not complete"):
+            list(walk_tree(fan, 12))
 
 
 def test_walk_widens_parametric_bounds():
@@ -326,54 +395,75 @@ _LEAF_PARENTS = {("3^4", 12, True): (1551, 1268, 22838),
 
 @pytest.mark.parametrize("name,max_cones,pruned", sorted(_LEAF_PARENTS))
 def test_leaf_children_equal_flagged_children(name, max_cones, pruned):
-    """The children a node builds as leaves, from its own flags and with no
-    flags of their own, equal field by field the children it builds with
-    flags under a cap two cones higher, and each has the cones
-    fans.blow_up gives.  The nodes are those whose children the walk makes
-    leaves, at deeper flag states than test_walk_equals_blow_up_replay."""
+    """A node whose children the walk makes leaves lists the same child
+    steps, in order, as the node at its path in the walk to a cap two
+    cones higher, which carries flags there and builds its children from
+    them; a leaf parent holds these steps and no flags, its leaves are
+    the pairs (node, step), and each leaf equals, field by field, the
+    flagged child at its path and has the cones fans.blow_up gives.  The
+    nodes are at deeper flag states than test_walk_equals_blow_up_replay
+    reaches."""
+    seed = seeds.seed_fan(name, 12)
+    flagged = {node.path: node for node in walk_tree(seed, max_cones + 2,
+                                                     pruned=pruned)
+               if _flagged(node, max_cones + 2)}
     parents = reset = children = 0
-    for node in walk_tree(seeds.seed_fan(name, 12), max_cones,
-                          pruned=pruned):
+    for node in walk_tree(seed, max_cones, pruned=pruned):
         if not len(node.cones) + 2 <= max_cones < len(node.cones) + 4:
             continue
         parents += 1
-        reset += AC in node.wall_flags.values()
+        twin = flagged[node.path]
+        reset += AC in twin.wall_flags.values()
+        kids = list(enumerate_blowups(twin, max_cones + 2, pruned))
         leaves = list(enumerate_blowups(node, max_cones, pruned))
-        flagged = list(enumerate_blowups(node, max_cones + 2, pruned))
-        assert len(leaves) == len(flagged)
+        assert [leaf.step for leaf in leaves] == [kid.step for kid in kids]
+        if node.path:
+            assert _bare(node) and node.child_steps == [kid.step
+                                                        for kid in kids]
         children += len(leaves)
-        for leaf, child in zip(leaves, flagged):
+        for leaf, kid in zip(leaves, kids):
+            assert type(leaf) is search._Leaf and _bare(leaf)
+            assert tuple(leaf) == (node, kid.step)
             assert ((leaf.cones, leaf.num_rays, leaf.path, leaf.blown_up)
-                    == (child.cones, child.num_rays, child.path,
-                        child.blown_up))
-            assert leaf.seed_fan is child.seed_fan is node.seed_fan
-            assert (leaf.cone_flags, leaf.wall_flags,
-                    leaf.wall_cones) == (None, None, None)
-            assert None not in (child.cone_flags, child.wall_flags,
-                                child.wall_cones)
+                    == (kid.cones, kid.num_rays, kid.path, kid.blown_up))
+            assert leaf.seed_fan is kid.seed_fan is node.seed_fan
+            # at the higher cap the child is itself a leaf parent
+            assert _leaf_parent(kid, max_cones + 2) and _bare(kid)
             assert leaf.cones == blow_up(node.fan, leaf.blown_up[-1]).cones
     assert (parents, reset, children) == _LEAF_PARENTS[
         name, max_cones, pruned]
 
 
 def test_walk_flags_only_the_children_it_expands(monkeypatch):
-    # the 22838 leaves of the 3^4 walk to 12 cones never reach the flag
-    # builder; the 1678 children with 6, 8 and 10 cones each do, once
-    flagged = []
-    flag_child = search._flag_child
+    # of the 3^4 walk to 12 cones, the 127 children with 6 and 8 cones
+    # reach the flag builder, once each, and the 1551 with 10 cones, whose
+    # children are leaves, get only their child steps, once each; the
+    # 22838 leaves reach neither
+    flagged, stepped = [], []
+    flag_child, child_steps = search._flag_child, search._child_steps
 
-    def counting(node, child, *running):
+    def counting_flags(node, child, *running):
         flagged.append(child.path)
         return flag_child(node, child, *running)
 
-    monkeypatch.setattr(search, "_flag_child", counting)
+    def counting_steps(node, step, *running):
+        stepped.append(node.path + (step,))
+        return child_steps(node, step, *running)
+
+    monkeypatch.setattr(search, "_flag_child", counting_flags)
+    monkeypatch.setattr(search, "_child_steps", counting_steps)
     walked = list(walk_tree(t34(), 12))
-    assert len(walked) == 24517 and len(flagged) == 1678
-    assert Counter(len(path) for path in flagged) == {1: 10, 2: 117, 3: 1551}
-    # a node's children are flagged together, when it is expanded
+    assert len(walked) == 24517
+    assert Counter(len(path) for path in flagged) == {1: 10, 2: 117}
+    assert Counter(len(path) for path in stepped) == {3: 1551}
+    # a node's children are flagged or stepped together, when it is
+    # expanded
     assert sorted(flagged) == sorted(node.path for node in walked
-                                     if node.path and len(node.cones) <= 10)
-    assert all(node.cone_flags is None for node in walked
+                                     if node.path and len(node.cones) <= 8)
+    assert sorted(stepped) == sorted(node.path for node in walked
+                                     if len(node.cones) == 10)
+    assert all(_bare(node) for node in walked if len(node.cones) >= 10)
+    assert all(type(node) is search._Leaf for node in walked
                if len(node.cones) == 12)
 
 
@@ -574,19 +664,29 @@ def _reference_walk(fan, max_cones, pruned):
 def test_count_tree_builds_no_leaf(monkeypatch):
     # a child is its parent plus its step, and its cones are derived when
     # first read: counting the 3^4 tree to 12 cones derives them once for
-    # each of the 1678 children it expands, the ones _flag_child flags, and
-    # for none of its 22838 leaves
-    built = []
+    # each of the 127 flagged children, whose children it builds, and for
+    # none of its 1551 leaf parents or 22838 leaves, since the walk reads
+    # a node's cone count off its ray count; nor does it derive a leaf
+    # parent's wall cones
+    built, walled = [], []
     child_cones = search._child_cones
+    child_wall_cones = search._child_wall_cones
 
     def counting(node, step):
         built.append(node.path + (step,))
         return child_cones(node, step)
 
+    def counting_walls(node, step):
+        walled.append(node.path + (step,))
+        return child_wall_cones(node, step)
+
     monkeypatch.setattr(search, "_child_cones", counting)
+    monkeypatch.setattr(search, "_child_wall_cones", counting_walls)
     assert pipeline.run_count_tree("3^4", 12) == 24517
-    assert len(built) == len(set(built)) == 1678
-    assert Counter(len(path) for path in built) == {1: 10, 2: 117, 3: 1551}
+    assert len(built) == len(set(built)) == 127
+    assert Counter(len(path) for path in built) == {1: 10, 2: 117}
+    assert len(walled) == len(set(walled)) <= 127
+    assert set(walled) <= set(built)
 
 
 def test_walk_leaves_no_reference_cycle():
@@ -611,22 +711,30 @@ _EQUIVALENCE_ROOTS = [(name, 9) for name in seeds.seed_names(3)] + [
 @pytest.mark.parametrize("name,max_cones", _EQUIVALENCE_ROOTS)
 def test_walk_equals_blow_up_replay(name, max_cones, pruned):
     """Every node's lazily built fan equals the fans.blow_up walk's, node for
-    node and in the same order, and so do the flags and wall cones of every
-    node the walk expands; the others carry none."""
+    node and in the same order, with its cones, ray count, path and
+    blow-ups; the flags and wall cones of every node that carries flags
+    equal the reference's, and so do the wall cones a leaf parent derives
+    and the child steps it holds; a leaf carries none of these."""
     fan = seeds.seed_fan(name, 12)
     nodes = list(walk_tree(fan, max_cones, pruned=pruned))
     reference = list(_reference_walk(fan, max_cones, pruned))
     assert len(nodes) == len(reference)
     by_path = {}
+    ref_by_path = {}
     for node, (ref, bookkeeping) in zip(nodes, reference):
         assert node.path == bookkeeping[0]
-        if _expandable(node, max_cones):
+        if _flagged(node, max_cones):
             # dict equality ignores order, so the wall order is compared apart
             assert (node.path, node.cone_flags, tuple(node.wall_flags),
                     node.wall_flags, node.wall_cones) == bookkeeping
+        elif _leaf_parent(node, max_cones):
+            assert _bare(node)
+            assert node.wall_cones == bookkeeping[4]
+            assert node.child_steps == [
+                kid[1][0][-1] for kid in _reference_children(
+                    ref, bookkeeping, max_cones, pruned)]
         else:
-            assert (node.cone_flags, node.wall_flags,
-                    node.wall_cones) == (None, None, None)
+            assert type(node) is search._Leaf and _bare(node)
         assert node.cones == ref.cones
         assert node.num_rays == len(ref.rays)
         built = node.fan
@@ -640,14 +748,24 @@ def test_walk_equals_blow_up_replay(name, max_cones, pruned):
         # a node refers to no node but its parent, the node the walk
         # yielded at the path less its step, so one path of ancestors at
         # most stays alive with it
-        assert not any(isinstance(getattr(node, slot), SearchNode)
-                       for slot in SearchNode.__slots__ if slot != "parent")
+        if type(node) is search._Leaf:
+            assert len(node) == 2 and node.step == node[1]
+        else:
+            assert not any(isinstance(getattr(node, slot),
+                                      (SearchNode, search._Leaf))
+                           for slot in SearchNode.__slots__
+                           if slot != "parent")
         if node.path:
+            kind, t = node.step
             assert node.step == node.path[-1]
             assert node.parent is by_path[node.path[:-1]]
+            parent_ref = ref_by_path[node.path[:-1]]
+            assert node.blown_up == node.parent.blown_up + (
+                (parent_ref.cones[t] if kind == "cone" else t),)
         else:
-            assert node.parent is None
+            assert node.parent is None and node.blown_up == ()
         by_path[node.path] = node
+        ref_by_path[node.path] = ref
 
 
 def test_built_rays_normalize_like_blow_up():
