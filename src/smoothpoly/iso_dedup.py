@@ -22,23 +22,9 @@ from .exact_linalg import (
     mat_mul,
     mat_vec,
     vec_add,
-    vec_neg,
     vec_sub,
 )
-from .polytopes import VPolytope, edges_of, facets_of
-
-
-def vertex_directions(P):
-    """Primitive outgoing edge directions at each vertex.
-
-    Returns {vertex index: tuple of directions}, indices into P.vertices.
-    """
-    dirs = {i: [] for i in range(len(P.vertices))}
-    for e in edges_of(P):
-        i, j = e.endpoints
-        dirs[i].append(e.direction)
-        dirs[j].append(vec_neg(e.direction))
-    return {i: tuple(v) for i, v in dirs.items()}
+from .polytopes import VPolytope, facets_of, vertex_directions
 
 
 def _apply(U, t, points):

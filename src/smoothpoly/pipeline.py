@@ -291,10 +291,11 @@ def _polygon_walk(max_points, trace, diag, max_vertices=None):
     no polygon with more vertices than its largest ray degree.
     A node is the tuple (cones, start, path, order, cycle), and its
     children blow up the positions start..k-1 only: in 2D that is all the
-    flag discipline of search.enumerate_blowups leaves, as in
-    count_polygon_tree's recurrence.  A complete 2D fan has as many rays
-    as cones, so the new ray's index is the cone count.  No fan is built
-    here; _class_fan builds a row's fan when it is needed.
+    flag discipline leaves, as in count_polygon_tree's recurrence (the
+    tests replay the flags on fans.blow_up, node for node).  A complete
+    2D fan has as many rays as cones, so the new ray's index is the cone
+    count.  No fan is built here; _class_fan builds a row's fan when it
+    is needed.
     """
     cap = max_points - 4      # thickened edge: 2(l+1) + a*l <= N at l = 1
     max_rays = max_points
@@ -321,9 +322,8 @@ def _polygon_walk(max_points, trace, diag, max_vertices=None):
                         (name, path, prefix_assignment), (cones, order, cycle))
             if k + 1 > max_rays:
                 continue
-            # search.enumerate_blowups' 2D cone rule: (a, k) replaces
-            # position i and (b, k) is appended; pushed last to first,
-            # popped in order
+            # fans.blow_up's 2D cone rule: (a, k) replaces position i and
+            # (b, k) is appended; pushed last to first, popped in order
             for i in range(k - 1, start - 1, -1):
                 a, b = cones[i]
                 stack.append((cones[:i] + ((a, k),) + cones[i + 1:]

@@ -289,19 +289,26 @@ def edges_of(P):
     return edges
 
 
+def vertex_directions(P):
+    """Primitive outgoing edge directions at each vertex.
+
+    Returns {vertex index: tuple of directions}, indices into P.vertices.
+    """
+    dirs = {i: [] for i in range(len(P.vertices))}
+    for e in edges_of(P):
+        i, j = e.endpoints
+        dirs[i].append(e.direction)
+        dirs[j].append(vec_neg(e.direction))
+    return {i: tuple(v) for i, v in dirs.items()}
+
+
 def is_smooth(P):
     """(True, None) if P is simple with unimodular edge bases at every
     vertex; (False, offending vertex) otherwise."""
-    dirs_at = {i: [] for i in range(len(P.vertices))}
-    for e in edges_of(P):
-        i, j = e.endpoints
-        dirs_at[i].append(e.direction)
-        dirs_at[j].append(vec_neg(e.direction))
+    dirs_at = vertex_directions(P)
     for i, v in enumerate(P.vertices):
         dirs = dirs_at[i]
-        if len(dirs) != P.d:
-            return False, v
-        if determinant(tuple(dirs)) not in (1, -1):
+        if len(dirs) != P.d or determinant(dirs) not in (1, -1):
             return False, v
     return True, None
 
@@ -319,5 +326,6 @@ def normal_fan(P):
 
 __all__ = [
     "NotFullDim", "HPolytope", "VPolytope", "EdgeData", "facets_of", "lattice_points", "count_lattice_points",
-    "interior_lattice_points", "edges_of", "is_smooth", "normal_fan",
+    "interior_lattice_points", "edges_of", "vertex_directions", "is_smooth",
+    "normal_fan",
 ]

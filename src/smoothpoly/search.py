@@ -8,11 +8,13 @@ flag discipline below kills those repeats while keeping every fan reachable.
 The walk and the flags need only which rays span which cones, so a node
 holds its cones as ray-index tuples and builds its Fan when one is read.
 
-Dimension 2 is the classical picture (subdivide one cone at a time) and the
-ordering rule collapses to "never expand a cone position left of the last
-one expanded"; pipeline walks it as plain tuples, checked against the node
-walk here.  Dimension 3 adds wall blow-ups, which do not commute with
-their neighbours the way cone blow-ups do, so walls carry four flag states:
+The node walk here is for dimension 3.  Dimension 2 is the classical
+picture (subdivide one cone at a time) and the ordering rule collapses to
+"never expand a cone position left of the last one expanded", so
+pipeline walks it as plain tuples and count_polygon_tree counts it; the
+tests check both against a fans.blow_up replay.  Dimension 3 adds wall
+blow-ups, which do not commute with their neighbours the way cone
+blow-ups do, so walls carry four flag states:
 a wall that was passed over becomes expandable again (ALWAYS_CONSIDER) when
 a later wall blow-up touches the cones beside it, and the three old face
 walls of a blown-up cone never need expanding again (ALWAYS_IGNORE).
@@ -25,7 +27,7 @@ of its children, read off its parent's running flags when the parent is
 expanded, and a leaf is the pair (leaf parent, step), made in C; either
 derives its cones, path and blow-ups when read, so a leaf nobody reads
 costs one small tuple.  The walk reads a node's cone count off its ray
-count (max_ray_degree's Euler count in 3D), not off its cones.  Each
+count (max_ray_degree's Euler count), not off its cones.  Each
 non-root node derives, when first read, each wall's two cone positions
 from its parent's, updated locally (k is the parent's cone count, s the
 new ray):
@@ -98,13 +100,11 @@ class SearchNode:
     positions (i1, i2), i1 < i2, of the wall's two cones, as fans.walls_of
     gives them in Wall.incident; a non-root node derives it from its
     parent's and its step (_child_wall_cones) on first read and keeps it.
-    In dimension 2 both wall maps are empty.  The nodes at the cone cap
-    are _Leaf pairs, not SearchNodes.
+    The nodes at the cone cap are _Leaf pairs, not SearchNodes.
 
     fan is the Fan itself, built from seed_fan, blown_up and path on first
     read and then kept on the node.  A node keeps its ancestors alive: at
-    most one path, of depth at most (cap - seed cones) / 2 in dimension 3
-    and cap - seed cones in dimension 2.
+    most one path, of depth at most (cap - seed cones) / 2.
     """
 
     __slots__ = ("parent", "step", "seed_fan", "num_rays", "_cones",
@@ -216,9 +216,15 @@ def make_root(fan):
     """The root node of fan's tree: it has no parent to derive from, so it
     holds the fan, its cones and its flags, all expandable.
 
-    The walk reads cone counts off ray counts (_num_cones), so a fan with
-    another cone count than a complete one raises ValueError.
+    The walk takes 3-fans and reads cone counts off ray counts
+    (_num_cones), so a fan of another dimension raises ValueError, and so
+    does one with another cone count than a complete 3-fan (a complete
+    2-fan with 4 rays has 2R - 4 = 4 cones, so both tests are needed).
     """
+    if fan.d != 3:
+        raise ValueError("the node walk takes 3-fans, not a %d-fan; "
+                         "pipeline walks 2D trees and count_polygon_tree "
+                         "counts them" % fan.d)
     node = SearchNode.__new__(SearchNode)
     node.parent = node.step = node.child_steps = None
     node.seed_fan = node._fan = fan
@@ -229,22 +235,17 @@ def make_root(fan):
                          % (len(fan.rays), len(fan.cones)))
     node._path = ()
     node.cone_flags = tuple(_CONSIDER for _ in fan.cones)
-    if fan.d == 3:
-        walls = walls_of(fan)
-        node.wall_flags = {w.ray_indices: _CONSIDER for w in walls}
-        node._wall_cones = {w.ray_indices: w.incident for w in walls}
-    else:
-        node.wall_flags, node._wall_cones = {}, {}
+    walls = walls_of(fan)
+    node.wall_flags = {w.ray_indices: _CONSIDER for w in walls}
+    node._wall_cones = {w.ray_indices: w.incident for w in walls}
     return node
 
 
 def _num_cones(node):
-    """node's cone count, read off its ray count: a complete fan, as every
-    seed and so every node is, has as many cones as rays in dimension 2
-    and 2R - 4 cones with R rays in dimension 3 (Euler, as in
-    max_ray_degree)."""
-    rays = node.num_rays
-    return rays if node.seed_fan.d == 2 else 2 * rays - 4
+    """node's cone count, read off its ray count: a complete 3-fan, as
+    every seed and so every node is, has 2R - 4 cones with R rays (Euler,
+    as in max_ray_degree)."""
+    return 2 * node.num_rays - 4
 
 
 def _across(node, wall):
@@ -274,12 +275,9 @@ def _child_cones(node, step):
         # fans.blow_up's first index rule: the child cone missing the
         # target's last ray replaces position t, the others follow at the
         # end, last-but-one first
-        if len(cones[t]) == 3:
-            a, b, c = cones[t]
-            return (cones[:t] + ((a, b, s),) + cones[t + 1:]
-                    + ((a, c, s), (b, c, s)))
-        a, b = cones[t]
-        return cones[:t] + ((a, s),) + cones[t + 1:] + ((b, s),)
+        a, b, c = cones[t]
+        return (cones[:t] + ((a, b, s),) + cones[t + 1:]
+                + ((a, c, s), (b, c, s)))
     # fans.blow_up's second index rule: the incident cones i1 < i2 have
     # opposite rays p and q; {p,n1,s} replaces i1, {q,n1,s} replaces i2,
     # and {p,n2,s}, {q,n2,s} follow at the end; n1 < n2 < s, so only p and
@@ -301,8 +299,6 @@ def _child_wall_cones(node, step):
     s = node.num_rays
     kind, t = step
     if kind == "cone":
-        if len(cones[t]) == 2:
-            return {}
         a, b, c = cones[t]
         # {a,b,s} stays at t, {a,c,s} and {b,c,s} go to k and k + 1
         wcones = dict(node.wall_cones)
@@ -338,9 +334,9 @@ def enumerate_blowups(node, max_cones, pruned=True):
     """Iterator over the children of one node, left to right.
 
     Cone blow-ups come first, by position, then wall blow-ups in wall
-    order.  pruned=False expands every cone and (in dimension 3) every
-    wall, which revisits fans many times; it exists as the correctness
-    oracle for the flag discipline.
+    order.  pruned=False expands every cone and every wall, which revisits
+    fans many times; it exists as the correctness oracle for the flag
+    discipline.
 
     Children that max_cones stops are _Leaf pairs, made in C from the
     steps a leaf parent holds or, at a node with flags, from its own
@@ -353,11 +349,10 @@ def enumerate_blowups(node, max_cones, pruned=True):
     children would be expanded, has no flags to go on and raises
     ValueError.
     """
-    step = node.seed_fan.d - 1          # cones added by one blow-up
     k = _num_cones(node)
-    if k + step > max_cones:
+    if k + 2 > max_cones:               # a blow-up adds two cones
         return iter(())
-    if k + 2 * step > max_cones:
+    if k + 4 > max_cones:
         steps = node.child_steps
         if steps is None:
             steps = _flagged_steps(node, pruned)
@@ -365,7 +360,7 @@ def enumerate_blowups(node, max_cones, pruned=True):
     children = [SearchNode(node, s) for s in _flagged_steps(node, pruned)]
     cones_running = list(node.cone_flags)
     walls_running = dict(node.wall_flags)
-    last = k + 3 * step > max_cones     # the children are leaf parents
+    last = k + 6 > max_cones            # the children are leaf parents
     for child in children:
         if last:
             child.child_steps = _child_steps(node, child.step, cones_running,
@@ -421,16 +416,14 @@ def _child_flags(node, step, cones_running, walls_running):
     flags = list(cones_running)
     wflags = dict(walls_running)
     if kind == "cone":
-        target = node.cones[t]
+        a, b, c = target = node.cones[t]
         flags[t] = _CONSIDER
-        flags.extend([_CONSIDER] * (len(target) - 1))
-        if len(target) == 3:
-            # the blown-up cone's own faces never need expanding again
-            a, b, c = target
-            for pair in ((a, b), (a, c), (b, c)):
-                wflags[pair] = _ALWAYS_IGNORE
-            for x in target:        # appended sorted: dict order is wall order
-                wflags[(x, s)] = _CONSIDER
+        flags.extend([_CONSIDER, _CONSIDER])
+        # the blown-up cone's own faces never need expanding again
+        for pair in ((a, b), (a, c), (b, c)):
+            wflags[pair] = _ALWAYS_IGNORE
+        for x in target:            # appended sorted: dict order is wall order
+            wflags[(x, s)] = _CONSIDER
         return flags, wflags
     n1, n2 = t
     i1, i2, p, q = _across(node, t)
@@ -476,13 +469,12 @@ def walk_tree(root, max_cones, pruned=True):
     if its consumer reads them, and again on every read.
     """
     node = root if isinstance(root, (SearchNode, _Leaf)) else make_root(root)
-    step = node.seed_fan.d - 1          # cones added by one blow-up
     stack = [node]
     while stack:
         node = stack.pop()
         yield node
         children = enumerate_blowups(node, max_cones, pruned)
-        if _num_cones(node) + 2 * step > max_cones:
+        if _num_cones(node) + 4 > max_cones:    # the children are leaves
             yield from children
         else:
             stack.extend(reversed(list(children)))
@@ -511,9 +503,10 @@ def count_polygon_tree(start_cones, max_cones, pruned=True):
     still expandable, has size t(k, c) = 1 + sum_{i=c}^{k-1} t(k+1, i);
     blowing up position i leaves positions >= i expandable in the child.
     Unpruned every position is expandable: u(k) = 1 + k u(k+1).  Nodes at
-    max_cones count but are not expanded.  The geometric walk reproduces
-    these numbers node for node (see the tests); the recurrence is just
-    cheaper when the tree has tens of millions of nodes.
+    max_cones count but are not expanded.  This is the one count of a 2D
+    tree: the tests replay the tree by fans.blow_up with the flag
+    discipline and get these numbers node for node, and pipeline's 2D
+    walk expands the same positions.
     """
     if start_cones > max_cones:
         return 0

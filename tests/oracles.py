@@ -16,11 +16,19 @@ code with the program's point count.  all_flags_key is the fan key with
 no cut, every flag walked to the end on edge_parameters; keyed_fans
 collects the fans a 3D run keys, to check the key against it at scale.
 
+The blow-up tree is replayed on fans, in any dimension: replay_walk
+builds every child with fans.blow_up and carries the flag discipline by
+set scans on the fan, as the reference for search's 3D node walk and
+for the 2D tree, which the program walks as tuples (pipeline's polygon
+walk, checked by check_polygon_walk) and counts by recurrence
+(search.count_polygon_tree).
+
 A parametric target is solved by linearity (solve_by_parts): once for its
 constant vector and once for each parameter's integer vector, so no solve
 ever does arithmetic on a ParamExpr.
 """
 
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -35,15 +43,25 @@ from smoothpoly.exact_linalg import (
     vec_add,
 )
 from smoothpoly.fans import (
+    Fan,
     NotComplete,
     ParamExpr,
     _paired_ridges,
+    blow_up,
     expr_value,
+    fan_canonical_key,
     is_numeric_vector,
+    wall_table,
     walls_of,
 )
 from smoothpoly.pipeline import RunConfig, run_classify
 from smoothpoly.rhs import frame_rays
+from smoothpoly.search import ConeFlag, format_trace_line
+
+AI = ConeFlag.ALWAYS_IGNORE
+IG = ConeFlag.IGNORE
+CO = ConeFlag.CONSIDER
+AC = ConeFlag.ALWAYS_CONSIDER
 
 
 class Singular(ValueError):
@@ -440,3 +458,175 @@ def riemann_roch_count(vertices):
         raise ValueError("Riemann-Roch total %d is not a multiple of 12"
                          % total)
     return total // 12
+
+
+# ---------------------------------------------------------------------------
+# the blow-up tree replayed on fans
+
+def replay_root(fan):
+    """The bookkeeping of a root: (path, cone_flags, wall_order,
+    wall_flags, wall_cones), every cone and wall expandable, the walls in
+    walls_of order; a 2-fan has no walls to blow up."""
+    order = tuple(w.ray_indices for w in walls_of(fan)) if fan.d == 3 else ()
+    return ((), (CO,) * len(fan.cones), order, dict.fromkeys(order, CO),
+            _scanned_wall_cones(fan, order))
+
+
+def replay_children(fan, bookkeeping, max_cones, pruned):
+    """Children of one node, each a blown-up Fan plus its bookkeeping.
+
+    Every child is fans.blow_up of its parent, its parameter box widened
+    by one on each side after a cone blow-up and kept after a wall
+    blow-up, and incident cones are found by set scans on the fan.
+    bookkeeping is (path, cone_flags, wall_order, wall_flags, wall_cones),
+    as replay_root gives it.
+    """
+    path, cone_flags, wall_order, wall_flags, _ = bookkeeping
+    k, d, s = len(fan.cones), fan.d, len(fan.rays)
+    if k + d - 1 > max_cones:
+        return []
+
+    def grown(target, kind):
+        child = blow_up(fan, target)
+        w = 1 if kind == "cone" else 0
+        bounds = {n: (lo - w, hi + w) for n, (lo, hi) in child.bounds.items()}
+        return Fan(child.rays, child.cones, bounds, child.excluded)
+
+    def faces(cone):
+        return [(cone[a], cone[b])
+                for a in range(len(cone)) for b in range(a + 1, len(cone))]
+
+    kids = []
+    cones_running = list(cone_flags)
+    walls_running = dict(wall_flags)
+    for i in range(k):
+        if pruned and cones_running[i] not in (CO, AC):
+            continue
+        target = fan.cones[i]
+        flags = list(cones_running)
+        flags[i] = CO
+        flags.extend([CO] * (d - 1))
+        wflags, worder = {}, ()
+        if d == 3:
+            wflags = dict(walls_running)
+            for pair in faces(target):
+                wflags[pair] = AI
+            new_keys = tuple(sorted((c, s) for c in target))
+            wflags.update((key, CO) for key in new_keys)
+            worder = wall_order + new_keys
+        child = grown(target, "cone")
+        kids.append((child, (path + (("cone", i),), tuple(flags), worder,
+                             wflags, _scanned_wall_cones(child, worder))))
+        cones_running[i] = IG
+    for key in wall_order:
+        if pruned and walls_running[key] not in (CO, AC):
+            continue
+        i1, i2 = [ci for ci, c in enumerate(fan.cones)
+                  if set(key) <= set(c)]
+        flags = list(cones_running)
+        flags[i1] = flags[i2] = CO
+        flags.extend([CO, CO])
+        wflags = dict(walls_running)
+        del wflags[key]
+        for ci in (i1, i2):
+            for pair in faces(fan.cones[ci]):
+                if pair != key and wflags[pair] is IG:
+                    wflags[pair] = AC
+        p = next(x for x in fan.cones[i1] if x not in key)
+        q = next(x for x in fan.cones[i2] if x not in key)
+        new_keys = tuple(sorted((x, s) for x in (p, q) + key))
+        wflags.update((nk, CO) for nk in new_keys)
+        worder = tuple(w for w in wall_order if w != key) + new_keys
+        child = grown(key, "wall")
+        kids.append((child, (path + (("wall", key),), tuple(flags), worder,
+                             wflags, _scanned_wall_cones(child, worder))))
+        if walls_running[key] is not AC:
+            walls_running[key] = IG
+    return kids
+
+
+def _scanned_wall_cones(fan, wall_order):
+    """Per wall key, the positions of the cones holding both its rays."""
+    return {key: tuple(ci for ci, c in enumerate(fan.cones)
+                       if set(key) <= set(c))
+            for key in wall_order}
+
+
+def replay_walk(fan, max_cones, pruned=True):
+    """Pre-order walk of fan's blow-up tree up to max_cones cones: (fan,
+    bookkeeping) per node, children by replay_children."""
+    stack = [(fan, replay_root(fan))]
+    while stack:
+        fan, bookkeeping = stack.pop()
+        yield fan, bookkeeping
+        stack.extend(reversed(replay_children(fan, bookkeeping, max_cones,
+                                              pruned)))
+
+
+def replay_polygon_walk(max_points, trace, diag):
+    """pipeline's 2D class table from the replay: (prefix, cycle key, fan)
+    rows, fan being the replayed fan of the class's least-prefix node.
+
+    The same roots, ray cap, trace lines, dead-subtree cut and classes as
+    the polygon walk, but each node is a Fan built by fans.blow_up and
+    expanded by the flag discipline, not by the start-position rule.
+    """
+    cap = max_points - 4
+    max_rays = max_points
+    while max_rays + pipeline._min_interior(max_rays) > max_points:
+        max_rays -= 1
+    classes = {}
+    for name, assignment, fan in pipeline._polygon_roots(max_points):
+        label = name if not assignment else \
+            "%s(a=%d)" % (name, assignment["a"])
+        prefix_assignment = tuple(sorted(assignment.items()))
+        order, cycle = pipeline._polygon_cycle(fan)
+        stack = [(fan, replay_root(fan), order, cycle)]
+        while stack:
+            fan, bookkeeping, order, cycle = stack.pop()
+            path = bookkeeping[0]
+            diag.nodes_visited += 1
+            if trace is not None:
+                trace.write("%s\t%s\n" % (
+                    label, format_trace_line(len(fan.cones), path)))
+            if max(cycle) > cap:
+                continue
+            pipeline._note_class(classes, pipeline._dihedral_key(cycle),
+                                 (name, path, prefix_assignment), fan)
+            stack.extend(reversed([
+                (child, kid) + pipeline._splice_cycle(
+                    order, cycle, fan.cones[kid[0][-1][1]], len(fan.rays))
+                for child, kid in replay_children(fan, bookkeeping,
+                                                  max_rays, True)]))
+    return sorted(((prefix, key, fan)
+                   for key, (prefix, fan) in classes.items()),
+                  key=lambda row: row[0])
+
+
+def check_polygon_walk(max_points):
+    """pipeline's polygon walk against replay_polygon_walk, node for node.
+
+    Compares the --trace-tree text, nodes_visited and the class rows, and
+    per class that the class fan has the replayed fan's cones, wall table
+    and fan key (it is a lattice image of it).  Returns (nodes, classes);
+    raises ValueError on the first difference.
+    """
+    got_trace, want_trace = io.StringIO(), io.StringIO()
+    got_diag, want_diag = pipeline.Diagnostics(), pipeline.Diagnostics()
+    got = pipeline._polygon_walk(max_points, got_trace, got_diag)
+    want = replay_polygon_walk(max_points, want_trace, want_diag)
+    if got_trace.getvalue() != want_trace.getvalue():
+        raise ValueError("trace text differs at N = %d" % max_points)
+    if got_diag.nodes_visited != want_diag.nodes_visited:
+        raise ValueError("nodes_visited %d, replay %d"
+                         % (got_diag.nodes_visited, want_diag.nodes_visited))
+    if [row[:2] for row in got] != [row[:2] for row in want]:
+        raise ValueError("class rows differ at N = %d" % max_points)
+    for (prefix, _, node), (_, _, fan) in zip(got, want):
+        class_fan = pipeline._class_fan(*node)
+        if (class_fan.cones != fan.cones
+                or wall_table(class_fan) != wall_table(fan)
+                or fan_canonical_key(class_fan) != fan_canonical_key(fan)):
+            raise ValueError("class fan of %r is no image of the replayed "
+                             "fan" % (prefix,))
+    return got_diag.nodes_visited, len(got)

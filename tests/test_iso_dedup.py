@@ -297,5 +297,6 @@ def test_canonical_form_uses_no_inverse_or_edges(monkeypatch):
     polys = (SQUARE, TRAPEZOID, CUBE, PYRAMID)
     expected = [canonical_form(P) for P in polys]
     monkeypatch.setattr(iso_dedup, "inverse_unimodular", forbidden)
-    monkeypatch.setattr(iso_dedup, "edges_of", forbidden)
+    # iso_dedup reaches the edges only through vertex_directions
+    monkeypatch.setattr(iso_dedup, "vertex_directions", forbidden)
     assert [canonical_form(P) for P in polys] == expected

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 import smoothpoly
-from oracles import solve_rational
+from oracles import replay_children, replay_root, replay_walk, solve_rational
 from smoothpoly import InvariantError, fans, pipeline, polytopes, search, seeds
 from smoothpoly.exact_linalg import dot, normalize_primitive
 from smoothpoly.fans import Fan, fan_canonical_key, instantiate, star_cycles
@@ -35,8 +35,6 @@ from smoothpoly.rhs import enumerate_rhs
 from smoothpoly.search import (
     PolygonStats,
     degree_profile,
-    enumerate_blowups,
-    make_root,
     max_ray_degree,
     polygon_criterion,
     subtree_bound,
@@ -119,21 +117,20 @@ def test_splice_tracks_blowups():
         fan = instantiate(seeds.get_seed("F_a").build(12),
                           {"a": rng.choice([0, 2, 3])})
         order, cycle = _polygon_cycle(fan)
-        node = make_root(fan)
+        bookkeeping = replay_root(fan)
         for _ in range(rng.randrange(1, 5)):
-            kids = list(enumerate_blowups(node, 12))
+            kids = replay_children(fan, bookkeeping, 12, True)
             if not kids:
                 break
-            child = rng.choice(kids)
-            pos = child.path[-1][1]
-            order, cycle = _splice_cycle(order, cycle,
-                                         node.fan.cones[pos],
-                                         len(node.fan.rays))
-            node = child
-        fresh_order, fresh_cycle = _polygon_cycle(node.fan)
+            child, bookkeeping = rng.choice(kids)
+            pos = bookkeeping[0][-1][1]
+            order, cycle = _splice_cycle(order, cycle, fan.cones[pos],
+                                         len(fan.rays))
+            fan = child
+        fresh_order, fresh_cycle = _polygon_cycle(fan)
         assert sorted(cycle) == sorted(fresh_cycle)
         assert _dihedral_key(cycle) == _dihedral_key(fresh_cycle)
-        assert sum(cycle) == 3 * len(node.fan.rays) - 12
+        assert sum(cycle) == 3 * len(fan.rays) - 12
 
 
 def test_dihedral_key_symmetry():
@@ -171,14 +168,10 @@ def test_dihedral_key_compares_rotations_at_the_minimum(polygon_class_reps):
 def test_dihedral_key_agrees_with_canonical_key():
     # the cyclic coefficient key and the generic fan key must induce the
     # same isomorphism classes
-    fans = []
-    stack = [make_root(seeds.seed_fan("F_p", 12))]
     fa = seeds.get_seed("F_a").build(12)
-    stack.append(make_root(instantiate(fa, {"a": 2})))
-    while stack:
-        node = stack.pop()
-        fans.append(node.fan)
-        stack.extend(enumerate_blowups(node, 6))
+    fans = [fan for root in (seeds.seed_fan("F_p", 12),
+                             instantiate(fa, {"a": 2}))
+            for fan, _ in replay_walk(root, 6)]
     assert len(fans) > 50
     by_dihedral = {}
     by_canonical = {}

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import package_env
+from oracles import replay_children, replay_root, replay_walk
 from smoothpoly import InvariantError, pipeline, search, seeds
 from smoothpoly.fans import (
     DegenerateRay,
@@ -17,6 +19,7 @@ from smoothpoly.fans import (
     ParamExpr,
     blow_up,
     fan_canonical_key,
+    instantiate,
     walls_of,
 )
 from smoothpoly.rhs import least_perimeter
@@ -71,29 +74,28 @@ def test_count_recurrence_pinned_values():
     assert count_polygon_tree(4, 6) == 19
 
 
+# the 2D tree has one count, the recurrence, and the fans.blow_up replay
+# walks it node for node
+
 @pytest.mark.parametrize("max_cones", [3, 4, 6, 7, 8])
 def test_walk_matches_recurrence_fp(max_cones):
     for pruned in (True, False):
-        n = sum(1 for _ in walk_tree(fp(), max_cones, pruned=pruned))
+        n = sum(1 for _ in replay_walk(fp(), max_cones, pruned))
         assert n == count_polygon_tree(3, max_cones, pruned=pruned)
 
 
 def test_walk_matches_recurrence_fa_symbolic():
     fa = seeds.seed_fan("F_a", 12)
-    assert sum(1 for _ in walk_tree(fa, 6)) == 19
+    assert sum(1 for _ in replay_walk(fa, 6)) == 19 == count_polygon_tree(4, 6)
 
 
 def test_pruned_walk_reaches_every_polygon_fan():
     # the flag discipline must lose no fans, only repeats
-    pruned = {fan_canonical_key(n.fan) for n in walk_tree(fp(), 7)}
-    full = {fan_canonical_key(n.fan) for n in walk_tree(fp(), 7, pruned=False)}
-    assert pruned == full
-    fa3 = seeds.get_seed("F_a").build(12)
-    from smoothpoly.fans import instantiate
-    root = instantiate(fa3, {"a": 3})
-    pruned = {fan_canonical_key(n.fan) for n in walk_tree(root, 7)}
-    full = {fan_canonical_key(n.fan) for n in walk_tree(root, 7, pruned=False)}
-    assert pruned == full
+    fa3 = instantiate(seeds.get_seed("F_a").build(12), {"a": 3})
+    for root in (fp(), fa3):
+        pruned = {fan_canonical_key(f) for f, _ in replay_walk(root, 7)}
+        full = {fan_canonical_key(f) for f, _ in replay_walk(root, 7, False)}
+        assert pruned == full
 
 
 def test_pruned_walk_reaches_every_3d_fan():
@@ -115,12 +117,12 @@ def test_pruned_walk_reaches_every_3d_fan_parametric_seed():
 
 
 def test_polygon_child_flags():
-    root = make_root(fp())
-    kids = list(enumerate_blowups(root, 12))
+    kids = [bookkeeping for _, bookkeeping in replay_children(
+        fp(), replay_root(fp()), 12, True)]
     assert len(kids) == 3
-    assert kids[1].path == (("cone", 1),)
-    assert kids[1].cone_flags == (IG, CO, CO, CO)
-    assert kids[2].cone_flags == (IG, IG, CO, CO)
+    assert kids[1][0] == (("cone", 1),)
+    assert kids[1][1] == (IG, CO, CO, CO)
+    assert kids[2][1] == (IG, IG, CO, CO)
 
 
 def test_cone_blowup_flag_mechanics_3d():
@@ -169,17 +171,14 @@ def test_wall_blowup_flag_mechanics_3d():
 def _flagged(node, max_cones):
     """Whether the walk to max_cones expands node's children, so that it
     carries flags (a root always does)."""
-    step = 1 if node.seed_fan.d == 2 else 2
-    return not node.path or len(node.cones) + 2 * step <= max_cones
+    return not node.path or len(node.cones) + 4 <= max_cones
 
 
 def _leaf_parent(node, max_cones):
     """Whether node is no root and its children are all leaves at
     max_cones, so that it holds its child steps and no flags."""
-    step = 1 if node.seed_fan.d == 2 else 2
     return (bool(node.path)
-            and len(node.cones) + step <= max_cones < len(node.cones)
-            + 2 * step)
+            and len(node.cones) + 2 <= max_cones < len(node.cones) + 4)
 
 
 def _bare(node):
@@ -252,24 +251,24 @@ def test_flagless_node_cannot_be_expanded():
     # a leaf at its own cap has no children; a leaf parent at its own cap,
     # or any cap at which its children are still leaves, has the leaves
     # of its child steps; above that each raises a clear error
-    for name, max_cones, step in (("3^4", 6, 2), ("F_p", 4, 1)):
+    for name, max_cones in (("3^4", 6), ("(3^2 4^3)'", 8)):
         leaf = _first(name, max_cones, "leaf")
         assert _bare(leaf)
         assert list(enumerate_blowups(leaf, max_cones)) == []
-        for cap in (max_cones + step, max_cones + 2 * step):
+        for cap in (max_cones + 2, max_cones + 4):
             with pytest.raises(ValueError, match="built as a leaf"):
                 list(walk_tree(leaf, cap))
-        parent = _first(name, max_cones + step, "leaf parent")
+        parent = _first(name, max_cones + 2, "leaf parent")
         assert _bare(parent)
-        for cap in (max_cones + step, max_cones + 2 * step - 1):
+        for cap in (max_cones + 2, max_cones + 3):
             leaves = list(enumerate_blowups(parent, cap))
             assert [leaf.step for leaf in leaves] == parent.child_steps
             assert all(leaf.parent is parent for leaf in leaves)
         assert list(enumerate_blowups(parent, max_cones)) == []
         with pytest.raises(ValueError, match="built as a leaf"):
-            list(enumerate_blowups(parent, max_cones + 2 * step))
+            list(enumerate_blowups(parent, max_cones + 4))
         with pytest.raises(ValueError, match="built as a leaf"):
-            list(walk_tree(parent, max_cones + 2 * step))
+            list(walk_tree(parent, max_cones + 4))
     # explicit raises, so the check holds under python -O as well
     script = (
         "from smoothpoly import seeds\n"
@@ -300,21 +299,59 @@ def test_flagless_node_cannot_be_expanded():
 def test_walk_needs_a_complete_fan():
     # the walk reads cone counts off ray counts, which holds for complete
     # fans only
-    for fan in (Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)]),
-                Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
-                    [(0, 1, 2), (0, 1, 3), (0, 2, 3)])):
-        with pytest.raises(ValueError, match="not complete"):
-            make_root(fan)
-        with pytest.raises(ValueError, match="not complete"):
-            list(walk_tree(fan, 12))
+    fan = Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+              [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+    with pytest.raises(ValueError, match="not complete"):
+        make_root(fan)
+    with pytest.raises(ValueError, match="not complete"):
+        list(walk_tree(fan, 12))
+
+
+_TWO_FANS = """
+from smoothpoly import seeds
+from smoothpoly.fans import instantiate
+from smoothpoly.search import make_root, walk_tree
+fa0 = instantiate(seeds.get_seed("F_a").build(12), {"a": 0})
+print(__debug__, len(fa0.rays), len(fa0.cones))
+for fan in (seeds.seed_fan("F_p", 12), fa0):
+    for walk in (make_root, lambda f: list(walk_tree(f, 12))):
+        try:
+            walk(fan)
+        except ValueError as exc:
+            print("ValueError:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_walk_takes_3_fans_only(flags):
+    """make_root and walk_tree raise ValueError on F_p and on the F_a
+    instance at a = 0, also under python -O: the 2D tree is pipeline's
+    tuple walk and count_polygon_tree's.  That instance has 4 rays and
+    4 = 2R - 4 cones, so only the explicit dimension test stops it."""
+    out = subprocess.run([sys.executable, *flags, "-c", _TWO_FANS],
+                         capture_output=True, text=True, env=package_env(),
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "%s 4 4" % (not flags)
+    assert lines[1:] == ["ValueError: the node walk takes 3-fans, not a "
+                         "2-fan; pipeline walks 2D trees and "
+                         "count_polygon_tree counts them"] * 4
 
 
 def test_walk_widens_parametric_bounds():
-    fa = seeds.seed_fan("F_a", 12)
-    for node in walk_tree(fa, 6):
-        depth = len(node.path)
-        assert node.fan.bounds == {"a": (-depth, 12 + depth)}
-        assert node.fan.excluded == {"a": frozenset({1})}
+    # one wider on each side per cone step of the path; a wall step keeps
+    # the box
+    seed = seeds.seed_fan("(3^2 4^3)''", 12)
+    assert seed.bounds
+    steps = Counter()
+    for node in walk_tree(seed, 10):
+        widen = sum(kind == "cone" for kind, _ in node.path)
+        steps[widen, len(node.path) - widen] += 1
+        assert node.fan.bounds == {n: (lo - widen, hi + widen)
+                                   for n, (lo, hi) in seed.bounds.items()}
+        assert node.fan.excluded == seed.excluded
+    assert steps[0, 2] and steps[2, 0] and steps[1, 1]
 
 
 def test_instantiate_all():
@@ -343,15 +380,14 @@ def test_instantiate_all_raises_on_degenerate_combinations():
 
 
 def test_trace_line():
-    root = make_root(fp())
-    assert trace_line(root) == "0\t3\troot"
-    child = list(enumerate_blowups(root, 12))[2]
-    assert trace_line(child) == "1\t4\tcone:2"
-    node3 = list(enumerate_blowups(make_root(t34()), 12))[5]
-    assert trace_line(node3) == "1\t6\twall:0-2"
+    root = make_root(t34())
+    assert trace_line(root) == "0\t4\troot"
+    kids = list(enumerate_blowups(root, 12))
+    assert trace_line(kids[2]) == "1\t6\tcone:2"
+    assert trace_line(kids[5]) == "1\t6\twall:0-2"
     # the node-free form that the polygon loop writes with
-    assert format_trace_line(4, (("cone", 2),)) == trace_line(child)
-    assert format_trace_line(3, ()) == trace_line(root)
+    assert format_trace_line(6, (("cone", 2),)) == trace_line(kids[2])
+    assert format_trace_line(4, ()) == trace_line(root)
 
 
 def test_walk_tree_expands_only_expandable_nodes(monkeypatch):
@@ -364,8 +400,10 @@ def test_walk_tree_expands_only_expandable_nodes(monkeypatch):
             yield node.path
             stack.extend(reversed(list(enumerate_blowups(node, max_cones))))
 
-    cases = ((t34(), 12, 2, 24517, 1679), (fp(), 9, 1, 1429, 428))
-    for fan, max_cones, step, nodes, expandable in cases:
+    # an even cap and an odd one, which no node's cone count reaches
+    cases = ((t34(), 12, 24517, 1679),
+             (seeds.seed_fan("(3^2 4^3)'", 12), 11, 229, 16))
+    for fan, max_cones, nodes, expandable in cases:
         calls = []
         expand = search.enumerate_blowups
 
@@ -379,7 +417,7 @@ def test_walk_tree_expands_only_expandable_nodes(monkeypatch):
         assert walked == list(stack_walk(fan, max_cones))
         assert len(walked) == nodes and len(calls) == expandable
         assert calls == [path for path in walked
-                         if len(fan.cones) + step * (len(path) + 1)
+                         if len(fan.cones) + 2 * (len(path) + 1)
                          <= max_cones]
 
 
@@ -567,99 +605,7 @@ def test_walk_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# the combinatorial walk against fans.blow_up
-
-def _reference_children(fan, bookkeeping, max_cones, pruned):
-    """Children of one node, each a blown-up Fan plus its bookkeeping.
-
-    The fan-based reference walk: every child is fans.blow_up of its
-    parent, its parameter box widened by one on each side after a cone
-    blow-up and kept after a wall blow-up, and incident cones are found
-    by set scans on the fan.  bookkeeping is (path, cone_flags,
-    wall_order, wall_flags, wall_cones).
-    """
-    path, cone_flags, wall_order, wall_flags, _ = bookkeeping
-    k, d, s = len(fan.cones), fan.d, len(fan.rays)
-    if k + (1 if d == 2 else 2) > max_cones:
-        return []
-
-    def grown(target, kind):
-        child = blow_up(fan, target)
-        w = 1 if kind == "cone" else 0
-        bounds = {n: (lo - w, hi + w) for n, (lo, hi) in child.bounds.items()}
-        return Fan(child.rays, child.cones, bounds, child.excluded)
-
-    def faces(cone):
-        return [(cone[a], cone[b])
-                for a in range(len(cone)) for b in range(a + 1, len(cone))]
-
-    kids = []
-    cones_running = list(cone_flags)
-    walls_running = dict(wall_flags)
-    for i in range(k):
-        if pruned and cones_running[i] not in (CO, AC):
-            continue
-        target = fan.cones[i]
-        flags = list(cones_running)
-        flags[i] = CO
-        flags.extend([CO] * (d - 1))
-        wflags, worder = {}, ()
-        if d == 3:
-            wflags = dict(walls_running)
-            for pair in faces(target):
-                wflags[pair] = AI
-            new_keys = tuple(sorted((c, s) for c in target))
-            wflags.update((key, CO) for key in new_keys)
-            worder = wall_order + new_keys
-        child = grown(target, "cone")
-        kids.append((child, (path + (("cone", i),), tuple(flags), worder,
-                             wflags, _scanned_wall_cones(child, worder))))
-        cones_running[i] = IG
-    for key in wall_order:
-        if pruned and walls_running[key] not in (CO, AC):
-            continue
-        i1, i2 = [ci for ci, c in enumerate(fan.cones)
-                  if set(key) <= set(c)]
-        flags = list(cones_running)
-        flags[i1] = flags[i2] = CO
-        flags.extend([CO, CO])
-        wflags = dict(walls_running)
-        del wflags[key]
-        for ci in (i1, i2):
-            for pair in faces(fan.cones[ci]):
-                if pair != key and wflags[pair] is IG:
-                    wflags[pair] = AC
-        p = next(x for x in fan.cones[i1] if x not in key)
-        q = next(x for x in fan.cones[i2] if x not in key)
-        new_keys = tuple(sorted((x, s) for x in (p, q) + key))
-        wflags.update((nk, CO) for nk in new_keys)
-        worder = tuple(w for w in wall_order if w != key) + new_keys
-        child = grown(key, "wall")
-        kids.append((child, (path + (("wall", key),), tuple(flags), worder,
-                             wflags, _scanned_wall_cones(child, worder))))
-        if walls_running[key] is not AC:
-            walls_running[key] = IG
-    return kids
-
-
-def _scanned_wall_cones(fan, wall_order):
-    """Per wall key, the positions of the cones holding both its rays."""
-    return {key: tuple(ci for ci, c in enumerate(fan.cones)
-                       if set(key) <= set(c))
-            for key in wall_order}
-
-
-def _reference_walk(fan, max_cones, pruned):
-    root = make_root(fan)
-    wall_order = tuple(root.wall_flags)
-    stack = [(fan, (root.path, root.cone_flags, wall_order, root.wall_flags,
-                    _scanned_wall_cones(fan, wall_order)))]
-    while stack:
-        fan, bookkeeping = stack.pop()
-        yield fan, bookkeeping
-        stack.extend(reversed(_reference_children(fan, bookkeeping,
-                                                  max_cones, pruned)))
-
+# the combinatorial walk against the fans.blow_up replay (oracles)
 
 def test_count_tree_builds_no_leaf(monkeypatch):
     # a child is its parent plus its step, and its cones are derived when
@@ -703,8 +649,7 @@ def test_walk_leaves_no_reference_cycle():
         gc.enable()
 
 
-_EQUIVALENCE_ROOTS = [(name, 9) for name in seeds.seed_names(3)] + [
-    ("F_p", 8), ("F_a", 8)]
+_EQUIVALENCE_ROOTS = [(name, 9) for name in seeds.seed_names(3)]
 
 
 @pytest.mark.parametrize("pruned", [True, False])
@@ -717,7 +662,7 @@ def test_walk_equals_blow_up_replay(name, max_cones, pruned):
     and the child steps it holds; a leaf carries none of these."""
     fan = seeds.seed_fan(name, 12)
     nodes = list(walk_tree(fan, max_cones, pruned=pruned))
-    reference = list(_reference_walk(fan, max_cones, pruned))
+    reference = list(replay_walk(fan, max_cones, pruned))
     assert len(nodes) == len(reference)
     by_path = {}
     ref_by_path = {}
@@ -731,7 +676,7 @@ def test_walk_equals_blow_up_replay(name, max_cones, pruned):
             assert _bare(node)
             assert node.wall_cones == bookkeeping[4]
             assert node.child_steps == [
-                kid[1][0][-1] for kid in _reference_children(
+                kid[1][0][-1] for kid in replay_children(
                     ref, bookkeeping, max_cones, pruned)]
         else:
             assert type(node) is search._Leaf and _bare(node)
@@ -770,16 +715,20 @@ def test_walk_equals_blow_up_replay(name, max_cones, pruned):
 
 def test_built_rays_normalize_like_blow_up():
     # smooth fans never need it, but a sum without parameters is made
-    # primitive and integer exactly as fans.blow_up does
+    # primitive and integer exactly as fans.blow_up does: (2, 2, 2) here
+    # becomes (1, 1, 1)
     one = ParamExpr(1)
-    fans_in = [Fan([(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
-               Fan([(one, 0), (0, one), (-1, -ParamExpr.var("a"))],
-                   [(0, 1), (1, 2), (0, 2)], bounds={"a": (0, 2)})]
+    cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    fans_in = [Fan([(1, 0, 0), (1, 2, 1), (0, 0, 1), (-1, -1, -1)], cones),
+               Fan([(one, 0, 0), (0, one, 0), (0, 0, one),
+                    (-1, -1, -ParamExpr.var("a"))],
+                   cones, bounds={"a": (0, 2)})]
     for fan in fans_in:
-        child = next(enumerate_blowups(make_root(fan), 4))
+        child = next(enumerate_blowups(make_root(fan), 6))
         ref = blow_up(fan, fan.cones[0])
         assert child.fan.rays == ref.rays
-        assert [type(a) for a in child.fan.rays[-1]] == [int, int]
+        assert child.fan.rays[-1] == (1, 1, 1)
+        assert [type(a) for a in child.fan.rays[-1]] == [int, int, int]
     assert child.fan.bounds == {"a": (-1, 3)}
 
 
