@@ -2,9 +2,10 @@
 
 A fan is stored combinatorially: a tuple of primitive rays plus maximal cones
 as sorted tuples of ray indices, and a box of named integer parameters.  In a
-family from the figure catalogue, ray entries are affine expressions in those
-parameters (e.g. the ray (-1,-a)), and substituting an in-box assignment gives
-a concrete fan: a fan whose box is empty, so its one point is ().
+family from the figure catalogue, ray entries are ints or affine expressions
+in those parameters (ParamExpr, e.g. the ray (-1,-a)); an entry that reads no
+parameter is always an int.  Substituting an in-box assignment gives a
+concrete fan: a fan whose box is empty, so its one point is ().
 
 The blow-up of a fan at a cone sigma is the stellar subdivision at the sum of
 sigma's primitive rays: every cone containing sigma is split.  For smooth fans
@@ -17,7 +18,8 @@ Wall coefficients are solved in integers only, at most once per concrete
 fan, which keeps its table.  What the cones alone fix (which cones meet
 across each ridge, and the order and labels of every flag walk of the
 canonical key) is worked out once per cone set and shared by all the fans
-of a family.  A 3D family's box is walked once (wall_sum_box): each wall
+of a family.  A 3D family's box, the whole range of each parameter that
+its bounds give, is walked once (wall_sum_box, its one reader): each wall
 is solved and tested against the wall-sum cap as soon as its four rays are
 fixed, so a wall that reads no parameter is solved once per family, and
 every kept point yields its concrete fan with its wall table in hand.
@@ -69,25 +71,28 @@ class DegenerateRay(ValueError):
 # affine parameter expressions
 
 class ParamExpr:
-    """Affine expression const + sum(coeff * parameter) with integer values.
+    """Affine expression const + sum(coeff * parameter) with integer values,
+    in at least one parameter.
 
-    Zero coefficients are never stored, so equal expressions compare and
-    hash equal.
+    Zero coefficients are never stored, and arithmetic that cancels every
+    parameter returns a plain int, so an expression with no parameter is
+    always an int: equal expressions compare and hash equal, and no
+    ParamExpr equals an int.  ParamExpr(const, coeffs) with no nonzero
+    coefficient raises ValueError.
     """
 
     __slots__ = ("const", "coeffs")
 
-    def __init__(self, const=0, coeffs=None):
+    def __init__(self, const, coeffs):
+        self.coeffs = {n: c for n, c in coeffs.items() if c != 0}
+        if not self.coeffs:
+            raise ValueError("%r reads no parameter: that is the int %d"
+                             % (coeffs, const))
         self.const = const
-        self.coeffs = {n: c for n, c in (coeffs or {}).items() if c != 0}
 
     @classmethod
     def var(cls, name):
         return cls(0, {name: 1})
-
-    @property
-    def is_constant(self):
-        return not self.coeffs
 
     def evaluate(self, assignment):
         v = self.const
@@ -100,7 +105,8 @@ class ParamExpr:
             coeffs = dict(self.coeffs)
             for n, c in other.coeffs.items():
                 coeffs[n] = coeffs.get(n, 0) + sign * c
-            return ParamExpr(self.const + sign * other.const, coeffs)
+            const = self.const + sign * other.const
+            return ParamExpr(const, coeffs) if any(coeffs.values()) else const
         if isinstance(other, int):
             return ParamExpr(self.const + sign * other, self.coeffs)
         return NotImplemented
@@ -119,6 +125,8 @@ class ParamExpr:
     def __mul__(self, k):
         if not isinstance(k, int):
             return NotImplemented
+        if not k:
+            return 0
         return ParamExpr(self.const * k, {n: c * k for n, c in self.coeffs.items()})
 
     __rmul__ = __mul__
@@ -129,16 +137,12 @@ class ParamExpr:
     def __eq__(self, other):
         if isinstance(other, ParamExpr):
             return self._key() == other._key()
-        if isinstance(other, int):
-            return not self.coeffs and self.const == other
         return NotImplemented
 
     def __hash__(self):
         return hash(self._key())
 
     def __repr__(self):
-        if not self.coeffs:
-            return str(self.const)
         parts = []
         for n, c in sorted(self.coeffs.items()):
             if c == 1:
@@ -153,19 +157,6 @@ class ParamExpr:
         return "".join(parts)
 
 
-def expr_value(x):
-    """Plain integer of a constant entry (int or constant ParamExpr)."""
-    if isinstance(x, ParamExpr):
-        if not x.is_constant:
-            raise ValueError("%s still has a parameter" % (x,))
-        return x.const
-    return x
-
-
-def is_numeric_vector(v):
-    return all(not isinstance(a, ParamExpr) or a.is_constant for a in v)
-
-
 # ---------------------------------------------------------------------------
 # fans
 
@@ -178,7 +169,9 @@ class Fan:
     be represented; the structural operations (walls_of, wall_table,
     blow_up) reject them.
 
-    Ray entries may be ParamExpr over the parameters of the box: bounds maps
+    Ray entries are ints, or ParamExpr over the parameters of the box
+    (an entry that reads no parameter is an int, so equal rays are equal
+    tuples and set() finds them): bounds maps
     parameter name -> (lower, upper) and excluded maps parameter name ->
     frozenset of forbidden values inside those bounds.  Both are empty for a
     concrete fan.
@@ -503,24 +496,31 @@ def blow_up_ray(rays, target):
     new_ray = rays[target[0]]
     for i in target[1:]:
         new_ray = vec_add(new_ray, rays[i])
-    if is_numeric_vector(new_ray):
-        new_ray, _ = normalize_primitive(tuple(expr_value(a) for a in new_ray))
+    if not any(isinstance(a, ParamExpr) for a in new_ray):
+        new_ray, _ = normalize_primitive(new_ray)
     return new_ray
 
 
 def instantiate(pf, assignment):
     """The concrete fan at one point of pf's parameter box.
 
-    Checks bounds and exclusions (OutOfBounds), evaluates every ray, then
-    normalizes primitively and verifies no ray vanished or collided with
-    another (DegenerateRay).  The fan has pf's cones, already checked when
-    pf was built, and shares pf's _Walls.  A concrete pf has the one point
-    {}, and its fan is pf itself.
+    assignment maps every parameter of the box, and nothing else, to a
+    value inside its bounds and not excluded (OutOfBounds, naming the
+    parameter, otherwise).  Every ray is evaluated, then normalized
+    primitively and verified not to vanish or collide with another
+    (DegenerateRay).  The fan has pf's cones, already checked when pf was
+    built, and shares pf's _Walls.  A concrete pf has the one point {},
+    and its fan is pf itself.
     """
+    unknown = sorted(set(assignment) - set(pf.bounds))
+    if unknown:
+        raise OutOfBounds("%s is not a parameter of %r" % (unknown[0], pf))
     if not pf.bounds:
         return pf
-    for name, (lo, hi) in pf.bounds.items():
-        v = assignment[name]
+    for name, (lo, hi) in sorted(pf.bounds.items()):
+        v = assignment.get(name)
+        if v is None:
+            raise OutOfBounds("parameter %s has no value" % (name,))
         if not lo <= v <= hi:
             raise OutOfBounds("%s = %d outside [%d, %d]" % (name, v, lo, hi))
         if v in pf.excluded.get(name, ()):
@@ -552,18 +552,21 @@ def _instance(pf, rays, table):
     return fan
 
 
-def wall_sum_box(pf, names, axes, max_points):
-    """(values, fan) for each point of the box product(*axes) whose fan
-    passes rhs.passes_wall_sum, in itertools.product order.
+def wall_sum_box(pf, max_points):
+    """(assignment, fan) for each point of pf's box whose fan passes
+    rhs.passes_wall_sum, in itertools.product order over the axes.
 
-    pf is a 3D fan, names its parameters in the order of axes (none for a
-    concrete fan, whose box is the one point ()).  Parameters are fixed in
-    names order; a ray is evaluated once all it reads are fixed, and a
-    wall is solved and tested once its four rays are (_place), so a wall
-    past the cap drops the rest of the box below it.  Each axis is first
-    cut to the run of values that pass the walls it completes
-    (_cut_axis), whose coefficients it reads off lines, so most values
-    are neither solved nor tested one by one.
+    pf is a 3D fan.  Its box is read off pf.bounds: one axis per
+    parameter, in sorted name order, each the whole range from its lower
+    to its upper bound, and assignment is the sorted (name, value) tuple
+    of the point (a concrete fan's box is the one point ()).  A family
+    with excluded values raises ValueError.  Parameters are fixed in name
+    order; a ray is evaluated once all it reads are fixed, and a wall is
+    solved and tested once its four rays are (_place), so a wall past the
+    cap drops the rest of the box below it.  Each axis is first cut to
+    the run of values that pass the walls it completes (_cut_axis), whose
+    coefficients it reads off lines, so most values are neither solved
+    nor tested one by one.
 
     Every point has one of two outcomes: a wall past the cap drops it, or
     it is kept, as a fan with pf's cones and _Walls, the rays as evaluated
@@ -576,6 +579,11 @@ def wall_sum_box(pf, names, axes, max_points):
     value by value, raising where the scan raises.  A ray of a unimodular
     cone is primitive, so no ray is normalized.
     """
+    if pf.excluded:
+        raise ValueError("%r excludes values of %s: the box pass walks whole "
+                         "ranges" % (pf, ", ".join(sorted(pf.excluded))))
+    names = sorted(pf.bounds)
+    axes = [range(pf.bounds[n][0], pf.bounds[n][1] + 1) for n in names]
     walls = _wall_structure(pf)
     pos = {n: t for t, n in enumerate(names)}
     ray_step, plans = [], [([], [], []) for _ in range(len(names) + 1)]
@@ -600,7 +608,7 @@ def wall_sum_box(pf, names, axes, max_points):
     out = []
     if _place(plans[0], vals, rays, table, cap):
         _fix_parameters(pf, axes, plans, 0, vals, rays, table, cap, out)
-    return out
+    return [(tuple(zip(names, point)), fan) for point, fan in out]
 
 
 def _evaluate(new_rays, vals, rays):
@@ -670,37 +678,36 @@ def _place(plan, vals, rays, table, cap):
 
 def _cut_axis(plan, axis, t, vals, rays, cap):
     """(first value, run, lines) for axis, or None where it must be
-    scanned: run holds the values of axis, in order, at which every wall
-    of plan passes the cap, and lines a (w, a1, slope, a2, slope) per
-    wall, its coefficients at the first value and their integer slopes.
+    scanned: run is the range of values of axis at which every wall of
+    plan passes the cap, and lines a (w, a1, slope, a2, slope) per wall,
+    its coefficients at the first value and their integer slopes.
 
-    The plan's rays are those that read parameter t, each affine in its
-    value v once vals[:t] are fixed.  So e = det(n1, n2, p) and
-    f = det(n1, n2, q) have degree at most 3 in v, and at most 1 for a
-    wall with one moving ray.  Where e is constant, so is the sign in
-    front of a1 = e det(q, n2, p) and of the cap sum
-    e det(q, n2 - n1, p), which then have degree at most 3 in v, and
-    at most 1 when one ray moves.  Every wall is sampled at the first 2
-    axis values, and a wall with more than one moving ray at the next 2
-    as well.  If e f = -1 with e and f equal at every sample, they are
+    axis is a range with step 1.  The plan's rays are those that read
+    parameter t, each affine in its value v once vals[:t] are fixed.  So
+    e = det(n1, n2, p) and f = det(n1, n2, q) have degree at most 3 in v,
+    and at most 1 for a wall with one moving ray.  Where e is constant,
+    so is the sign in front of a1 = e det(q, n2, p) and of the cap sum
+    e det(q, n2 - n1, p), which then have degree at most 3 in v, and at
+    most 1 when one ray moves.  Every wall is sampled at the first 2 axis
+    values, and a wall with more than one moving ray at the next 2 as
+    well.  If e f = -1 with e and f equal at every sample, they are
     constant on the whole axis; if a1 and the sum are collinear too, each
-    is its line, which has integer slope as the polynomial has integer
-    coefficients.  Then "sum <= cap" is a half-line, measured from the
-    first sample value, that one floor division bounds.  The run is the
-    axis cut to every wall's half-line; a wall past the cap at every
-    value, once the walls before it in plan order are shown smooth, ends
-    the run empty, as the scan stops at that wall on every value.
+    is its line, whose integer slope is the difference of the first two
+    samples.  Then "sum <= cap" is a half-line, measured from the first
+    value, that one floor division bounds.  The run is the axis cut to
+    every wall's half-line; a wall past the cap at every value, once the
+    walls before it in plan order are shown smooth, ends the run empty,
+    as the scan stops at that wall on every value.
 
     So the walls a scan would test on any value of the axis are smooth
     there, the cut keeps exactly the values the scan keeps, and each
     kept value's wall coefficients are read off the lines.  None, for a
     scan, where the samples disagree, a wall is not affine, the axis has
-    fewer than 4 values (or repeats one of its first 4) or the plan has
-    no walls.  Sampling sets vals[t] and the plan's rays; the table is
-    not touched.
+    fewer than 4 values or the plan has no walls.  Sampling sets vals[t]
+    and the plan's rays; the table is not touched.
     """
     new_rays, walls, wide = plan
-    if len(axis) < 4 or len(set(axis[:4])) < 4 or not walls:
+    if len(axis) < 4 or not walls:
         return None
     samples = []
     for v, group in zip(axis, (walls, walls, wide, wide) if wide else
@@ -708,37 +715,30 @@ def _cut_axis(plan, axis, t, vals, rays, cap):
         vals[t] = v
         _evaluate(new_rays, vals, rays)
         samples.append(_solve(group, rays))
-    v0, dv = axis[0], axis[1] - axis[0]
-    lo = hi = None
+    v0 = lo = axis[0]
+    hi = axis[-1]
     lines = []
     k = 0                 # wide[k] is the next wide wall in plan order
     for wall, (e, f, s0, a0), (e1, f1, s1, a1) in zip(walls, *samples[:2]):
         if e * e != 1 or e * f != -1 or e1 != e or f1 != f:
             return None
-        m, r = divmod(s1 - s0, dv)
-        m1, r1 = divmod(a1 - a0, dv)
-        if r or r1:
-            return None
+        m, m1 = s1 - s0, a1 - a0
         if k < len(wide) and wide[k] is wall:
             for j in (2, 3):
                 ej, fj, sj, aj = samples[j][k]
-                d = axis[j] - v0
-                if ej != e or fj != f or sj != s0 + m * d or \
-                        aj != a0 + m1 * d:
+                if ej != e or fj != f or sj != s0 + m * j or \
+                        aj != a0 + m1 * j:
                     return None
             k += 1
         # s0 + m (v - v0) <= cap
         if m > 0:
-            bound = v0 + (cap - s0) // m
-            hi = bound if hi is None else min(hi, bound)
+            hi = min(hi, v0 + (cap - s0) // m)
         elif m < 0:
-            bound = v0 - (cap - s0) // -m
-            lo = bound if lo is None else max(lo, bound)
+            lo = max(lo, v0 - (cap - s0) // -m)
         elif s0 > cap:
-            return v0, [], lines
+            return v0, axis[:0], lines
         lines.append((wall[0], a0, m1, s0 - a0, m - m1))
-    return v0, [v for v in axis if (lo is None or v >= lo)
-                and (hi is None or v <= hi)], lines
+    return v0, range(lo, hi + 1), lines
 
 
 def _fix_parameters(pf, axes, plans, t, vals, rays, table, cap, out):
@@ -967,7 +967,7 @@ def _compile_walk(fan, walls, flag):
 
 __all__ = [
     "NotComplete", "InvalidCone", "OutOfBounds", "DegenerateRay",
-    "ParamExpr", "expr_value", "is_numeric_vector",
+    "ParamExpr",
     "Fan", "Wall",
     "walls_of", "wall_table", "star_cycles",
     "blow_up", "blow_up_ray", "instantiate", "wall_sum_box",

@@ -26,14 +26,15 @@ The criterion reads only the ray degrees, counted off each node's cones,
 and is evaluated once per distinct degree multiset, after the dead-subtree
 bound (search.subtree_bound) over the same degrees: a node over the budget
 by that bound has its whole subtree walked bare, without degrees.  A
-surviving node's parameter box is walked once by
-fans.wall_sum_box, which yields the concrete fan of each point that passes
-the wall-sum test with its wall table already solved (the box of a node
-without parameters is the one point ()).  Every 3D class is keyed and
-counted, but only a class whose facets can close gets a level search: the
-2D perimeter bound, applied to the star of each ray (every facet of a
-polytope with that fan is such a polygon) and to their sum
-(rhs.facets_can_close), shows 331 of the 386 classes at N = 12 empty.
+surviving node's family goes to fans.wall_sum_box, which reads the box
+off the family's bounds, walks it once, and yields the assignment and the
+concrete fan of each point that passes the wall-sum test, its wall table
+already solved (the box of a node without parameters is the one point
+()).  Every 3D class is keyed and counted, but only a class whose facets
+can close gets a level search: the 2D perimeter bound, applied to the star
+of each ray (every facet of a polytope with that fan is such a polygon)
+and to their sum (rhs.facets_can_close), shows 331 of the 386 classes at
+N = 12 empty.
 """
 
 import json
@@ -69,7 +70,6 @@ from .search import (
     # unused: kept for perfbench/traced.py to wrap
     make_root,
     max_ray_degree,
-    parameter_axes,
     polygon_criterion,
     polygon_stats,
     subtree_bound,
@@ -383,7 +383,10 @@ def _classify_3d(max_points, stats, trace):
     stats needs the polygon minima up to max_ray_degree(max_points)
     vertices.  Once a node is dead (_verdict), the nodes of its subtree,
     which pre-order puts right after it with more rays, are walked bare:
-    counted and traced, with no degree count and no cones derived.
+    counted and traced, with no degree count and no cones derived.  A node
+    that passes hands its family to wall_sum_box, whose sorted (name,
+    value) assignment of each kept point ends the class prefix (seed,
+    path, assignment).
     """
     diag = Diagnostics()
     classes = {}
@@ -418,10 +421,9 @@ def _classify_3d(max_points, stats, trace):
                 continue          # not a candidate, but children may be
             # a leaf derives its fan and path on every read
             family, path = node.fan, node.path
-            names, axes = parameter_axes(family)
-            for values, fan in wall_sum_box(family, names, axes, max_points):
-                prefix = (name, path, tuple(zip(names, values)))
-                _note_class(classes, fan_canonical_key(fan), prefix, fan)
+            for assignment, fan in wall_sum_box(family, max_points):
+                _note_class(classes, fan_canonical_key(fan),
+                            (name, path, assignment), fan)
     jobs = sorted(classes.values(), key=lambda job: job[0])
     diag.fans_tested = len(jobs)
     perimeters = {}

@@ -47,6 +47,9 @@ class HPolytope:
         b = tuple(b)
         if not A or len(A) != len(b):
             raise ValueError("%d normals, %d levels" % (len(A), len(b)))
+        for c in b:
+            if not isinstance(c, int):
+                raise ValueError("level %r is not an integer" % (c,))
         d = len(A[0])
         _check_dim(d)
         for row in A:

@@ -529,32 +529,22 @@ def count_polygon_tree(start_cones, max_cones, pruned=True):
 def instantiate_all(fan):
     """(assignment, concrete fan) for every point of the parameter box.
 
-    A concrete fan has the one-point box () and yields ({}, a fan equal to
-    it) once.  A point where a ray vanishes or collides with another is no
-    fan of this combinatorial type and raises DegenerateRay (instantiate);
-    the 2D roots F_p and F_a, a != 1, have none.
+    The box is the product of one axis per parameter, in sorted name
+    order: its values from the lower to the upper bound, less those
+    excluded, ascending; points come in itertools.product order.  A
+    concrete fan has the one-point box () and yields ({}, a fan equal to
+    it) once.  A point where a ray vanishes or collides with another is
+    no fan of this combinatorial type and raises DegenerateRay
+    (instantiate); the 2D roots F_p and F_a, a != 1, have none.
     """
-    names, axes = parameter_axes(fan)
+    names = sorted(fan.bounds)
+    axes = [[v for v in range(fan.bounds[n][0], fan.bounds[n][1] + 1)
+             if v not in fan.excluded.get(n, ())] for n in names]
     out = []
     for combo in itertools.product(*axes):
         assignment = dict(zip(names, combo))
         out.append((assignment, instantiate(fan, assignment)))
     return out
-
-
-def parameter_axes(fan):
-    """Sorted parameter names, and per name its allowed values ascending.
-
-    The box of assignments is the product of these axes, taken in
-    itertools.product order (equivalently, row-major over the axes).
-    """
-    names = sorted(fan.bounds)
-    axes = []
-    for n in names:
-        lo, hi = fan.bounds[n]
-        bad = fan.excluded.get(n, frozenset())
-        axes.append([v for v in range(lo, hi + 1) if v not in bad])
-    return names, axes
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +702,7 @@ def subtree_bound(degrees, tails):
 __all__ = [
     "ConeFlag", "SearchNode", "make_root",
     "enumerate_blowups", "walk_tree", "trace_line", "format_trace_line",
-    "count_polygon_tree", "instantiate_all", "parameter_axes",
+    "count_polygon_tree", "instantiate_all",
     "degree_profile", "PolygonStats", "polygon_stats",
     "CriterionResult", "polygon_criterion", "max_ray_degree",
     "tail_minima", "subtree_bound",

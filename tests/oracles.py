@@ -15,6 +15,8 @@ its vertices alone, in integers and with its own hull, so it shares no
 code with the program's point count.  all_flags_key is the fan key with
 no cut, every flag walked to the end on edge_parameters; keyed_fans
 collects the fans a 3D run keys, to check the key against it at scale.
+widened_run reruns the 3D search with every parameter box widened, to
+check the premise that the declared boxes hold every class.
 
 The blow-up tree is replayed on fans, in any dimension: replay_walk
 builds every child with fans.blow_up and carries the flag discipline by
@@ -29,12 +31,12 @@ ever does arithmetic on a ParamExpr.
 """
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
-from smoothpoly import pipeline
+from smoothpoly import pipeline, search, seeds
 from smoothpoly.exact_linalg import (
     ShapeError,
     columns_matrix,
@@ -48,9 +50,7 @@ from smoothpoly.fans import (
     ParamExpr,
     _paired_ridges,
     blow_up,
-    expr_value,
     fan_canonical_key,
-    is_numeric_vector,
     wall_table,
     walls_of,
 )
@@ -161,10 +161,11 @@ def edge_parameters(fan, wall):
     parametric, giving ParamExpr coefficients.
     """
     spanning = [fan.rays[i] for i in wall.ray_indices]
-    if not all(is_numeric_vector(v) for v in spanning):
+    # an entry that reads no parameter is an int
+    if not all(isinstance(a, int) for v in spanning for a in v):
         raise ParametricWallUnsupported(
             "wall %r is spanned by parametric rays" % (wall.ray_indices,))
-    M = columns_matrix([tuple(expr_value(a) for a in v) for v in spanning])
+    M = columns_matrix(spanning)
 
     def solve(v):
         x = solve_rational(M, v)
@@ -235,6 +236,40 @@ def keyed_fans(max_points):
     finally:
         pipeline.fan_canonical_key = key
     return kept
+
+
+def widened_run(max_points, seed_margin=12, node_margin=6):
+    """The 3D run at max_points with every parameter box widened.
+
+    Every 3D seed is built at max_points + seed_margin instead of
+    max_points, so its declared box grows with it, and every node below
+    a root has its box widened by node_margin more on each side.  The run
+    reads its seeds through seeds.get_seed and a node's family through
+    search._build_fan, which are wrapped for the run and then restored.
+    The run assumes that each node's box holds every fan of its class
+    that passes the wall-sum cap; where that holds, the widened run finds
+    the same classes and the same report.
+    """
+    get_seed, build_fan = seeds.get_seed, search._build_fan
+
+    def wider_seed(name):
+        seed = get_seed(name)
+        if seed.dim != 3:
+            return seed
+        return replace(seed, build=lambda n: seed.build(n + seed_margin))
+
+    def wider_fan(node):
+        fan = build_fan(node)
+        if node.path:
+            fan.bounds = {n: (lo - node_margin, hi + node_margin)
+                          for n, (lo, hi) in fan.bounds.items()}
+        return fan
+
+    seeds.get_seed, search._build_fan = wider_seed, wider_fan
+    try:
+        return run_classify(RunConfig(3, max_points, allow_unvalidated=True))
+    finally:
+        seeds.get_seed, search._build_fan = get_seed, build_fan
 
 
 def is_smooth_fan(fan):

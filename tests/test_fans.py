@@ -35,7 +35,6 @@ from smoothpoly.fans import (
     Wall,
     blow_up,
     fan_canonical_key,
-    expr_value,
     instantiate,
     star_cycles,
     wall_sum_box,
@@ -43,7 +42,7 @@ from smoothpoly.fans import (
     walls_of,
 )
 from smoothpoly.rhs import passes_wall_sum
-from smoothpoly.search import parameter_axes, walk_tree
+from smoothpoly.search import walk_tree
 
 A = ParamExpr.var("a")
 
@@ -73,20 +72,34 @@ def test_param_expr_arithmetic():
     b = ParamExpr.var("b")
     e = 2 * A + b - 3
     assert e.evaluate({"a": 5, "b": 1}) == 8
-    assert (A - A) == 0
     assert (A + 1) - 1 == A
     assert -(2 * A) == -2 * A
     assert hash(A + 0) == hash(A)
     assert repr(2 * A + 1) == "2a+1"
     assert repr(-A) == "-a"
-    assert repr(ParamExpr(0)) == "0"
+    # arithmetic that cancels every parameter gives a plain int, so equal
+    # values hash equal and no expression equals an int
+    for zero_sum, value in [(A - A, 0), (A - A + 1, 1), (0 * A, 0),
+                            (e - 2 * A - b, -3)]:
+        assert type(zero_sum) is int and zero_sum == value
+    assert A != 0 and A + 1 != 1 and hash(A - A + 1) == hash(1)
 
 
-def test_expr_value_needs_a_constant():
-    assert expr_value(7) == 7
-    assert expr_value(ParamExpr(4)) == 4
-    with pytest.raises(ValueError):
-        expr_value(A + 1)
+def test_param_expr_needs_a_parameter():
+    """An expression with no nonzero coefficient is an int, never a
+    ParamExpr: building one raises."""
+    for coeffs in [{}, {"a": 0}, {"a": 0, "b": 0}]:
+        with pytest.raises(ValueError, match="reads no parameter"):
+            ParamExpr(4, coeffs)
+    assert ParamExpr(4, {"a": 0, "b": 2}).coeffs == {"b": 2}
+
+
+def test_fan_rejects_rays_equal_after_cancelling():
+    """(A - A + 1, 0) is the ray (1, 0), so a fan holding both has two
+    equal rays."""
+    with pytest.raises(ValueError, match="duplicate rays"):
+        Fan([(A - A + 1, 0), (1, 0), (0, 1), (-1, -1)],
+            [(0, 2), (2, 3), (1, 3)])
 
 
 def test_walls_of_counts():
@@ -183,10 +196,18 @@ def test_edge_parameters_inconsistent(fan, wall):
         edge_parameters(fan, wall)
 
 
+def _box_axes(fan):
+    """The sorted parameter names of a 3D fan, and per name the range its
+    bounds give: the axes whose product wall_sum_box walks."""
+    names = sorted(fan.bounds)
+    return names, [range(fan.bounds[n][0], fan.bounds[n][1] + 1)
+                   for n in names]
+
+
 def _corner_instances(fan):
     """(point, fan at point) for the first, middle and last values of the
     parameter box's axes, taken together, skipping a degenerate point."""
-    names, axes = parameter_axes(fan)
+    names, axes = _box_axes(fan)
     for vals in zip(*[(ax[0], ax[len(ax) // 2], ax[-1]) for ax in axes]):
         point = dict(zip(names, vals))
         try:
@@ -431,6 +452,19 @@ def test_instantiate_out_of_bounds():
         instantiate(fa_fan(), {"a": 1})   # excluded value
 
 
+def test_instantiate_names_a_missing_or_unknown_parameter():
+    """Every parameter of the box needs a value, and a name outside the
+    box is no parameter of the fan: both raise OutOfBounds naming it."""
+    pf = seeds.get_seed("4^6").build(12)
+    with pytest.raises(OutOfBounds, match="parameter b has no value"):
+        instantiate(pf, {"a": 0, "c": 0})
+    for fan, assignment, name in [(pf, {"a": 0, "b": 0, "c": 0, "d": 0}, "d"),
+                                  (fa_fan(), {"a": 2, "b": 0}, "b"),
+                                  (tetra_fan(), {"b": 0}, "b")]:
+        with pytest.raises(OutOfBounds, match=name + " is not a parameter"):
+            instantiate(fan, assignment)
+
+
 def test_instantiate_degenerate_rays():
     zero = Fan([(1, 0), (0, 1), (A, -1)], [(0, 1), (1, 2), (2, 0)],
                bounds={"a": (-2, 2)})
@@ -487,7 +521,7 @@ def test_3d_seed_cones_are_unimodular_on_their_whole_box():
     samples do not show it is scanned, which raises at a bad point."""
     for name in seeds.seed_names(3):
         pf = seeds.get_seed(name).build(12)
-        names, axes = parameter_axes(pf)
+        names, axes = _box_axes(pf)
         assert all(len(axis) >= 7 for axis in axes), name
         walls = walls_of(pf)
         for values in product(*axes):
@@ -517,8 +551,8 @@ def test_wall_sum_box_fans_hold_their_wall_tables():
               (0, 0, -1)]
     cones = [(i, j, k) for i in (0, 3) for j in (1, 4) for k in (2, 5)]
     concrete = Fan(octant, cones)
-    ((values, fan),) = wall_sum_box(concrete, [], [], 12)
-    assert values == () and fan == concrete and fan is not concrete
+    ((assignment, fan),) = wall_sum_box(concrete, 12)
+    assert assignment == () and fan == concrete and fan is not concrete
     assert fan._walls is concrete._walls
     assert fan._table == [c for *_, c in wall_table(Fan(octant, cones))]
     for index, ray, smooth, bad, dets in [
@@ -526,16 +560,18 @@ def test_wall_sum_box_fans_hold_their_wall_tables():
             (3, (2 * A - 1, 0, 0), 0, 1, (1, 1))]:
         rays = list(octant)
         rays[index] = ray
-        pf = Fan(rays, cones, bounds={"a": (-3, 3)})
-        ((values, fan),) = wall_sum_box(pf, ["a"], [[smooth]], 12)
-        assert values == (smooth,)
+        pf = Fan(rays, cones, bounds={"a": (smooth, smooth)})
+        ((assignment, fan),) = wall_sum_box(pf, 12)
+        assert assignment == (("a", smooth),)
         assert fan.rays[index] == tuple(
             x.evaluate({"a": smooth}) if isinstance(x, ParamExpr) else x
             for x in ray)
         assert fan._walls is pf._walls
         assert fan._table == [c for *_, c in wall_table(Fan(fan.rays, cones))]
+        wide = Fan(rays, cones, bounds={"a": (min(smooth, bad),
+                                             max(smooth, bad))})
         with pytest.raises(InvariantError) as exc:
-            wall_sum_box(pf, ["a"], [[smooth, bad]], 12)
+            wall_sum_box(wide, 12)
         assert str(exc.value).startswith("wall ")
         assert str(exc.value).endswith(
             "det(n1, n2, p) = %d, det(n1, n2, q) = %d" % dets)
@@ -545,6 +581,17 @@ def test_wall_sum_box_fans_hold_their_wall_tables():
                              [])
 
 
+def test_wall_sum_box_needs_a_box_of_whole_ranges():
+    """The box pass walks each parameter's whole range, so a family with
+    excluded values raises ValueError naming the parameter."""
+    octant = [(A, 1, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0),
+              (0, 0, -1)]
+    cones = [(i, j, k) for i in (0, 3) for j in (1, 4) for k in (2, 5)]
+    pf = Fan(octant, cones, bounds={"a": (1, 3)}, excluded={"a": {2}})
+    with pytest.raises(ValueError, match="excludes values of a"):
+        wall_sum_box(pf, 12)
+
+
 NON_PRIMITIVE = """
 from smoothpoly import InvariantError
 from smoothpoly.fans import Fan, ParamExpr, wall_sum_box, wall_table
@@ -552,12 +599,12 @@ octant = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0),
           (0, 0, -1)]
 cones = [(i, j, k) for i in (0, 3) for j in (1, 4) for k in (2, 5)]
 rays = [(ParamExpr.var("a"), 0, 0)] + octant[1:]
-pf = Fan(rays, cones, bounds={"a": (-3, 3)})
-((values, fan),) = wall_sum_box(pf, ["a"], [[1]], 12)
-print(values, fan.rays[0], fan._walls is pf._walls,
+pf = Fan(rays, cones, bounds={"a": (1, 1)})
+((assignment, fan),) = wall_sum_box(pf, 12)
+print(assignment, fan.rays[0], fan._walls is pf._walls,
       fan._table == [c for *_, c in wall_table(Fan(fan.rays, cones))])
 try:
-    wall_sum_box(pf, ["a"], [[1, 2]], 12)
+    wall_sum_box(Fan(rays, cones, bounds={"a": (1, 2)}), 12)
 except InvariantError as exc:
     print("InvariantError:", exc)
 """
@@ -576,7 +623,7 @@ def test_wall_sum_box_raises_on_a_non_primitive_ray(flags):
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert len(lines) == 2
-    assert lines[0] == "(1,) (1, 0, 0) True True"
+    assert lines[0] == "(('a', 1),) (1, 0, 0) True True"
     assert lines[1].startswith("InvariantError: wall ")
     assert lines[1].endswith("det(n1, n2, p) = 2, det(n1, n2, q) = -2")
 
@@ -605,7 +652,7 @@ def _recorded_cuts(monkeypatch, max_points):
                 scan.append(v)
                 assert table == {w: (a1 + m1 * (v - v0), a2 + m2 * (v - v0))
                                  for w, a1, m1, a2, m2 in lines}, (axis, v)
-        assert v0 == axis[0] and run == scan, (axis, plan)
+        assert v0 == axis[0] and list(run) == scan, (axis, plan)
         return cut
 
     monkeypatch.setattr(fans, "_cut_axis", checked)
@@ -646,7 +693,7 @@ def test_cut_axis_scans_a_wall_of_degree_2(monkeypatch):
         return cut
 
     monkeypatch.setattr(fans, "_cut_axis", recorded)
-    kept = [v for (v,), _ in wall_sum_box(bundle, ["a"], [axis], 12)]
+    kept = [v for ((_, v),), _ in wall_sum_box(bundle, 12)]
     assert scanned == [axis]
     assert kept == [v for v in axis
                     if passes_wall_sum(instantiate(bundle, {"a": v}), 12)]
@@ -660,16 +707,13 @@ a = ParamExpr.var("a")
 rays = [(a + 1, a, 0), (a, 1, 0), (0, 0, 1), (-a - 1, -a, 0), (-a, -1, 0),
         (0, 0, -1)]
 cones = [(i, j, k) for i in (0, 3) for j in (1, 4) for k in (2, 5)]
-pf = Fan(rays, cones, bounds={"a": (-1, 3)})
 doubled = Fan([(2, a, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0),
                (0, 0, -1)], cones, bounds={"a": (-1, 2)})
-for fan, axis, max_points in [(pf, [-1, 0, 1, 2], 12),
-                              (pf, [-1, 0, 1, 2, 3], 12),
-                              (pf, [3, 2, 1, 0, -1], 12),
-                              (doubled, [-1, 0, 1, 2], 6)]:
+for fan, max_points in [(Fan(rays, cones, bounds={"a": (-1, 2)}), 12),
+                        (Fan(rays, cones, bounds={"a": (-1, 3)}), 12),
+                        (doubled, 6)]:
     try:
-        print([v for (v,), _ in wall_sum_box(fan, ["a"], [axis],
-                                             max_points)])
+        print([v for ((_, v),), _ in wall_sum_box(fan, max_points)])
     except InvariantError as exc:
         print("InvariantError:", exc)
 """
@@ -697,8 +741,7 @@ def test_wall_sum_box_raises_the_scans_error_on_long_axes(flags):
     doubled = ("InvariantError: wall (0, 1) is not smooth at n1, n2, p, "
                "q = ((2, -1, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)): "
                "det(n1, n2, p) = 2, det(n1, n2, q) = -2")
-    assert out.stdout.splitlines() == ["[-1, 0, 1, 2]", error, error,
-                                       doubled]
+    assert out.stdout.splitlines() == ["[-1, 0, 1, 2]", error, doubled]
 
 
 def test_star_cycles_hand_cases():

@@ -10,7 +10,13 @@ from collections import Counter
 import pytest
 
 import smoothpoly
-from oracles import replay_children, replay_root, replay_walk, solve_rational
+from oracles import (
+    replay_children,
+    replay_root,
+    replay_walk,
+    solve_rational,
+    widened_run,
+)
 from smoothpoly import InvariantError, fans, pipeline, polytopes, search, seeds
 from smoothpoly.exact_linalg import dot, normalize_primitive
 from smoothpoly.fans import Fan, fan_canonical_key, instantiate, star_cycles
@@ -344,6 +350,26 @@ def test_trace_tree_digest_3d(tmp_path):
     assert text.count(b"\n") == 31698
     assert hashlib.sha256(text).hexdigest() == (
         "f38a9666feac8396ab45abd115d77e60381c126ece86ab1540e97f728b54e9e4")
+
+
+@pytest.mark.parametrize("max_points", [12, 13])
+def test_widened_boxes_give_the_same_report(monkeypatch, max_points):
+    """The box premise of the 3D run: each node's parameter box holds
+    every fan of its class that passes the wall-sum cap.  With every seed
+    built at N + 12, so that its declared box grows, and every node's box
+    below a root widened by 6 more, the run gives the same report, byte
+    for byte, fans_tested included.  The box pass does walk the wider
+    boxes: some box reaches past N + 12 + 6."""
+    plain = run_classify(RunConfig(3, max_points, allow_unvalidated=True))
+    box, reach = pipeline.wall_sum_box, [0]
+
+    def recorded(pf, budget):
+        reach[0] = max([reach[0]] + [hi for _, hi in pf.bounds.values()])
+        return box(pf, budget)
+
+    monkeypatch.setattr(pipeline, "wall_sum_box", recorded)
+    assert render_json(widened_run(max_points)) == render_json(plain)
+    assert reach[0] > max_points + 18
 
 
 @pytest.fixture(scope="module")

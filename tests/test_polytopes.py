@@ -60,12 +60,14 @@ BAD_INPUTS = [
     "Fan([(1, 0), (1, 0), (0, 1)], [(0, 2), (1, 2)])",
     "Fan([(1, 0), (0, 1)], [(0, 5)])",
     "HPolytope([(2, 0), (0, 1), (-1, -1)], [0, 0, 1])",
+    "HPolytope([(1, 0), (0, 1), (-1, -1)], [1.5, 1, 0])",
     "VPolytope([(0, 0), (1, 0, 0)])",
 ]
 BAD_INPUT_ERRORS = [
     "ValueError duplicate rays",
     "ValueError cones ((0, 5),) name a ray index outside 0..1",
     "ValueError facet normal (2, 0) is not primitive",
+    "ValueError level 1.5 is not an integer",
     "ValueError vertices of a 2-dimensional polytope have other lengths: "
     "[(0, 0), (1, 0, 0)]",
 ]

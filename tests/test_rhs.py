@@ -166,8 +166,7 @@ def test_enumerate_rhs_leaves_no_reference_cycle():
     gc.disable()
     try:
         assert len(enumerate_rhs(fan, 12)) > 1
-        assert len(wall_sum_box(seeds.get_seed("4^6").build(12),
-                                ["a", "b", "c"], [[-2, 0, 2]] * 3, 12)) > 1
+        assert len(wall_sum_box(seeds.get_seed("4^6").build(2), 12)) > 1
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -199,20 +198,21 @@ def test_wall_sum_scalar():
 
 
 @pytest.mark.parametrize("name,box", [
-    ("4^6", [("a", [-2, 0, 2]), ("b", [-2, 0, 2]), ("c", [-2, 0, 2])]),
-    ("3^2 4^3 6^2", [("a", list(range(-6, 6)))]),
-    # axes out of order and with gaps, which the axis cut must keep
-    ("4^6", [("a", [3, -2, 0, 4, -4, 1]), ("b", [-1, 2, -3, 0]),
-             ("c", [4, 0, -2, 1, -4])]),
-    ("3^2 4^3 6^2", [("a", [5, -6, 2, -1, 0, 3, -4])]),
+    ("4^6", {"a": (-2, 2), "b": (-2, 2), "c": (-2, 2)}),
+    ("3^2 4^3 6^2", {"a": (-6, 5)}),
+    # boxes off centre, with axes of 3 values (scanned) and of more (cut)
+    ("4^6", {"a": (-4, 4), "b": (-3, 2), "c": (-1, 1)}),
+    ("3^2 4^3 6^2", {"a": (-3, 9)}),
 ])
 def test_wall_sum_box_matches_scalar_3d(name, box):
-    pf = seeds.get_seed(name).build(12)
-    names = [n for n, _ in box]
-    axes = [vals for _, vals in box]
-    kept = [c for c, _ in wall_sum_box(pf, names, axes, 12)]
-    scalar = [c for c in itertools.product(*axes)
-              if passes_wall_sum(instantiate(pf, dict(zip(names, c))), 12)]
+    seed = seeds.get_seed(name).build(12)
+    pf = Fan(seed.rays, seed.cones, box)
+    names = sorted(box)
+    points = [tuple(zip(names, c)) for c in itertools.product(
+        *(range(box[n][0], box[n][1] + 1) for n in names))]
+    kept = [c for c, _ in wall_sum_box(pf, 12)]
+    scalar = [c for c in points
+              if passes_wall_sum(instantiate(pf, dict(c)), 12)]
     assert kept == scalar
 
 
@@ -234,11 +234,11 @@ def test_wall_sum_box_matches_scalar_on_every_box_of_a_run(monkeypatch):
     solves = [0, None]     # _solve_walls calls; the count at the first box
     solve = fans._solve_walls
 
-    def recorded(fan, names, axes, max_points):
+    def recorded(fan, max_points):
         if solves[1] is None:
             solves[1] = solves[0]
-        out = box(fan, names, axes, max_points)
-        calls.append((fan, names, axes, out))
+        out = box(fan, max_points)
+        calls.append((fan, out))
         return out
 
     def counted(fan, paired):
@@ -251,12 +251,16 @@ def test_wall_sum_box_matches_scalar_on_every_box_of_a_run(monkeypatch):
     assert solves[0] == solves[1] > 0
     points = 0
     walls = {}             # (spanning rays, p + q) -> coefficients
-    for pf, names, axes, kept in calls:
+    for pf, kept in calls:
+        names = sorted(pf.bounds)
         scalar = []
-        for c in itertools.product(*axes):
+        for values in itertools.product(*(range(pf.bounds[n][0],
+                                                pf.bounds[n][1] + 1)
+                                          for n in names)):
             points += 1
+            c = tuple(zip(names, values))
             try:
-                fan = instantiate(pf, dict(zip(names, c)))
+                fan = instantiate(pf, dict(c))
             except DegenerateRay:
                 continue
             if passes_wall_sum(fan, 12):

@@ -715,13 +715,12 @@ def test_walk_equals_blow_up_replay(name, max_cones, pruned):
 
 def test_built_rays_normalize_like_blow_up():
     # smooth fans never need it, but a sum without parameters is made
-    # primitive and integer exactly as fans.blow_up does: (2, 2, 2) here
-    # becomes (1, 1, 1)
-    one = ParamExpr(1)
+    # primitive exactly as fans.blow_up does: (2, 2, 2) here becomes
+    # (1, 1, 1), also where the parameters of its rays cancel
+    a = ParamExpr.var("a")
     cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     fans_in = [Fan([(1, 0, 0), (1, 2, 1), (0, 0, 1), (-1, -1, -1)], cones),
-               Fan([(one, 0, 0), (0, one, 0), (0, 0, one),
-                    (-1, -1, -ParamExpr.var("a"))],
+               Fan([(a + 1, 0, 0), (-a + 1, 2, 1), (0, 0, 1), (-1, -1, -a)],
                    cones, bounds={"a": (0, 2)})]
     for fan in fans_in:
         child = next(enumerate_blowups(make_root(fan), 6))
